@@ -48,7 +48,6 @@ from .dwr import (  # noqa: F401
     effectivity,
     error_identity,
     local_enhancement,
-    solve_effective_dual,
 )
 from .optim import (  # noqa: F401
     GaussNewtonState,

@@ -11,12 +11,12 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dwr import DualApproximation, error_identity
+from .dwr import error_identity
 from .errors import (
     ConfigurationError,
     NumericalError,
@@ -27,11 +27,10 @@ from .fem import (
     Functional,
     Problem,
     apply_functional,
+    effective_operator,
     fine_operator,
     problem_rhs,
     solve,
-    solve_dual,
-    effective_operator,
 )
 from .field import (
     CoefficientField,
@@ -43,7 +42,7 @@ from .field import (
     stream_advection,
 )
 from .mesh import SIDES, Domain, build_hierarchy
-from .optim import OptimizerConfig, run_optimization
+from .optim import OptimizerConfig, primal_dual, run_optimization
 from .upscale import (
     arithmetic_mean_model,
     constant_model,
@@ -296,6 +295,11 @@ def build_initial_model(cfg, problem):
     return model
 
 
+def _fine_h(cfg):
+    """Reference and full-dual mesh size: ``[mesh] fine``, else ``h``."""
+    return parse_quantity(cfg.get("mesh", "fine", cfg.require("mesh", "h")))
+
+
 def build_optimizer_config(cfg):
     alpha_raw = cfg.get("optimizer", "alpha", "auto")
     alpha = None if alpha_raw == "auto" else parse_quantity(alpha_raw)
@@ -308,11 +312,7 @@ def build_optimizer_config(cfg):
         depth=int(cfg.get("optimizer", "depth", "1")),
         max_cycles=int(cfg.get("optimizer", "max_cycles", "15")),
         stop_fraction=parse_quantity(cfg.get("optimizer", "stop_fraction", "0.05")),
-        h_fine=(
-            parse_quantity(cfg.get("mesh", "fine"))
-            if cfg.get("mesh", "fine") is not None
-            else None
-        ),
+        h_fine=_fine_h(cfg),
     )
     config.validate()
     return config
@@ -407,6 +407,42 @@ def _write_b_delta(path, hierarchy, b_delta):
             fh.write(f"{i},{j},{b_delta[k, 0]:.17g},{b_delta[k, 1]:.17g}\n")
 
 
+@dataclass
+class Scenario:
+    """What the scenario commands read from one configuration: the problem,
+    the initial model, the optimizer settings and the reference settings."""
+
+    problem: Problem
+    raster: object
+    model0: object
+    config: OptimizerConfig
+    dof_cap: int
+    reference: bool
+
+    def oracle(self):
+        """(u_ref, j_ref) from the fine-scale reference solve, or None when
+        ``[problem] reference`` is off."""
+        if not self.reference:
+            return None
+        return oracle_reference(self.problem, self.config.h_fine, self.dof_cap, self.raster)
+
+
+def build_scenario(cfg, seed_override=None, dual_modes=None):
+    """Problem, initial model and optimizer config of ``cfg``.  When one of
+    ``dual_modes`` (default: the configured one) is the full dual, its mesh
+    is checked against ``[mesh] dof_cap`` before any fine space is built."""
+    problem, raster = build_problem(cfg, seed_override)
+    model0 = build_initial_model(cfg, problem)
+    config = build_optimizer_config(cfg)
+    dof_cap = _dof_cap(cfg)
+    if "full" in (dual_modes or (config.dual_mode,)):
+        n_fine = problem.hierarchy.fine_grid(config.h_fine).n_nodes
+        if n_fine > dof_cap:
+            raise ResourceCapError(f"full dual needs {n_fine} dofs, above the cap {dof_cap}")
+    reference = cfg.get("problem", "reference", "no").lower() in ("yes", "true", "1")
+    return Scenario(problem, raster, model0, config, dof_cap, reference)
+
+
 def run_scenario(cfg, outdir, seed_override=None):
     """Full pipeline: field -> hierarchy -> initial model -> optional
     reference -> optimization -> files.  Deterministic given the seed."""
@@ -416,9 +452,8 @@ def run_scenario(cfg, outdir, seed_override=None):
     manifest = []
 
     phases.start("setup")
-    problem, raster = build_problem(cfg, seed_override)
-    model0 = build_initial_model(cfg, problem)
-    opt_config = build_optimizer_config(cfg)
+    sc = build_scenario(cfg, seed_override)
+    problem, raster, model0 = sc.problem, sc.raster, sc.model0
     phases.stop()
 
     if raster is not None and raster.values.dtype == np.uint8:
@@ -432,24 +467,13 @@ def run_scenario(cfg, outdir, seed_override=None):
         manifest.append("advection_delta.csv")
 
     oracle = None
-    j_ref = None
-    if cfg.get("problem", "reference", "no").lower() in ("yes", "true", "1"):
+    if sc.reference:
         phases.start("reference")
-        h_fine = parse_quantity(cfg.get("mesh", "fine", cfg.require("mesh", "h")))
-        u_ref, j_ref = oracle_reference(problem, h_fine, _dof_cap(cfg), raster)
-        oracle = (u_ref, j_ref)
+        oracle = sc.oracle()
         phases.stop()
 
-    if opt_config.dual_mode == "full":
-        h_dual = opt_config.h_fine or problem.hierarchy.h_micro
-        n_fine = problem.hierarchy.fine_grid(h_dual).n_nodes
-        if n_fine > _dof_cap(cfg):
-            raise ResourceCapError(
-                f"full dual needs {n_fine} dofs, above the cap {_dof_cap(cfg)}"
-            )
-
     phases.start("optimize")
-    state = run_optimization(problem, model0, opt_config, oracle=oracle)
+    state = run_optimization(problem, model0, sc.config, oracle=oracle)
     phases.stop()
 
     phases.start("write")
@@ -469,7 +493,7 @@ def run_scenario(cfg, outdir, seed_override=None):
         config_echo=cfg.to_ini_text(),
         phases=phases.times,
         manifest=manifest + ["report.txt"],
-        j_reference=j_ref,
+        j_reference=None if oracle is None else oracle[1],
         stop_reason=state.stop_reason,
         cycles=state.cycles,
     )
@@ -484,30 +508,13 @@ def estimate_once(cfg, outdir, seed_override=None):
     """One estimator pass with the initial model: indicators + summary."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, raster = build_problem(cfg, seed_override)
-    model = build_initial_model(cfg, problem)
-    opt_config = build_optimizer_config(cfg)
-    macro = problem.macro_space()
-    op = effective_operator(problem, model, macro)
-    U = solve(op, problem_rhs(problem, macro))
-    if opt_config.dual_mode == "full":
-        h_fine = opt_config.h_fine or problem.hierarchy.h_micro
-        fine = problem.fine_space(h_fine)
-        if fine.n_dofs > _dof_cap(cfg):
-            raise ResourceCapError(
-                f"full dual needs {fine.n_dofs} dofs, above the cap {_dof_cap(cfg)}"
-            )
-        z = solve_dual(fine_operator(problem, fine), problem.functional)
-        dual = DualApproximation("full", z)
-    else:
-        z = solve_dual(op, problem.functional)
-        dual = DualApproximation(opt_config.dual_mode, z, opt_config.depth)
-    j_ref = None
-    if cfg.get("problem", "reference", "no").lower() in ("yes", "true", "1"):
-        h_fine = parse_quantity(cfg.get("mesh", "fine", cfg.require("mesh", "h")))
-        _, j_ref = oracle_reference(problem, h_fine, _dof_cap(cfg), raster)
-    err = error_identity(problem, model, U, dual, j_reference=j_ref)
-    err.to_csv(out / "breakdown.csv", problem.hierarchy)
+    sc = build_scenario(cfg, seed_override)
+    oracle = sc.oracle()
+    _, U, dual = primal_dual(sc.problem, sc.model0, sc.config)
+    err = error_identity(
+        sc.problem, sc.model0, U, dual, j_reference=None if oracle is None else oracle[1]
+    )
+    err.to_csv(out / "breakdown.csv", sc.problem.hierarchy)
     return err
 
 
@@ -516,31 +523,21 @@ def compare_duals(cfg, outdir, seed_override=None):
     side-by-side per-cycle table."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, raster = build_problem(cfg, seed_override)
-    opt_config = build_optimizer_config(cfg)
-    h_fine = opt_config.h_fine or problem.hierarchy.h_micro
-    fine_nodes = problem.hierarchy.fine_grid(h_fine).n_nodes
-    if fine_nodes > _dof_cap(cfg):
-        raise ResourceCapError(
-            f"full dual needs {fine_nodes} dofs, above the cap {_dof_cap(cfg)}"
+    modes = ("full", "enhanced")
+    sc = build_scenario(cfg, seed_override, dual_modes=modes)
+    oracle = sc.oracle()
+    states = {
+        mode: run_optimization(
+            sc.problem, sc.model0, replace(sc.config, dual_mode=mode), oracle=oracle
         )
-    oracle = None
-    if cfg.get("problem", "reference", "no").lower() in ("yes", "true", "1"):
-        u_ref, j_ref = oracle_reference(problem, h_fine, _dof_cap(cfg), raster)
-        oracle = (u_ref, j_ref)
-
-    states = {}
-    for mode in ("full", "enhanced"):
-        model0 = build_initial_model(cfg, problem)
-        config = build_optimizer_config(cfg)
-        config.dual_mode = mode
-        states[mode] = run_optimization(problem, model0, config, oracle=oracle)
+        for mode in modes
+    }
 
     rows = max(state.cycles for state in states.values())
     lines = ["cycle,theta_full,abs_err_full,theta_enhanced,abs_err_enhanced"]
     for c in range(rows):
         parts = [str(c + 1)]
-        for mode in ("full", "enhanced"):
+        for mode in modes:
             hist = states[mode].history
             if c < len(hist):
                 theta = hist[c]["theta_tilde"]
@@ -584,8 +581,7 @@ def _cmd_reference(cfg, outdir, seed):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     problem, raster = build_problem(cfg, seed)
-    h_fine = parse_quantity(cfg.get("mesh", "fine", cfg.require("mesh", "h")))
-    u_ref, j_ref = oracle_reference(problem, h_fine, _dof_cap(cfg), raster)
+    u_ref, j_ref = oracle_reference(problem, _fine_h(cfg), _dof_cap(cfg), raster)
     u_ref.to_csv(out / "reference.csv")
     u_ref.to_vtk(out / "reference.vtk")
     (out / "reference_qoi.txt").write_text(f"{j_ref:.17g}\n", newline="\n")

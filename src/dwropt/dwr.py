@@ -24,16 +24,16 @@ from .fem import (
     assemble_advection,
     assemble_diffusion,
     diffusion_form_percell,
-    effective_operator,
+    diffusion_form_stack,
     evaluate,
     functional_vector,
     gather,
     gauss_point_coords,
     interpolate,
     problem_rhs,
-    solve_dual,
 )
 from .field import CellAveragedAdvection
+from .mesh import Grid
 
 
 @dataclass
@@ -42,20 +42,13 @@ class DualApproximation:
 
     ``full``: a global fine-space dual; ``effective``: the macro-space dual of
     the effective operator; ``enhanced``: the effective dual plus per-patch
-    micro corrections (computed on demand, never stored globally).
+    micro corrections (computed on demand, never stored globally).  ``depth``
+    is the enhancement patch depth; the other modes ignore it.
     """
 
     mode: str
     z_global: object
     depth: int = 1
-
-
-def solve_effective_dual(model, j, space, problem=None, operator=None):
-    """Dual of the effective problem via a transposed solve, reusing the
-    cached factorization of ``operator`` when given."""
-    if operator is None:
-        operator = effective_operator(problem, model, space)
-    return solve_dual(operator, j)
 
 
 def _patch_operator(problem, model, patch_space):
@@ -142,15 +135,6 @@ def _advection_fluctuation_percell(grid, u4, z4, b_eps_vals, b_delta_vals):
     return out
 
 
-def _eta_cells(grid, d_tensors, u4, z4, b_eps_vals=None, b_delta_vals=None):
-    """Per-cell indicator contributions ((model - fine) grad U, grad z)
-    minus the advection fluctuation term."""
-    out = diffusion_form_percell(grid, d_tensors, u4, z4)
-    if b_eps_vals is not None:
-        out = out - _advection_fluctuation_percell(grid, u4, z4, b_eps_vals, b_delta_vals)
-    return out
-
-
 def _theta_macro(problem, model, U, z):
     """Residual of the effective problem tested with a field z living on the
     same space family as U (macro) or any nested refinement."""
@@ -182,30 +166,103 @@ def _advection_values(problem, model, grid):
     return b_eps, b_delta
 
 
-def _eta_full(problem, model, U, z_fine):
-    """All indicators in one vectorized pass over the fine grid."""
-    space = z_fine.space
-    grid = space.grid
+def _subgrid(grid, bbox):
+    """Grid with the spacing of ``grid`` tiling ``bbox``."""
+    nx = int(round((bbox[2] - bbox[0]) / grid.spacing[0]))
+    ny = int(round((bbox[3] - bbox[1]) / grid.spacing[1]))
+    return Grid((bbox[0], bbox[1]), grid.spacing, (nx, ny))
+
+
+class _PatchContext:
+    """Per-cell data shared by the indicator eta_K and its Jacobian row: the
+    patch micro grid, U and the dual z* on it, and the fine-coefficient
+    differences."""
+
+    def __init__(self, problem, model, U, k, patch, grid, zstar):
+        self.k = k
+        self.patch = patch
+        self.grid = grid
+        self.zstar = zstar
+        hierarchy = problem.hierarchy
+        parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
+        self.d_tensors = model.tensors[parents] - problem.coefficient.tensors_at(
+            grid.cell_centers
+        )
+        self.u4 = self.nodal4(U)
+        self.z4 = gather(grid, zstar)
+        self.b_eps_vals, self.b_delta_vals = _advection_values(problem, model, grid)
+        self.cell_slices = {
+            q: grid.subgrid_cell_ids(hierarchy.sampling_bbox(q)) for q in patch.members
+        }
+
+    def nodal4(self, field):
+        """Per-cell nodal values of a field evaluated on the patch grid."""
+        return gather(self.grid, evaluate(field, self.grid.node_coords))
+
+    def _fluctuation(self, u4, ids):
+        return float(
+            np.sum(
+                _advection_fluctuation_percell(
+                    self.grid,
+                    u4[ids],
+                    self.z4[ids],
+                    self.b_eps_vals[ids],
+                    None if self.b_delta_vals is None else self.b_delta_vals[ids],
+                )
+            )
+        )
+
+    def indicator_and_stack(self):
+        """(eta_K, direct-term stack) over the center cell's region."""
+        ids = self.cell_slices[self.k]
+        stack = diffusion_form_stack(self.grid, self.u4[ids], self.z4[ids])
+        eta = float(np.einsum("cab,cab->", self.d_tensors[ids], stack))
+        if self.b_eps_vals is not None:
+            eta -= self._fluctuation(self.u4, ids)
+        return eta, stack.sum(axis=0)
+
+    def response_term(self, u4r, q):
+        """int_Q (A_delta - A_eps) grad R . grad z* [- (b_eps - b_delta) . grad R z*]."""
+        ids = self.cell_slices[q]
+        out = float(
+            np.sum(diffusion_form_percell(self.grid, self.d_tensors[ids], u4r[ids], self.z4[ids]))
+        )
+        if self.b_eps_vals is not None:
+            out -= self._fluctuation(u4r, ids)
+        return out
+
+
+def _patch_context(problem, model, U, dual, k):
+    """Context of sampling cell ``k``.  The enhanced dual lives on the
+    enhancement patch of depth ``dual.depth``; the full and effective duals
+    are restricted to the depth-1 patch, which bounds the Jacobian band."""
     hierarchy = problem.hierarchy
-    parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
-    d_tensors = model.tensors[parents] - problem.coefficient.tensors_at(grid.cell_centers)
-    u4 = gather(grid, interpolate(U, space).values)
-    z4 = gather(grid, z_fine.values)
-    b_eps_vals, b_delta_vals = _advection_values(problem, model, grid)
-    cells = _eta_cells(grid, d_tensors, u4, z4, b_eps_vals, b_delta_vals)
-    eta = np.zeros(hierarchy.n_sampling)
-    np.add.at(eta, parents, cells)
-    return eta
+    z = dual.z_global
+    if dual.mode == "enhanced":
+        patch, patch_space, z_k = local_enhancement(problem, model, z, k, dual.depth)
+        grid = patch_space.grid
+        zstar = evaluate(z, grid.node_coords) + z_k.values
+    elif dual.mode == "full":
+        patch = hierarchy.patch_of(k, 1)
+        grid = _subgrid(z.space.grid, patch.bbox)
+        zstar = z.values[z.space.grid.subgrid_node_ids(patch.bbox)]
+    elif dual.mode == "effective":
+        patch = hierarchy.patch_of(k, 1)
+        grid = hierarchy.micro_grid(patch.bbox)
+        zstar = evaluate(z, grid.node_coords)
+    else:
+        raise ValueError(f"unknown dual mode '{dual.mode}'")
+    return _PatchContext(problem, model, U, k, patch, grid, zstar)
 
 
-def eta_on_cell(problem, model, k, micro_grid, u_values, zstar_values):
-    """Indicator eta_K evaluated on the micro grid of sampling cell ``k``
-    with given nodal values of U and of the (enhanced) dual restriction."""
-    u4 = gather(micro_grid, u_values)
-    z4 = gather(micro_grid, zstar_values)
-    d_tensors = model.tensors[k] - problem.coefficient.tensors_at(micro_grid.cell_centers)
-    b_eps_vals, b_delta_vals = _advection_values(problem, model, micro_grid)
-    return float(np.sum(_eta_cells(micro_grid, d_tensors, u4, z4, b_eps_vals, b_delta_vals)))
+def indicator_sweep(problem, model, U, dual):
+    """The one pass over the sampling cells behind every indicator: yields
+    (context, eta_K, direct-term stack) per cell.  Patch reconstructions are
+    built per cell, consumed, and discarded."""
+    for k in range(problem.hierarchy.n_sampling):
+        ctx = _patch_context(problem, model, U, dual, k)
+        eta_k, stack = ctx.indicator_and_stack()
+        yield ctx, eta_k, stack
 
 
 def error_identity(problem, model, U, dual, j_reference=None):
@@ -214,32 +271,8 @@ def error_identity(problem, model, U, dual, j_reference=None):
     The indicators substitute the computable U for the exact effective
     solution; the sign convention estimates <j, u_fine> - <j, U>.
     """
-    hierarchy = problem.hierarchy
-    if dual.mode == "full":
-        z = dual.z_global
-        theta_h = _theta_macro(problem, model, U, z)
-        eta = _eta_full(problem, model, U, z)
-    elif dual.mode == "effective":
-        fine = problem.space(hierarchy.fine_grid(hierarchy.h_micro))
-        z_micro = interpolate(dual.z_global, fine)
-        theta_h = _theta_macro(problem, model, U, dual.z_global)
-        eta = _eta_full(problem, model, U, z_micro)
-    elif dual.mode == "enhanced":
-        theta_h = _theta_macro(problem, model, U, dual.z_global)
-        eta = np.zeros(hierarchy.n_sampling)
-        for k in range(hierarchy.n_sampling):
-            patch, patch_space, z_k = local_enhancement(
-                problem, model, dual.z_global, k, dual.depth
-            )
-            cell_grid = hierarchy.micro_grid(hierarchy.sampling_bbox(k))
-            ids = patch_space.grid.subgrid_node_ids(hierarchy.sampling_bbox(k))
-            zi = evaluate(dual.z_global, patch_space.grid.node_coords)
-            zstar = zi[ids] + z_k.values[ids]
-            u_vals = evaluate(U, cell_grid.node_coords)
-            eta[k] = eta_on_cell(problem, model, k, cell_grid, u_vals, zstar)
-    else:
-        raise ValueError(f"unknown dual mode '{dual.mode}'")
-
+    eta = np.array([eta_k for _, eta_k, _ in indicator_sweep(problem, model, U, dual)])
+    theta_h = _theta_macro(problem, model, U, dual.z_global)
     j_u = apply_functional(problem.functional, U)
     out = ErrorBreakdown(
         theta_H=theta_h,

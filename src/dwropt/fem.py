@@ -109,14 +109,12 @@ class Functional:
 
     Kinds: ``domain_integral`` (integral of the solution), ``point_value``
     (evaluation at a point), ``boundary_integral`` (integral over a marked
-    boundary part), ``neumann_flux`` (flux datum usable as right-hand-side
-    boundary data).
+    boundary part).
     """
 
     kind: str
     point: tuple = None
     marker: str = None
-    value: float = 1.0
 
     @classmethod
     def domain_integral(cls):
@@ -129,10 +127,6 @@ class Functional:
     @classmethod
     def boundary_integral(cls, marker):
         return cls("boundary_integral", marker=marker)
-
-    @classmethod
-    def neumann_flux(cls, marker, value):
-        return cls("neumann_flux", marker=marker, value=float(value))
 
 
 class FeSpace:
@@ -460,8 +454,6 @@ def functional_vector(space, j):
         np.add.at(vec, pairs[:, 0], 0.5 * lengths)
         np.add.at(vec, pairs[:, 1], 0.5 * lengths)
         return vec
-    if j.kind == "neumann_flux":
-        return j.value * functional_vector(space, Functional.boundary_integral(j.marker))
     raise ConfigurationError(f"unknown functional kind '{j.kind}'")
 
 

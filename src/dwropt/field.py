@@ -419,13 +419,6 @@ class SumAdvection:
             out = out + c.values_at(points)
         return out
 
-    def divergence_fd(self, points, step):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return (
-            self.values_at(p + [step, 0.0])[:, 0] - self.values_at(p - [step, 0.0])[:, 0]
-            + self.values_at(p + [0.0, step])[:, 1] - self.values_at(p - [0.0, step])[:, 1]
-        ) / (2.0 * step)
-
     def max_magnitude(self, n=101):
         raster = self.components[0].params["raster"]
         xs = np.linspace(raster.origin[0], raster.origin[0] + raster.size[0], n)

@@ -18,12 +18,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dwr import (
+    DualApproximation,
     _advection_fluctuation_percell,
     _advection_values,
+    _subgrid,
     _theta_macro,
     error_identity,
     indicator_oscillation,
-    local_enhancement,
+    indicator_sweep,
 )
 from .errors import ConfigurationError, NumericalError
 from .fem import (
@@ -31,7 +33,6 @@ from .fem import (
     apply_functional,
     assemble_diffusion,
     diffusion_form_percell,
-    diffusion_form_stack,
     effective_operator,
     evaluate,
     fine_operator,
@@ -42,7 +43,6 @@ from .fem import (
     solve_dual,
     value_sq_percell,
 )
-from .mesh import Grid
 
 _IJ = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -130,152 +130,45 @@ def response_U(problem, operator, U, k, i, j):
     return solve(operator, response_rhs(problem, operator.space, U, k, i, j))
 
 
-def _subgrid(grid, bbox):
-    nx = int(round((bbox[2] - bbox[0]) / grid.spacing[0]))
-    ny = int(round((bbox[3] - bbox[1]) / grid.spacing[1]))
-    return Grid((bbox[0], bbox[1]), grid.spacing, (nx, ny))
+def primal_dual(problem, model, config, previous=None):
+    """Effective operator, primal solution U and dual approximation of
+    ``model`` on the macro space.  The full dual does not depend on the
+    model: the one of ``previous`` (an earlier result's dual) is reused."""
+    macro_space = problem.macro_space()
+    operator = effective_operator(problem, model, macro_space)
+    U = solve(operator, problem_rhs(problem, macro_space))
+    if config.dual_mode != "full":
+        z = solve_dual(operator, problem.functional)
+    elif previous is not None:
+        z = previous.z_global
+    else:
+        h = config.h_fine if config.h_fine is not None else problem.hierarchy.h_micro
+        fine_space = problem.fine_space(h)
+        z = solve_dual(fine_operator(problem, fine_space), problem.functional)
+    return operator, U, DualApproximation(config.dual_mode, z, config.depth)
 
 
-class _PatchContext:
-    """Per-cell data shared by the indicator and its Jacobian row: the patch
-    micro grid, the restricted dual z*, and fine-coefficient differences."""
-
-    def __init__(self, problem, model, k, patch, grid, zstar):
-        self.k = k
-        self.patch = patch
-        self.grid = grid
-        self.zstar = zstar
-        hierarchy = problem.hierarchy
-        self.parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
-        self.d_tensors = model.tensors[self.parents] - problem.coefficient.tensors_at(
-            grid.cell_centers
-        )
-        self.z4 = gather(grid, zstar)
-        self.b_eps_vals, self.b_delta_vals = _advection_values(problem, model, grid)
-        self.cell_slices = {
-            q: grid.subgrid_cell_ids(hierarchy.sampling_bbox(q)) for q in patch.members
-        }
-
-    def _fluctuation(self, u4, ids):
-        return float(
-            np.sum(
-                _advection_fluctuation_percell(
-                    self.grid,
-                    u4[ids],
-                    self.z4[ids],
-                    self.b_eps_vals[ids],
-                    None if self.b_delta_vals is None else self.b_delta_vals[ids],
-                )
-            )
-        )
-
-    def indicator_and_stack(self, u4):
-        """(eta_k, direct-term stack) over the center cell's region."""
-        ids = self.cell_slices[self.k]
-        stack = diffusion_form_stack(self.grid, u4[ids], self.z4[ids])
-        eta = float(np.einsum("cab,cab->", self.d_tensors[ids], stack))
-        if self.b_eps_vals is not None:
-            eta -= self._fluctuation(u4, ids)
-        return eta, stack.sum(axis=0)
-
-    def response_term(self, u4r, q):
-        """int_Q (A_delta - A_eps) grad R . grad z* [- (b_eps - b_delta) . grad R z*]."""
-        ids = self.cell_slices[q]
-        out = float(
-            np.sum(diffusion_form_percell(self.grid, self.d_tensors[ids], u4r[ids], self.z4[ids]))
-        )
-        if self.b_eps_vals is not None:
-            out -= self._fluctuation(u4r, ids)
-        return out
-
-
-def _patch_context(problem, model, k, config, z_eff=None, z_fine=None):
-    hierarchy = problem.hierarchy
-    jac_depth = 1 if config.jacobian_mode == "patch" else 0
-    if config.dual_mode == "full":
-        patch = hierarchy.patch_of(k, jac_depth)
-        grid = _subgrid(z_fine.space.grid, patch.bbox)
-        zstar = z_fine.values[z_fine.space.grid.subgrid_node_ids(patch.bbox)]
-        return _PatchContext(problem, model, k, patch, grid, zstar)
-    if config.dual_mode == "effective":
-        patch = hierarchy.patch_of(k, jac_depth)
-        grid = hierarchy.micro_grid(patch.bbox)
-        zstar = evaluate(z_eff, grid.node_coords)
-        return _PatchContext(problem, model, k, patch, grid, zstar)
-    patch, patch_space, z_k = local_enhancement(problem, model, z_eff, k, config.depth)
-    zi = evaluate(z_eff, patch_space.grid.node_coords)
-    return _PatchContext(problem, model, k, patch, patch_space.grid, zi + z_k.values)
-
-
-def jacobian_entry(problem, model, U, dual, resp, k, i, j, q, config=None):
-    """Single entry D_Kij eta_Q of the approximate Jacobian.
-
-    First (direct) term only when Q = K; primal-response term for Q in the
-    patch around K; the response of the dual reconstruction is neglected.
-    ``resp`` must be the response field for (K, i, j).  Entries outside the
-    allowed patch are never defined and raise.
-    """
-    if config is None:
-        config = OptimizerConfig(dual_mode=dual.mode, depth=dual.depth)
-    z_eff = dual.z_global if dual.mode != "full" else None
-    z_fine = dual.z_global if dual.mode == "full" else None
-    ctx = _patch_context(problem, model, k, config, z_eff=z_eff, z_fine=z_fine)
-    allowed = (
-        ctx.cell_slices.keys()
-        if config.jacobian_mode == "patch"
-        else (k,)
-    )
-    if q not in allowed or q not in problem.hierarchy.patch_of(k, 1).members:
-        raise ConfigurationError(
-            f"cell {q} lies outside the allowed patch of cell {k}"
-        )
-    u4 = gather(ctx.grid, evaluate(U, ctx.grid.node_coords))
-    u4r = gather(ctx.grid, evaluate(resp, ctx.grid.node_coords))
-    value = ctx.response_term(u4r, q)
-    if q == k:
-        _, direct = ctx.indicator_and_stack(u4)
-        value += direct[i, j]
-    return value
-
-
-def assemble_system(problem, model, U, operator, config, z_eff=None, z_fine=None,
+def assemble_system(problem, model, U, operator, dual, jacobian_mode="patch",
                     want_jacobian=True):
-    """One sweep of the assembly loop: local indicators eta_K and (optionally)
-    the eta-block of the approximate Jacobian.
+    """One indicator sweep: local indicators eta_K and (optionally) the
+    eta-block of the approximate Jacobian, built from the same per-cell
+    contexts.
 
-    Patch reconstructions are built per cell, consumed, and discarded.  The
-    Jacobian is returned in COO triplet form restricted to the eta rows;
+    The Jacobian is returned in COO triplet form restricted to the eta rows;
     the regularization rows are appended later once alpha is fixed.
     """
-    hierarchy = problem.hierarchy
-    n = hierarchy.n_sampling
-    eta = np.zeros(n)
+    eta = np.zeros(problem.hierarchy.n_sampling)
     rows, cols, vals = [], [], []
-    macro_space = operator.space
-    u_cache = {}
-
-    def u_on(grid):
-        key = (grid.origin, grid.shape)
-        if key not in u_cache:
-            u_cache[key] = gather(grid, evaluate(U, grid.node_coords))
-        return u_cache[key]
-
-    for k in range(n):
-        ctx = _patch_context(problem, model, k, config, z_eff=z_eff, z_fine=z_fine)
-        u4 = u_on(ctx.grid)
-        eta_k, direct = ctx.indicator_and_stack(u4)
+    for ctx, eta_k, direct in indicator_sweep(problem, model, U, dual):
+        k = ctx.k
         eta[k] = eta_k
         if not want_jacobian:
             continue
-        if config.jacobian_mode == "patch":
-            q_range = [q for q in hierarchy.patch_of(k, 1).members if q in ctx.cell_slices]
-        else:
-            q_range = [k]
+        band = ctx.patch.members if jacobian_mode == "patch" else (k,)
         for i, j in _IJ:
             col = 4 * k + 2 * i + j
-            resp = response_U(problem, operator, U, k, i, j)
-            u4r = gather(ctx.grid, evaluate(resp, ctx.grid.node_coords))
-            for q in q_range:
+            u4r = ctx.nodal4(response_U(problem, operator, U, k, i, j))
+            for q in band:
                 val = ctx.response_term(u4r, q)
                 if q == k:
                     val += direct[i, j]
@@ -416,43 +309,25 @@ def run_optimization(problem, initial_model, config, oracle=None):
     Per cycle: solve the effective primal and dual, sweep the sampling cells
     for indicators, patch reconstructions and Jacobian entries, then take one
     damped step.  Stops when |theta| falls below ``stop_fraction`` of its
-    first-cycle value, diverges past ``divergence_factor`` times it, or the
-    cycle budget is exhausted.  ``oracle`` is an optional (u_ref, j_ref) pair
+    first-cycle value, diverges past ``divergence_factor`` times it or turns
+    non-finite, or the cycle budget is exhausted.  ``oracle`` is an optional (u_ref, j_ref) pair
     used only for reporting.
     """
     config.validate()
-    hierarchy = problem.hierarchy
-    macro_space = problem.macro_space()
-    macro_rhs = problem_rhs(problem, macro_space)
-    fine_space = None
-    z_fine = None
-    if config.dual_mode == "full":
-        h = config.h_fine if config.h_fine is not None else hierarchy.h_micro
-        fine_space = problem.fine_space(h)
-        fine_op = fine_operator(problem, fine_space)
-        z_fine = solve_dual(fine_op, problem.functional)
-
     model = initial_model
     state = GaussNewtonState(model=model, initial_model=initial_model)
     theta1 = None
     n_rows = max(config.max_cycles, 1)
+    dual = None
 
     for cycle in range(1, n_rows + 1):
-        operator = effective_operator(problem, model, macro_space)
-        U = solve(operator, macro_rhs)
-        z_eff = None
-        if config.dual_mode != "full":
-            z_eff = solve_dual(operator, problem.functional)
+        operator, U, dual = primal_dual(problem, model, config, previous=dual)
         want_jac = cycle < n_rows
         eta, triplets = assemble_system(
-            problem, model, U, operator, config,
-            z_eff=z_eff, z_fine=z_fine, want_jacobian=want_jac,
+            problem, model, U, operator, dual, config.jacobian_mode, want_jacobian=want_jac
         )
         theta = float(np.sum(eta))
-        if config.dual_mode == "full":
-            theta_h = _theta_macro(problem, model, U, z_fine)
-        else:
-            theta_h = _theta_macro(problem, model, U, z_eff)
+        theta_h = _theta_macro(problem, model, U, dual.z_global)
 
         j_u = apply_functional(problem.functional, U)
         row = {
@@ -490,14 +365,14 @@ def run_optimization(problem, initial_model, config, oracle=None):
         if abs(theta) <= config.stop_fraction * theta1:
             state.stop_reason = "converged"
             break
-        if abs(theta) > config.divergence_factor * theta1:
+        if not np.isfinite(theta) or abs(theta) > config.divergence_factor * theta1:
             state.stop_reason = "diverged"
             break
         if not want_jac:
             state.stop_reason = "max_cycles"
             break
 
-        jac = build_jacobian(hierarchy.n_sampling, triplets, state.alpha)
+        jac = build_jacobian(problem.hierarchy.n_sampling, triplets, state.alpha)
         residual = ResidualVector(eta=eta, g=g_block)
         delta, lam, _ = lm_step(jac, residual.flat, config.lambda_factor)
         model, step_norm = apply_update(model, delta, cycle)
@@ -552,25 +427,14 @@ def cost_value(problem, model, model0, alpha, config):
     """Cost functional |G|^2 recomputed from scratch with the independent
     indicator quadrature."""
     hierarchy = problem.hierarchy
-    macro_space = problem.macro_space()
-    operator = effective_operator(problem, model, macro_space)
-    U = solve(operator, problem_rhs(problem, macro_space))
-    if config.dual_mode == "full":
-        h = config.h_fine if config.h_fine is not None else hierarchy.h_micro
-        fine_space = problem.fine_space(h)
-        z_fine = solve_dual(fine_operator(problem, fine_space), problem.functional)
-        z_eff = None
-    else:
-        z_fine = None
-        z_eff = solve_dual(operator, problem.functional)
+    _, U, dual = primal_dual(problem, model, config)
     total = 0.0
-    for k in range(hierarchy.n_sampling):
-        ctx = _patch_context(problem, model, k, config, z_eff=z_eff, z_fine=z_fine)
-        cell_grid = _subgrid(ctx.grid, hierarchy.sampling_bbox(k))
-        node_ids = ctx.grid.subgrid_node_ids(hierarchy.sampling_bbox(k))
+    for ctx, _, _ in indicator_sweep(problem, model, U, dual):
+        bbox = hierarchy.sampling_bbox(ctx.k)
+        cell_grid = _subgrid(ctx.grid, bbox)
+        zstar = ctx.zstar[ctx.grid.subgrid_node_ids(bbox)]
         u_vals = evaluate(U, cell_grid.node_coords)
-        eta_k = _eta_independent(problem, model, k, cell_grid, u_vals, ctx.zstar[node_ids])
-        total += eta_k**2
+        total += _eta_independent(problem, model, ctx.k, cell_grid, u_vals, zstar) ** 2
     diff = (model.tensors - model0.tensors).reshape(-1, 4)
     total += float(np.sum(alpha[:, None] * diff**2))
     return total
@@ -589,9 +453,8 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
     hierarchy = problem.hierarchy
     n = hierarchy.n_sampling
     direction = np.asarray(direction, dtype=float).reshape(n, 2, 2)
-    macro_space = problem.macro_space()
-    operator = effective_operator(problem, model, macro_space)
-    U = solve(operator, problem_rhs(problem, macro_space))
+    operator, U, dual = primal_dual(problem, model, config)
+    macro_space = operator.space
     kblocks, _ = q1_blocks(*macro_space.grid.spacing)
     macro_parents = hierarchy.macro_parent
     u4m = gather(macro_space.grid, U.values)
@@ -603,17 +466,10 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
     np.add.at(rhs_w, macro_space.grid.cell_nodes.ravel(), loads.ravel())
     w = solve(operator, rhs_w)
 
-    z_eff = None
-    z_fine = None
     dz_eff = None
-    if config.dual_mode == "full":
-        h = config.h_fine if config.h_fine is not None else hierarchy.h_micro
-        fine_space = problem.fine_space(h)
-        z_fine = solve_dual(fine_operator(problem, fine_space), problem.functional)
-    else:
-        z_eff = solve_dual(operator, problem.functional)
+    if config.dual_mode != "full":
         # dual response: (A grad phi, grad DZ) = -(dir grad phi, grad Z)
-        z4m = gather(macro_space.grid, z_eff.values)
+        z4m = gather(macro_space.grid, dual.z_global.values)
         loads = -np.einsum("cab,bapq,cq->cp", dir_cells, kblocks, z4m)
         rhs_dz = np.zeros(macro_space.n_dofs)
         np.add.at(rhs_dz, macro_space.grid.cell_nodes.ravel(), loads.ravel())
@@ -621,36 +477,25 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
 
     cost = 0.0
     deriv = 0.0
-    for k in range(n):
-        ctx = _patch_context(problem, model, k, config, z_eff=z_eff, z_fine=z_fine)
-        u4 = gather(ctx.grid, evaluate(U, ctx.grid.node_coords))
-        eta_k, stack = ctx.indicator_and_stack(u4)
+    for ctx, eta_k, stack in indicator_sweep(problem, model, U, dual):
+        k = ctx.k
         cost += eta_k**2
         t_direct = float(np.einsum("ab,ab->", direction[k], stack))
-        w4 = gather(ctx.grid, evaluate(w, ctx.grid.node_coords))
-        t_resp = ctx.response_term(w4, k)
+        t_resp = ctx.response_term(ctx.nodal4(w), k)
         t_dual = 0.0
-        if config.dual_mode == "enhanced":
-            # patch-reconstruction response: (A_eps grad phi, grad DZ_K) =
-            # -(A_eps grad phi, grad DZ) on the patch
-            patch_space = problem.space(ctx.grid)
-            patch_op = assemble_diffusion(patch_space, problem.coefficient)
+        if dz_eff is not None:
             dzi = evaluate(dz_eff, ctx.grid.node_coords)
-            rhs_k = -(patch_op.matrix.T @ dzi)
-            dz_k = patch_op.solve_constrained(rhs_k, transpose=True)
-            dz4 = gather(ctx.grid, dzi + dz_k)
+            if config.dual_mode == "enhanced":
+                # patch-reconstruction response: (A_eps grad phi, grad DZ_K) =
+                # -(A_eps grad phi, grad DZ) on the patch
+                patch_op = assemble_diffusion(problem.space(ctx.grid), problem.coefficient)
+                dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
             ids = ctx.cell_slices[k]
             t_dual = float(
                 np.sum(
-                    diffusion_form_percell(ctx.grid, ctx.d_tensors[ids], u4[ids], dz4[ids])
-                )
-            )
-        elif config.dual_mode == "effective":
-            dz4 = gather(ctx.grid, evaluate(dz_eff, ctx.grid.node_coords))
-            ids = ctx.cell_slices[k]
-            t_dual = float(
-                np.sum(
-                    diffusion_form_percell(ctx.grid, ctx.d_tensors[ids], u4[ids], dz4[ids])
+                    diffusion_form_percell(
+                        ctx.grid, ctx.d_tensors[ids], ctx.u4[ids], gather(ctx.grid, dzi)[ids]
+                    )
                 )
             )
         deriv += 2.0 * eta_k * (t_direct + t_resp + t_dual)

@@ -28,6 +28,7 @@ from dwropt.optim import (
     OptimizerConfig,
     assemble_system,
     full_gateaux,
+    primal_dual,
     resolve_alpha,
     run_optimization,
 )
@@ -211,18 +212,13 @@ def test_criterion_8_derivative_verification():
 
     # production approximate Jacobian, diagonal mode, full dual
     config = OptimizerConfig(dual_mode="full", jacobian_mode="diagonal", h_fine=2.0**-5)
-    macro = problem.macro_space()
-    op = effective_operator(problem, base, macro)
-    U = solve(op, problem_rhs(problem, macro))
-    fine = problem.fine_space(2.0**-5)
-    z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
-    eta, triplets = assemble_system(problem, base, U, op, config, z_fine=z_fine)
+    op, U, dual = primal_dual(problem, base, config)
+    eta, triplets = assemble_system(problem, base, U, op, dual, config.jacobian_mode)
     rows, cols, vals = triplets
 
     def eta_of(model):
-        op_m = effective_operator(problem, model, macro)
-        u_m = solve(op_m, problem_rhs(problem, macro))
-        e, _ = assemble_system(problem, model, u_m, op_m, config, z_fine=z_fine,
+        op_m, u_m, _ = primal_dual(problem, model, config, previous=dual)
+        e, _ = assemble_system(problem, model, u_m, op_m, dual, config.jacobian_mode,
                                want_jacobian=False)
         return e
 

@@ -254,6 +254,49 @@ def test_cli_exit_codes(tmp_path):
     assert main(["reference", str(capped), "--out", str(tmp_path / "r")]) == 4
 
 
+@pytest.mark.parametrize("command", ["estimate", "optimize", "compare-duals"])
+def test_full_dual_dof_cap_exit_code(tmp_path, monkeypatch, command):
+    # 289 macro nodes fit under the cap of 500, the 1089 fine nodes of the
+    # full dual do not; the cap must stop the run before any fine space is
+    # built
+    def no_fine_space(self, h):
+        raise AssertionError("a fine space was built before the dof cap check")
+
+    monkeypatch.setattr(Problem, "fine_space", no_fine_space)
+    capped = tmp_path / "capped.ini"
+    capped.write_text(
+        TINY.replace("dof_cap = 500000", "dof_cap = 500")
+        .replace("dual = enhanced", "dual = full")
+        .replace("reference = yes", "reference = no")
+    )
+    assert main([command, str(capped), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_nan_indicator_stops_as_diverged(tmp_path, monkeypatch):
+    from dwropt import optim
+
+    sweep = optim.assemble_system
+    calls = []
+
+    def nan_in_cycle_2(*args, **kwargs):
+        eta, triplets = sweep(*args, **kwargs)
+        calls.append(len(calls) + 1)
+        if calls[-1] == 2:
+            eta[0] = np.nan
+        return eta, triplets
+
+    monkeypatch.setattr(optim, "assemble_system", nan_in_cycle_2)
+    _, state = run_scenario(tiny_config(), tmp_path / "a")
+    assert state.stop_reason == "diverged"
+    assert state.cycles == 2
+
+    calls.clear()
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY)
+    assert main(["optimize", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert (tmp_path / "o" / "history.csv").exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # geometric upscaling of a field with nonpositive diagonal entries is a
     # numerical failure, reported with exit code 3

@@ -8,7 +8,6 @@ from dwropt.dwr import (
     effectivity,
     error_identity,
     local_enhancement,
-    solve_effective_dual,
 )
 from dwropt.fem import (
     Functional,
@@ -47,7 +46,7 @@ def test_effective_dual_self_adjoint_case():
     model = constant_model(problem.hierarchy, 1.0)
     space = problem.macro_space()
     op = effective_operator(problem, model, space)
-    z = solve_effective_dual(model, Functional.domain_integral(), space, operator=op)
+    z = solve_dual(op, Functional.domain_integral())
     u = solve(op, assemble_rhs(space, 1.0))
     assert np.allclose(z.values, u.values, rtol=1e-12)
 

@@ -3,18 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import lognormal_problem
-from dwropt.dwr import DualApproximation
 from dwropt.errors import ConfigurationError
 from dwropt.fem import (
     Functional,
     Problem,
-    apply_functional,
     effective_operator,
-    evaluate,
-    fine_operator,
     problem_rhs,
     solve,
-    solve_dual,
 )
 from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
@@ -27,6 +22,7 @@ from dwropt.optim import (
     cost_value,
     full_gateaux,
     lm_step,
+    primal_dual,
     regularization_residual,
     resolve_alpha,
     response_U,
@@ -66,20 +62,6 @@ def full_config(**kw):
     return OptimizerConfig(**base)
 
 
-def states_for(problem, model, config):
-    macro = problem.macro_space()
-    op = effective_operator(problem, model, macro)
-    U = solve(op, problem_rhs(problem, macro))
-    z_eff = None
-    z_fine = None
-    if config.dual_mode == "full":
-        fine = problem.fine_space(config.h_fine)
-        z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
-    else:
-        z_eff = solve_dual(op, problem.functional)
-    return op, U, z_eff, z_fine
-
-
 # ---------------------------------------------------------------------------
 # residual
 
@@ -93,11 +75,9 @@ def test_residual_zero_for_exact_constant_model():
         source=1.0,
     )
     model = constant_model(hierarchy, 2.0)
-    op, U, z_eff, _ = states_for(problem, model, OptimizerConfig(dual_mode="enhanced"))
+    _, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode="enhanced"))
     alpha = np.zeros(hierarchy.n_sampling)
-    res = assemble_residual(
-        problem, model, model, alpha, U, DualApproximation("enhanced", z_eff, 1)
-    )
+    res = assemble_residual(problem, model, model, alpha, U, dual)
     assert res.squared_norm <= 1e-24
 
 
@@ -122,9 +102,7 @@ def test_residual_squared_norm_matches_independent_cost():
     model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
     model = model0.with_tensors(1.3 * model0.tensors, "off")
     for config in (full_config(alpha=1e-6), full_config(alpha=1e-6, dual_mode="enhanced")):
-        op, U, z_eff, z_fine = states_for(problem, model, config)
-        mode = config.dual_mode
-        dual = DualApproximation(mode, z_fine if mode == "full" else z_eff, config.depth)
+        _, U, dual = primal_dual(problem, model, config)
         alpha = resolve_alpha(config, 1.0, model0)
         res = assemble_residual(problem, model, model0, alpha, U, dual)
         cost = cost_value(problem, model, model0, alpha, config)
@@ -188,11 +166,9 @@ def test_response_linear_in_symmetrized_perturbation():
 # jacobian
 
 
-def eta_of(problem, model, config, z_fine):
-    macro = problem.macro_space()
-    op = effective_operator(problem, model, macro)
-    U = solve(op, problem_rhs(problem, macro))
-    eta, _ = assemble_system(problem, model, U, op, config, z_fine=z_fine,
+def eta_of(problem, model, config, dual):
+    op, U, _ = primal_dual(problem, model, config, previous=dual)
+    eta, _ = assemble_system(problem, model, U, op, dual, config.jacobian_mode,
                              want_jacobian=False)
     return eta
 
@@ -201,8 +177,8 @@ def test_jacobian_diagonal_matches_eta_finite_difference():
     problem = cellwise_constant_problem()
     model = constant_model(problem.hierarchy, 1.6)
     config = full_config(jacobian_mode="diagonal")
-    op, U, _, z_fine = states_for(problem, model, config)
-    eta, triplets = assemble_system(problem, model, U, op, config, z_fine=z_fine)
+    op, U, dual = primal_dual(problem, model, config)
+    eta, triplets = assemble_system(problem, model, U, op, dual, config.jacobian_mode)
     rows, cols, vals = triplets
     s = 1e-6
     for k in range(problem.hierarchy.n_sampling):
@@ -216,55 +192,24 @@ def test_jacobian_diagonal_matches_eta_finite_difference():
                 minus = model.tensors.copy()
                 minus[k, i, j] -= s
                 fd = (
-                    eta_of(problem, model.with_tensors(plus, "p"), config, z_fine)[k]
-                    - eta_of(problem, model.with_tensors(minus, "m"), config, z_fine)[k]
+                    eta_of(problem, model.with_tensors(plus, "p"), config, dual)[k]
+                    - eta_of(problem, model.with_tensors(minus, "m"), config, dual)[k]
                 ) / (2 * s)
                 assert abs(entry[0] - fd) <= 0.05 * abs(fd)
 
 
-def test_jacobian_band_limited_to_patch():
+@pytest.mark.parametrize("mode", ["enhanced", "full", "effective"])
+def test_jacobian_band_limited_to_patch(mode):
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
     hierarchy = problem.hierarchy
     model = geometric_mean_model(problem.coefficient, hierarchy)
-    config = OptimizerConfig(dual_mode="enhanced", jacobian_mode="patch", depth=1)
-    op, U, z_eff, _ = states_for(problem, model, config)
-    eta, triplets = assemble_system(problem, model, U, op, config, z_eff=z_eff)
+    config = OptimizerConfig(dual_mode=mode, jacobian_mode="patch", depth=1)
+    op, U, dual = primal_dual(problem, model, config)
+    eta, triplets = assemble_system(problem, model, U, op, dual, config.jacobian_mode)
     rows, cols, _ = triplets
     for r, c in zip(rows, cols):
         k = c // 4
         assert r in hierarchy.patch_of(k, 1).members
-
-
-def test_jacobian_entry_matches_assembled_system():
-    problem = cellwise_constant_problem()
-    model = constant_model(problem.hierarchy, 1.6)
-    config = full_config()
-    op, U, _, z_fine = states_for(problem, model, config)
-    eta, triplets = assemble_system(problem, model, U, op, config, z_fine=z_fine)
-    rows, cols, vals = triplets
-    from dwropt.optim import jacobian_entry, response_U
-
-    dual = DualApproximation("full", z_fine)
-    for r, c, v in list(zip(rows, cols, vals))[:8]:
-        k, i, j = c // 4, (c % 4) // 2, c % 2
-        resp = response_U(problem, op, U, k, i, j)
-        entry = jacobian_entry(problem, model, U, dual, resp, k, i, j, r, config)
-        assert np.isclose(entry, v, rtol=1e-12)
-
-
-def test_jacobian_entry_outside_patch_raises():
-    problem = lognormal_problem(delta=2.0**-3, h_macro=2.0**-4, h_micro=2.0**-5,
-                                raster_n=32)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
-    config = OptimizerConfig(dual_mode="enhanced", depth=1)
-    op, U, z_eff, _ = states_for(problem, model, config)
-    from dwropt.optim import jacobian_entry, response_U
-
-    resp = response_U(problem, op, U, 0, 0, 0)
-    far = problem.hierarchy.sampling_grid.cell_id(5, 5)
-    dual = DualApproximation("enhanced", z_eff, 1)
-    with pytest.raises(ConfigurationError):
-        jacobian_entry(problem, model, U, dual, resp, 0, 0, 0, far, config)
 
 
 def test_jacobian_regularization_rows():
