@@ -45,7 +45,6 @@ from .upscale import (  # noqa: F401
 from .dwr import (  # noqa: F401
     DualApproximation,
     ErrorBreakdown,
-    effectivity,
     error_identity,
     local_enhancement,
 )

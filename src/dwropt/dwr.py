@@ -18,17 +18,16 @@ import numpy as np
 
 from .fem import (
     DiscreteField,
-    SparseOperator,
-    advection_form_percell,
+    advection_element_matrices,
     apply_functional,
-    assemble_advection,
-    assemble_diffusion,
+    diffusion_element_matrices,
     diffusion_form_percell,
     diffusion_form_stack,
+    effective_operator,
+    element_operator,
     evaluate,
     functional_vector,
     gather,
-    gauss_point_coords,
     interpolate,
     problem_rhs,
 )
@@ -51,20 +50,20 @@ class DualApproximation:
     depth: int = 1
 
 
-def _patch_operator(problem, model, patch_space):
-    """Fine-coefficient operator on a patch; for advective problems the
-    transport term uses the fluctuation b_fine - b_delta, each part
-    discretized with its own form (skew / plain)."""
-    op = assemble_diffusion(patch_space, problem.coefficient)
-    if problem.is_advective:
-        adv_fine = assemble_advection(patch_space, problem.advection)
-        adv_cell = assemble_advection(
-            patch_space, CellAveragedAdvection(problem.hierarchy, model.advection)
-        )
-        return SparseOperator(
-            op.matrix + adv_fine.matrix - adv_cell.matrix, patch_space, symmetric=False
-        )
-    return op
+def _fine_data(problem, model, grid):
+    """The fine data of a patch grid, sampled once and shared by the patch
+    operator and the indicator forms: the fine tensor per cell and, for
+    advective problems, the element matrices E of the transport fluctuation
+    (b_eps - b_delta) . grad u, each part with its own form (skew / plain);
+    None without transport."""
+    a_eps = problem.coefficient.tensors_at(grid.cell_centers)
+    if not problem.is_advective:
+        return a_eps, None
+    fluct = advection_element_matrices(grid, problem.advection, None)
+    if model.advection is not None:
+        b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
+        fluct = fluct - advection_element_matrices(grid, b_delta, None)
+    return a_eps, fluct
 
 
 def local_enhancement(problem, model, z_eff, k, depth):
@@ -73,35 +72,66 @@ def local_enhancement(problem, model, z_eff, k, depth):
     Solves the patch dual problem for the correction z_k with zero Dirichlet
     data on interior patch boundaries and on Dirichlet markers, and natural
     (homogeneous Neumann) conditions where the patch touches Neumann
-    boundaries of the primal problem.  Returns (patch, patch_space, z_k).
+    boundaries of the primal problem.  The patch operator is the fine
+    diffusion plus the transport fluctuation.  Returns (patch, patch_space,
+    z_k, fine data of the patch grid).
     """
     hierarchy = problem.hierarchy
     patch = hierarchy.patch_of(k, depth)
     grid = hierarchy.micro_grid(patch.bbox)
     space = problem.space(grid)
-    op = _patch_operator(problem, model, space)
+    data = _fine_data(problem, model, grid)
+    a_eps, fluct = data
+    elem = diffusion_element_matrices(grid, a_eps)
+    if fluct is not None:
+        elem = elem + fluct
+    op = element_operator(space, elem, symmetric=fluct is None)
     zi = evaluate(z_eff, grid.node_coords)
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)
-    return patch, space, DiscreteField(space, values)
+    return patch, space, DiscreteField(space, values), data
 
 
 @dataclass
 class ErrorBreakdown:
-    """Macro residual, model-error indicators and effectivity summary."""
+    """Macro residual theta_H, local indicators eta_K and the functional
+    values, from which the estimate and its effectivity derive."""
 
     theta_H: float
-    theta_delta: float
     eta: np.ndarray
     j_of_U: float
     j_reference: float = None
-    i_eff: float = None
-    i_loc: float = None
+
+    @property
+    def theta_delta(self):
+        """Model-error estimate sum_K eta_K."""
+        return float(np.sum(self.eta))
 
     @property
     def estimate(self):
         """Total error estimate theta_H + theta_delta."""
         return self.theta_H + self.theta_delta
+
+    @property
+    def i_eff(self):
+        """|theta_H + theta_delta| / |j_reference - j(U)|; None without a
+        reference or with a zero true error.  With the fully resolved
+        discrete dual it is one to solver precision."""
+        if self.j_reference is None:
+            return None
+        true_err = abs(self.j_reference - self.j_of_U)
+        if true_err > 0.0:
+            return abs(self.estimate) / true_err
+        return None
+
+    @property
+    def i_loc(self):
+        """Indicator oscillation sum |eta_K| / |sum eta_K| (>= 1); None when
+        the sum vanishes."""
+        total = abs(self.theta_delta)
+        if total == 0.0:
+            return None
+        return float(np.sum(np.abs(self.eta))) / total
 
     def to_csv(self, path, hierarchy):
         grid = hierarchy.sampling_grid
@@ -118,52 +148,13 @@ class ErrorBreakdown:
             )
 
 
-def indicator_oscillation(eta):
-    """I_loc = sum |eta_K| / |sum eta_K| (>= 1 whenever the sum is nonzero)."""
-    total = abs(float(np.sum(eta)))
-    if total == 0.0:
-        return None
-    return float(np.sum(np.abs(eta))) / total
-
-
-def _advection_fluctuation_percell(grid, u4, z4, b_eps_vals, b_delta_vals):
-    """((b_eps - b_delta) . grad u, z) per cell, each field with its own
-    discrete form (skew for the fine field, plain for the cell averages)."""
-    out = advection_form_percell(grid, b_eps_vals, u4, z4, skew=True)
-    if b_delta_vals is not None:
-        out = out - advection_form_percell(grid, b_delta_vals, u4, z4, skew=False)
-    return out
-
-
 def _theta_macro(problem, model, U, z):
-    """Residual of the effective problem tested with a field z living on the
-    same space family as U (macro) or any nested refinement."""
+    """Residual of the effective problem, rhs(z) - (A_eff U, z), on the space
+    of z: the macro space of U or any nested refinement of it."""
     space = z.space
-    grid = space.grid
-    rhs = problem_rhs(problem, space)
-    u4 = gather(grid, interpolate(U, space).values if space is not U.space else U.values)
-    z4 = gather(grid, z.values)
-    tensors = model.tensors_at(grid.cell_centers)
-    total = float(rhs @ z.values) - float(np.sum(diffusion_form_percell(grid, tensors, u4, z4)))
-    if model.advection is not None:
-        b = CellAveragedAdvection(problem.hierarchy, model.advection)
-        bvals = b.values_at(gauss_point_coords(grid).reshape(-1, 2)).reshape(grid.n_cells, 4, 2)
-        total -= float(np.sum(advection_form_percell(grid, bvals, u4, z4, skew=False)))
-    return total
-
-
-def _advection_values(problem, model, grid):
-    """Gauss-point values of b_eps and b_delta on a grid (None, None when the
-    problem carries no transport)."""
-    if not problem.is_advective:
-        return None, None
-    pts = gauss_point_coords(grid).reshape(-1, 2)
-    b_eps = problem.advection.values_at(pts).reshape(grid.n_cells, 4, 2)
-    b_delta = None
-    if model.advection is not None:
-        b = CellAveragedAdvection(problem.hierarchy, model.advection)
-        b_delta = b.values_at(pts).reshape(grid.n_cells, 4, 2)
-    return b_eps, b_delta
+    u = U.values if space is U.space else interpolate(U, space).values
+    operator = effective_operator(problem, model, space)
+    return float(problem_rhs(problem, space) @ z.values - z.values @ (operator.matrix @ u))
 
 
 def _subgrid(grid, bbox):
@@ -175,22 +166,20 @@ def _subgrid(grid, bbox):
 
 class _PatchContext:
     """Per-cell data shared by the indicator eta_K and its Jacobian row: the
-    patch micro grid, U and the dual z* on it, and the fine-coefficient
-    differences."""
+    patch micro grid, U and the dual z* on it, the tensor differences
+    A_delta - A_eps and the transport fluctuation element matrices."""
 
-    def __init__(self, problem, model, U, k, patch, grid, zstar):
+    def __init__(self, problem, model, U, k, patch, grid, zstar, data):
         self.k = k
         self.patch = patch
         self.grid = grid
         self.zstar = zstar
         hierarchy = problem.hierarchy
         parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
-        self.d_tensors = model.tensors[parents] - problem.coefficient.tensors_at(
-            grid.cell_centers
-        )
+        a_eps, self.fluct = data
+        self.d_tensors = model.tensors[parents] - a_eps
         self.u4 = self.nodal4(U)
         self.z4 = gather(grid, zstar)
-        self.b_eps_vals, self.b_delta_vals = _advection_values(problem, model, grid)
         self.cell_slices = {
             q: grid.subgrid_cell_ids(hierarchy.sampling_bbox(q)) for q in patch.members
         }
@@ -200,24 +189,15 @@ class _PatchContext:
         return gather(self.grid, evaluate(field, self.grid.node_coords))
 
     def _fluctuation(self, u4, ids):
-        return float(
-            np.sum(
-                _advection_fluctuation_percell(
-                    self.grid,
-                    u4[ids],
-                    self.z4[ids],
-                    self.b_eps_vals[ids],
-                    None if self.b_delta_vals is None else self.b_delta_vals[ids],
-                )
-            )
-        )
+        """((b_eps - b_delta) . grad u, z*) over the cells ``ids``."""
+        return float(np.einsum("cp,cpq,cq->", self.z4[ids], self.fluct[ids], u4[ids]))
 
     def indicator_and_stack(self):
         """(eta_K, direct-term stack) over the center cell's region."""
         ids = self.cell_slices[self.k]
         stack = diffusion_form_stack(self.grid, self.u4[ids], self.z4[ids])
         eta = float(np.einsum("cab,cab->", self.d_tensors[ids], stack))
-        if self.b_eps_vals is not None:
+        if self.fluct is not None:
             eta -= self._fluctuation(self.u4, ids)
         return eta, stack.sum(axis=0)
 
@@ -227,32 +207,33 @@ class _PatchContext:
         out = float(
             np.sum(diffusion_form_percell(self.grid, self.d_tensors[ids], u4r[ids], self.z4[ids]))
         )
-        if self.b_eps_vals is not None:
+        if self.fluct is not None:
             out -= self._fluctuation(u4r, ids)
         return out
 
 
 def _patch_context(problem, model, U, dual, k):
     """Context of sampling cell ``k``.  The enhanced dual lives on the
-    enhancement patch of depth ``dual.depth``; the full and effective duals
-    are restricted to the depth-1 patch, which bounds the Jacobian band."""
+    enhancement patch of depth ``dual.depth`` and shares the fine data of its
+    patch operator; the full and effective duals are restricted to the
+    depth-1 patch, which bounds the Jacobian band."""
     hierarchy = problem.hierarchy
     z = dual.z_global
     if dual.mode == "enhanced":
-        patch, patch_space, z_k = local_enhancement(problem, model, z, k, dual.depth)
+        patch, patch_space, z_k, data = local_enhancement(problem, model, z, k, dual.depth)
         grid = patch_space.grid
         zstar = evaluate(z, grid.node_coords) + z_k.values
-    elif dual.mode == "full":
-        patch = hierarchy.patch_of(k, 1)
+        return _PatchContext(problem, model, U, k, patch, grid, zstar, data)
+    patch = hierarchy.patch_of(k, 1)
+    if dual.mode == "full":
         grid = _subgrid(z.space.grid, patch.bbox)
         zstar = z.values[z.space.grid.subgrid_node_ids(patch.bbox)]
     elif dual.mode == "effective":
-        patch = hierarchy.patch_of(k, 1)
         grid = hierarchy.micro_grid(patch.bbox)
         zstar = evaluate(z, grid.node_coords)
     else:
         raise ValueError(f"unknown dual mode '{dual.mode}'")
-    return _PatchContext(problem, model, U, k, patch, grid, zstar)
+    return _PatchContext(problem, model, U, k, patch, grid, zstar, _fine_data(problem, model, grid))
 
 
 def indicator_sweep(problem, model, U, dual):
@@ -272,33 +253,9 @@ def error_identity(problem, model, U, dual, j_reference=None):
     solution; the sign convention estimates <j, u_fine> - <j, U>.
     """
     eta = np.array([eta_k for _, eta_k, _ in indicator_sweep(problem, model, U, dual)])
-    theta_h = _theta_macro(problem, model, U, dual.z_global)
-    j_u = apply_functional(problem.functional, U)
-    out = ErrorBreakdown(
-        theta_H=theta_h,
-        theta_delta=float(np.sum(eta)),
+    return ErrorBreakdown(
+        theta_H=_theta_macro(problem, model, U, dual.z_global),
         eta=eta,
-        j_of_U=j_u,
+        j_of_U=apply_functional(problem.functional, U),
         j_reference=j_reference,
-        i_loc=indicator_oscillation(eta),
     )
-    if j_reference is not None:
-        effectivity(out, j_reference, j_u)
-    return out
-
-
-def effectivity(err, j_ref, j_u):
-    """Effectivity of the total estimate and indicator oscillation.
-
-    I_eff compares theta_H + theta_delta against the true functional error;
-    with the fully resolved discrete dual the two agree to solver precision.
-    I_loc is the oscillation ratio sum|eta_K| / |sum eta_K|.
-    """
-    true_err = abs(j_ref - j_u)
-    err.i_loc = indicator_oscillation(err.eta)
-    if true_err == 0.0:
-        err.i_eff = None
-    else:
-        err.i_eff = abs(err.estimate) / true_err
-    err.j_reference = j_ref
-    return err.i_eff, err.i_loc

@@ -293,23 +293,17 @@ class SparseOperator:
             self.factorization_count += 1
         return self._lu
 
-    def solve_constrained(self, rhs, transpose=False, boundary_values=0.0):
+    def solve_constrained(self, rhs, transpose=False):
+        """Solution with homogeneous Dirichlet data: zero on the constrained
+        nodes, the factored block solved (or its transpose) on the free ones."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.space.n_dofs,):
             raise ConfigurationError(
                 f"rhs length {rhs.shape} does not match dof count {self.space.n_dofs}"
             )
         free = self.space.free_nodes
-        diri = self.space.dirichlet_nodes
         x = np.zeros(self.space.n_dofs)
-        x[diri] = boundary_values
-        b = rhs[free]
-        if len(diri) and np.any(x[diri]):
-            if transpose:
-                raise ConfigurationError("transposed solves support homogeneous Dirichlet data only")
-            b = b - self.matrix[free][:, diri] @ x[diri]
-        lu = self._factorize()
-        x[free] = lu.solve(b, trans="T" if transpose else "N")
+        x[free] = self._factorize().solve(rhs[free], trans="T" if transpose else "N")
         return x
 
 
@@ -317,11 +311,15 @@ class SparseOperator:
 # assembly
 
 
-def _scatter(grid, elem, n_nodes):
-    cn = grid.cell_nodes
+def element_operator(space, elem, symmetric):
+    """Operator scattered from (ncells, 4, 4) element matrices on the grid of
+    ``space``; ``elem[c, p, q]`` couples test node p with trial node q."""
+    cn = space.grid.cell_nodes
+    n = space.n_dofs
     rows = np.repeat(cn, 4, axis=1).ravel()
     cols = np.tile(cn, (1, 4)).ravel()
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    matrix = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return SparseOperator(matrix, space, symmetric)
 
 
 def _subdivisions(grid, micro_size):
@@ -366,7 +364,7 @@ def assemble_diffusion(space, coeff, micro_size=None):
         tensors = coeff.tensors_at(centers.reshape(-1, 2)).reshape(grid.n_cells, sx * sy, 2, 2)
         blocks = _subcell_diffusion_blocks(grid.spacing[0], grid.spacing[1], sx, sy)
         elem = np.einsum("csab,sabpq->cpq", tensors, blocks)
-    return SparseOperator(_scatter(grid, elem, grid.n_nodes), space, symmetric=True)
+    return element_operator(space, elem, symmetric=True)
 
 
 def _gauss_points_physical(grid, sx, sy):
@@ -378,30 +376,29 @@ def _gauss_points_physical(grid, sx, sy):
     return coords, w * hx * hy, phi, dphi_scaled
 
 
-def advection_element_matrices(grid, b_values, weights, phi, dphi_scaled, skew=True):
-    """(ncells, 4, 4) element matrices of (b . grad u, v) at the given
-    quadrature data; cellwise skew-symmetrized unless ``skew`` is False."""
-    raw = np.einsum("q,cqd,qmd,ql->clm", weights, b_values, dphi_scaled, phi)
-    if skew:
+def advection_element_matrices(grid, b, micro_size):
+    """(ncells, 4, 4) element matrices of (b . grad u, v), with ``b``
+    (``values_at`` protocol) sampled at the 2x2 Gauss points of every micro
+    subcell of size ``micro_size`` (None: of every cell).
+
+    The form follows the field's ``prefers_skew`` attribute: skew-symmetrized
+    for divergence-free fine-scale fields, plain Galerkin for cellwise-constant
+    effective transport.
+    """
+    sx, sy = _subdivisions(grid, micro_size)
+    coords, w, phi, dphi = _gauss_points_physical(grid, sx, sy)
+    wb = w[:, None] * b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, len(w), 2)
+    raw = np.einsum("ql,cqm->clm", phi, np.einsum("cqd,qmd->cqm", wb, dphi))
+    if getattr(b, "prefers_skew", True):
         return 0.5 * (raw - raw.transpose(0, 2, 1))
     return raw
 
 
-def assemble_advection(space, b, micro_size=None, skew=None):
-    """Advection operator for a vector field ``b`` (``values_at`` protocol).
-
-    By default the form follows the field's ``prefers_skew`` attribute:
-    skew-symmetrized for divergence-free fine-scale fields, plain Galerkin
-    for cellwise-constant effective transport.
-    """
-    if skew is None:
-        skew = getattr(b, "prefers_skew", True)
-    grid = space.grid
-    sx, sy = _subdivisions(grid, micro_size)
-    coords, w, phi, dphi = _gauss_points_physical(grid, sx, sy)
-    bvals = b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, len(w), 2)
-    elem = advection_element_matrices(grid, bvals, w, phi, dphi, skew=skew)
-    return SparseOperator(_scatter(grid, elem, grid.n_nodes), space, symmetric=False)
+def assemble_advection(space, b, micro_size=None):
+    """Advection operator for a vector field ``b`` (see
+    :func:`advection_element_matrices`)."""
+    elem = advection_element_matrices(space.grid, b, micro_size)
+    return element_operator(space, elem, symmetric=False)
 
 
 def assemble_rhs(space, f, neumann=()):
@@ -462,10 +459,10 @@ def apply_functional(j, u):
     return float(functional_vector(u.space, j) @ u.values)
 
 
-def solve(op, rhs, boundary_values=0.0):
+def solve(op, rhs):
     """Direct solve of the constrained system; the factorization is cached on
     the operator and reused by subsequent solves."""
-    return DiscreteField(op.space, op.solve_constrained(rhs, boundary_values=boundary_values))
+    return DiscreteField(op.space, op.solve_constrained(rhs))
 
 
 def solve_dual(op, j):
@@ -521,8 +518,9 @@ def diffusion_form_percell(grid, tensors, u4, z4):
 
 
 def advection_form_percell(grid, b_values, u4, z4, skew=True):
-    """Cellwise (b . grad u, z), using the same quadrature and (skewed) form
-    as :func:`assemble_advection` with ``micro_size=None``."""
+    """Cellwise (b . grad u, z) from Gauss-point values of b, with the same
+    quadrature and (skewed) form as :func:`advection_element_matrices` with
+    ``micro_size=None``: an independent evaluation of z4^T E u4."""
     _, w, phi, dphi = _gauss_points_physical(grid, 1, 1)
     du = np.einsum("cp,qpd->cqd", u4, dphi)
     zq = np.einsum("cp,qp->cq", z4, phi)

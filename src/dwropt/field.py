@@ -126,23 +126,6 @@ class RasterField:
             data = np.frombuffer(fh.read(nx * ny), dtype=np.uint8).reshape(ny, nx)
         return cls(values=data, origin=origin, size=size)
 
-    def to_csv(self, path):
-        """Write a float raster as CSV, one raster row per line (row-major)."""
-        with open(path, "w", newline="\n") as fh:
-            for row in self.values:
-                fh.write(",".join(f"{v:.17g}" for v in row))
-                fh.write("\n")
-
-    @classmethod
-    def from_csv(cls, path, origin=(0.0, 0.0), size=(1.0, 1.0)):
-        rows = []
-        with open(path, "r") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(t) for t in line.split(",")])
-        return cls(values=np.asarray(rows, dtype=float), origin=origin, size=size)
-
 
 def _convolve1d_reflect(arr, kernel, axis):
     """Separable convolution with reflect padding (deterministic, exact)."""
@@ -269,9 +252,22 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
+# Width of the cell-confinement ramp, as a fraction of the cell size.
+_CELL_RISE = 0.125
+
+
 def _ramp(dist, pad, rise):
     """C1 cutoff: 0 within ``pad`` of a line, 1 beyond ``pad + rise``."""
     return _smoothstep((dist - pad) / rise)
+
+
+def _max_magnitude(b, raster):
+    """Max |b| over a 101 x 101 probe grid spanning the raster extent."""
+    xs = np.linspace(raster.origin[0], raster.origin[0] + raster.size[0], 101)
+    ys = np.linspace(raster.origin[1], raster.origin[1] + raster.size[1], 101)
+    gx, gy = np.meshgrid(xs, ys)
+    v = b.values_at(np.column_stack([gx.ravel(), gy.ravel()]))
+    return float(np.sqrt((v**2).sum(axis=1)).max())
 
 
 class AdvectionField:
@@ -303,7 +299,7 @@ class AdvectionField:
         return cls("zero")
 
     @classmethod
-    def stream(cls, raster, scale, taper_width, fd_step=None, cell_size=None, cell_rise=None):
+    def stream(cls, raster, scale, taper_width, fd_step=None, cell_size=None):
         w, h = raster.size
         if fd_step is None:
             fd_step = 0.5 * min(raster.pixel_size)
@@ -313,11 +309,8 @@ class AdvectionField:
             raise ConfigurationError(
                 f"degenerate taper: taper_width {taper_width} must exceed fd_step {fd_step}"
             )
-        if cell_size is not None:
-            if cell_rise is None:
-                cell_rise = 0.125 * cell_size
-            if cell_rise <= 0.0 or 2.0 * (fd_step + cell_rise) >= cell_size:
-                raise ConfigurationError("cell confinement bands must fit inside a cell")
+        if cell_size is not None and 2.0 * (fd_step + _CELL_RISE * cell_size) >= cell_size:
+            raise ConfigurationError("cell confinement bands must fit inside a cell")
         return cls(
             "stream",
             raster=raster,
@@ -325,7 +318,6 @@ class AdvectionField:
             taper_width=float(taper_width),
             fd_step=float(fd_step),
             cell_size=cell_size,
-            cell_rise=cell_rise,
         )
 
     def _stream_values(self, points):
@@ -349,7 +341,7 @@ class AdvectionField:
             taper = _ramp(dx, pad, rise) * _ramp(dy, pad, rise)
             if q.get("cell_size"):
                 cell = q["cell_size"]
-                crise = q["cell_rise"]
+                crise = _CELL_RISE * cell
                 fx = (pi[:, 0] - ox) % cell
                 fy = (pi[:, 1] - oy) % cell
                 dlx = np.minimum(fx, cell - fx)
@@ -372,33 +364,27 @@ class AdvectionField:
         by = -scale * (rt - lt) / (2.0 * d)
         return np.column_stack([bx, by])
 
-    def divergence_fd(self, points, step=None):
-        """Centered-difference divergence probe at spacing ``step`` (defaults
-        to the field's own ``fd_step``)."""
+    def divergence_fd(self, points):
+        """Centered-difference divergence probe at the field's own ``fd_step``."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "zero":
             return np.zeros(len(p))
-        d = self.params["fd_step"] if step is None else step
+        d = self.params["fd_step"]
         return (
             self.values_at(p + [d, 0.0])[:, 0] - self.values_at(p - [d, 0.0])[:, 0]
             + self.values_at(p + [0.0, d])[:, 1] - self.values_at(p - [0.0, d])[:, 1]
         ) / (2.0 * d)
 
-    def max_magnitude(self, n=101):
-        """Max |b| over an n x n probe grid (used to scale to a target)."""
+    def max_magnitude(self):
+        """Max |b| over a probe grid (used to scale to a target)."""
         if self.kind == "zero":
             return 0.0
-        raster = self.params["raster"]
-        xs = np.linspace(raster.origin[0], raster.origin[0] + raster.size[0], n)
-        ys = np.linspace(raster.origin[1], raster.origin[1] + raster.size[1], n)
-        gx, gy = np.meshgrid(xs, ys)
-        b = self.values_at(np.column_stack([gx.ravel(), gy.ravel()]))
-        return float(np.sqrt((b**2).sum(axis=1)).max())
+        return _max_magnitude(self, self.params["raster"])
 
 
-def stream_advection(raster, scale, taper_width, fd_step=None, cell_size=None, cell_rise=None):
+def stream_advection(raster, scale, taper_width, fd_step=None, cell_size=None):
     """Divergence-free advection field from a raster stream function."""
-    return AdvectionField.stream(raster, scale, taper_width, fd_step, cell_size, cell_rise)
+    return AdvectionField.stream(raster, scale, taper_width, fd_step, cell_size)
 
 
 class SumAdvection:
@@ -419,13 +405,9 @@ class SumAdvection:
             out = out + c.values_at(points)
         return out
 
-    def max_magnitude(self, n=101):
-        raster = self.components[0].params["raster"]
-        xs = np.linspace(raster.origin[0], raster.origin[0] + raster.size[0], n)
-        ys = np.linspace(raster.origin[1], raster.origin[1] + raster.size[1], n)
-        gx, gy = np.meshgrid(xs, ys)
-        b = self.values_at(np.column_stack([gx.ravel(), gy.ravel()]))
-        return float(np.sqrt((b**2).sum(axis=1)).max())
+    def max_magnitude(self):
+        """Max |b| over a probe grid of the first component's raster."""
+        return _max_magnitude(self, self.components[0].params["raster"])
 
 
 class CellAveragedAdvection:

@@ -19,17 +19,16 @@ import scipy.sparse as sp
 
 from .dwr import (
     DualApproximation,
-    _advection_fluctuation_percell,
-    _advection_values,
+    ErrorBreakdown,
     _subgrid,
     _theta_macro,
     error_identity,
-    indicator_oscillation,
     indicator_sweep,
 )
 from .errors import ConfigurationError, NumericalError
 from .fem import (
     DiscreteField,
+    advection_form_percell,
     apply_functional,
     assemble_diffusion,
     diffusion_form_percell,
@@ -37,12 +36,14 @@ from .fem import (
     evaluate,
     fine_operator,
     gather,
+    gauss_point_coords,
     problem_rhs,
     q1_blocks,
     solve,
     solve_dual,
     value_sq_percell,
 )
+from .field import CellAveragedAdvection
 
 _IJ = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -309,9 +310,9 @@ def run_optimization(problem, initial_model, config, oracle=None):
     Per cycle: solve the effective primal and dual, sweep the sampling cells
     for indicators, patch reconstructions and Jacobian entries, then take one
     damped step.  Stops when |theta| falls below ``stop_fraction`` of its
-    first-cycle value, diverges past ``divergence_factor`` times it or turns
-    non-finite, or the cycle budget is exhausted.  ``oracle`` is an optional (u_ref, j_ref) pair
-    used only for reporting.
+    first-cycle value, diverges past ``divergence_factor`` times it, theta or
+    the step turns non-finite, or the cycle budget is exhausted.  ``oracle``
+    is an optional (u_ref, j_ref) pair used only for reporting.
     """
     config.validate()
     model = initial_model
@@ -326,29 +327,31 @@ def run_optimization(problem, initial_model, config, oracle=None):
         eta, triplets = assemble_system(
             problem, model, U, operator, dual, config.jacobian_mode, want_jacobian=want_jac
         )
-        theta = float(np.sum(eta))
-        theta_h = _theta_macro(problem, model, U, dual.z_global)
-
-        j_u = apply_functional(problem.functional, U)
+        err = ErrorBreakdown(
+            theta_H=_theta_macro(problem, model, U, dual.z_global),
+            eta=eta,
+            j_of_U=apply_functional(problem.functional, U),
+            j_reference=None if oracle is None else oracle[1],
+        )
+        theta = err.theta_delta
         row = {
             "cycle": cycle,
-            "j_of_U": j_u,
+            "j_of_U": err.j_of_U,
             "theta_tilde": theta,
-            "i_loc": indicator_oscillation(eta),
+            "i_loc": err.i_loc,
             "l2_error": None,
             "abs_error": None,
             "rel_error_pct": None,
-            "i_eff": None,
+            "i_eff": err.i_eff,
             "lam": None,
             "step_norm": None,
         }
         if oracle is not None:
             u_ref, j_ref = oracle
             row["l2_error"] = l2_error_against(u_ref, U)
-            abs_err = abs(j_ref - j_u)
+            abs_err = abs(j_ref - err.j_of_U)
             row["abs_error"] = abs_err
             row["rel_error_pct"] = 100.0 * abs_err / abs(j_ref) if j_ref != 0.0 else None
-            row["i_eff"] = abs(theta_h + theta) / abs_err if abs_err > 0.0 else None
         state.history.append(row)
         state.model = model
         state.indefinite_history.append(int(np.sum(model.min_eigenvalues() < 0.0)))
@@ -375,6 +378,9 @@ def run_optimization(problem, initial_model, config, oracle=None):
         jac = build_jacobian(problem.hierarchy.n_sampling, triplets, state.alpha)
         residual = ResidualVector(eta=eta, g=g_block)
         delta, lam, _ = lm_step(jac, residual.flat, config.lambda_factor)
+        if not np.all(np.isfinite(delta)):
+            state.stop_reason = "diverged"
+            break
         model, step_norm = apply_update(model, delta, cycle)
         row["lam"] = lam
         row["step_norm"] = step_norm
@@ -388,7 +394,8 @@ def run_optimization(problem, initial_model, config, oracle=None):
 def _eta_independent(problem, model, k, grid, u_values, zstar_values):
     """Indicator eta_K recomputed with an independent quadrature pass:
     3x3 Gauss gradients for the diffusion part (exact for the same integral),
-    explicit loops for the advection part with the assembly's 2x2 sampling."""
+    per-Gauss-point forms for the advection part, sampling b_eps and b_delta
+    itself at the assembly's 2x2 points."""
     pts3, wts3 = np.polynomial.legendre.leggauss(3)
     pts3 = 0.5 * (pts3 + 1.0)
     wts3 = 0.5 * wts3
@@ -416,10 +423,14 @@ def _eta_independent(problem, model, k, grid, u_values, zstar_values):
             flux = np.einsum("cab,cb->ca", d_tensors, du)
             total += wx * wy * hx * hy * float(np.einsum("ca,ca->", flux, dz))
     if problem.is_advective:
-        b_eps_vals, b_delta_vals = _advection_values(problem, model, grid)
-        total -= float(
-            np.sum(_advection_fluctuation_percell(grid, u4, z4, b_eps_vals, b_delta_vals))
-        )
+        pts = gauss_point_coords(grid).reshape(-1, 2)
+        b_eps = problem.advection.values_at(pts).reshape(grid.n_cells, 4, 2)
+        fluct = advection_form_percell(grid, b_eps, u4, z4, skew=True)
+        if model.advection is not None:
+            b = CellAveragedAdvection(problem.hierarchy, model.advection)
+            b_delta = b.values_at(pts).reshape(grid.n_cells, 4, 2)
+            fluct = fluct - advection_form_percell(grid, b_delta, u4, z4, skew=False)
+        total -= float(np.sum(fluct))
     return total
 
 

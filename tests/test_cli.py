@@ -297,6 +297,26 @@ def test_nan_indicator_stops_as_diverged(tmp_path, monkeypatch):
     assert (tmp_path / "o" / "history.csv").exists()
 
 
+def test_nan_step_stops_as_diverged(tmp_path, monkeypatch):
+    from dwropt import optim
+
+    step = optim.lm_step
+
+    def nan_step(*args, **kwargs):
+        delta, lam, m = step(*args, **kwargs)
+        delta[0] = np.nan
+        return delta, lam, m
+
+    monkeypatch.setattr(optim, "lm_step", nan_step)
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY)
+    out = tmp_path / "o"
+    assert main(["optimize", str(cfg_path), "--out", str(out)]) == 3
+    assert "stop reason: diverged" in (out / "report.txt").read_text()
+    history = (out / "history.csv").read_text().splitlines()
+    assert len(history) == 2  # header and cycle 1, whose step was NaN
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # geometric upscaling of a field with nonpositive diagonal entries is a
     # numerical failure, reported with exit code 3

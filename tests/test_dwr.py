@@ -5,7 +5,6 @@ from conftest import advection_problem, lognormal_problem
 from dwropt.dwr import (
     DualApproximation,
     ErrorBreakdown,
-    effectivity,
     error_identity,
     local_enhancement,
 )
@@ -90,7 +89,7 @@ def test_enhancement_vanishes_for_exact_model():
     model = constant_model(hierarchy, 2.0)
     fine = problem.fine_space(hierarchy.h_micro)
     z_micro = solve_dual(fine_operator(problem, fine), problem.functional)
-    _, _, z_k = local_enhancement(problem, model, z_micro, 0, depth=1)
+    _, _, z_k, _ = local_enhancement(problem, model, z_micro, 0, depth=1)
     assert np.abs(z_k.values).max() <= 1e-12 * max(np.abs(z_micro.values).max(), 1.0)
 
 
@@ -102,7 +101,7 @@ def test_enhancement_on_whole_domain_recovers_fine_dual():
     z_eff = solve_dual(op, problem.functional)
     fine = problem.fine_space(2.0**-5)
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
-    patch, patch_space, z_k = local_enhancement(problem, model, z_eff, 0, depth=1)
+    patch, patch_space, z_k, _ = local_enhancement(problem, model, z_eff, 0, depth=1)
     zi = evaluate(z_eff, patch_space.grid.node_coords)
     assert np.allclose(zi + z_k.values, z_fine.values, atol=1e-10 * np.abs(z_fine.values).max())
 
@@ -120,7 +119,7 @@ def test_enhancement_depth_improves_most_cells():
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
 
     def cell_error(k, depth):
-        patch, patch_space, z_k = local_enhancement(problem, model, z_eff, k, depth)
+        patch, patch_space, z_k, _ = local_enhancement(problem, model, z_eff, k, depth)
         bbox = hierarchy.sampling_bbox(k)
         ids = patch_space.grid.subgrid_node_ids(bbox)
         zi = evaluate(z_eff, patch_space.grid.node_coords)
@@ -232,17 +231,16 @@ def test_full_dual_effectivity_is_one():
 
 def test_effectivity_single_cell_i_loc():
     eta = np.array([0.25])
-    err = ErrorBreakdown(theta_H=0.0, theta_delta=0.25, eta=eta, j_of_U=1.0)
-    i_eff, i_loc = effectivity(err, j_ref=1.3, j_u=1.0)
-    assert i_loc == 1.0
-    assert i_eff == pytest.approx(0.25 / 0.3)
+    err = ErrorBreakdown(theta_H=0.0, eta=eta, j_of_U=1.0, j_reference=1.3)
+    assert err.theta_delta == 0.25
+    assert err.i_loc == 1.0
+    assert err.i_eff == pytest.approx(0.25 / 0.3)
 
 
 def test_effectivity_zero_true_error():
     eta = np.array([0.1, -0.1])
-    err = ErrorBreakdown(theta_H=0.0, theta_delta=0.0, eta=eta, j_of_U=1.0)
-    i_eff, i_loc = effectivity(err, j_ref=1.0, j_u=1.0)
-    assert i_eff is None
+    err = ErrorBreakdown(theta_H=0.0, eta=eta, j_of_U=1.0, j_reference=1.0)
+    assert err.i_eff is None
 
 
 def test_enhanced_single_patch_degenerates_to_full():

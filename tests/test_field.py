@@ -72,15 +72,6 @@ def test_pgm_round_trip(tmp_path):
     assert back.values.dtype == np.uint8
 
 
-def test_csv_round_trip(tmp_path):
-    values = np.linspace(0.0, 1.0, 12).reshape(3, 4) ** 3
-    r = RasterField(values=values)
-    path = tmp_path / "field.csv"
-    r.to_csv(path)
-    back = RasterField.from_csv(path)
-    assert np.array_equal(r.values, back.values)
-
-
 def test_raster_lookup_out_of_extent():
     r = RasterField(values=np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(OutOfDomainError):

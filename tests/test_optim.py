@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import lognormal_problem
+from conftest import advection_problem, lognormal_problem
 from dwropt.errors import ConfigurationError
 from dwropt.fem import (
     Functional,
@@ -11,7 +11,7 @@ from dwropt.fem import (
     problem_rhs,
     solve,
 )
-from dwropt.field import CoefficientField, gen_gaussian_raster
+from dwropt.field import CoefficientField, average_advection, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.optim import (
     OptimizerConfig,
@@ -97,11 +97,27 @@ def test_residual_layout_and_norm():
     assert np.isclose(res.squared_norm, 1 + 4 + 0.25 + 0.25)
 
 
-def test_residual_squared_norm_matches_independent_cost():
+def _diffusion_case():
     problem = small_problem()
     model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    return problem, model0, ("full", "enhanced")
+
+
+def _advection_case():
+    # the transport fluctuation read from element matrices is checked against
+    # the per-Gauss-point quadrature of _eta_independent
+    problem = advection_problem(h_micro=2.0**-5)
+    b_delta = average_advection(problem.advection, problem.hierarchy)
+    model0 = constant_model(problem.hierarchy, 0.1, advection=b_delta)
+    return problem, model0, ("full", "enhanced", "effective")
+
+
+@pytest.mark.parametrize("case", [_diffusion_case, _advection_case], ids=["diffusion", "advection"])
+def test_residual_squared_norm_matches_independent_cost(case):
+    problem, model0, modes = case()
     model = model0.with_tensors(1.3 * model0.tensors, "off")
-    for config in (full_config(alpha=1e-6), full_config(alpha=1e-6, dual_mode="enhanced")):
+    for mode in modes:
+        config = full_config(alpha=1e-6, dual_mode=mode)
         _, U, dual = primal_dual(problem, model, config)
         alpha = resolve_alpha(config, 1.0, model0)
         res = assemble_residual(problem, model, model0, alpha, U, dual)
