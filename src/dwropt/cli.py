@@ -482,11 +482,12 @@ def run_scenario(cfg, outdir, seed_override=None):
     state.model.to_csv(out / "model_final.csv")
     manifest.append("model_final.csv")
 
-    macro = problem.macro_space()
-    U = solve(effective_operator(problem, state.model, macro), problem_rhs(problem, macro))
-    U.to_csv(out / "solution_final.csv")
-    U.to_vtk(out / "solution_final.vtk")
-    manifest.extend(["solution_final.csv", "solution_final.vtk"])
+    if state.history:  # else no solve of the initial model is known to succeed
+        macro = problem.macro_space()
+        U = solve(effective_operator(problem, state.model, macro), problem_rhs(problem, macro))
+        U.to_csv(out / "solution_final.csv")
+        U.to_vtk(out / "solution_final.vtk")
+        manifest.extend(["solution_final.csv", "solution_final.vtk"])
     phases.stop()
 
     report = RunReport(
@@ -600,9 +601,10 @@ def _cmd_estimate(cfg, outdir, seed):
 
 def _cmd_optimize(cfg, outdir, seed):
     report, state = run_scenario(cfg, outdir, seed)
-    last = state.history[-1]
-    print(f"stop: {state.stop_reason} after {state.cycles} cycles; "
-          f"theta={last['theta_tilde']:.6e}")
+    theta = state.history[-1]["theta_tilde"] if state.history else float("nan")
+    print(f"stop: {state.stop_reason} after {state.cycles} cycles; theta={theta:.6e}")
+    if state.failure is not None:
+        raise state.failure
     if state.stop_reason == "diverged":
         raise NumericalError("optimization diverged (estimator grew past the guard)")
     return 0
@@ -612,6 +614,8 @@ def _cmd_compare_duals(cfg, outdir, seed):
     states = compare_duals(cfg, outdir, seed)
     for mode, state in states.items():
         print(f"{mode}: {state.cycles} cycles, stop={state.stop_reason}")
+        if state.failure is not None:
+            raise state.failure
     return 0
 
 

@@ -85,7 +85,7 @@ def local_enhancement(problem, model, z_eff, k, depth):
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
         elem = elem + fluct
-    op = element_operator(space, elem, symmetric=fluct is None)
+    op = element_operator(space, elem)
     zi = evaluate(z_eff, grid.node_coords)
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)

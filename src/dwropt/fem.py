@@ -263,29 +263,24 @@ class DiscreteField:
 
 class SparseOperator:
     """Square sparse operator with a cached LU factorization of its
-    Dirichlet-constrained block.
-
-    The factorization is computed on first use and reused by every primal,
-    dual (transposed) and response solve against the same operator.
+    Dirichlet-constrained block, computed on first use and reused by every
+    primal, dual (transposed) and response solve.  Every Q1 operator here has
+    a structurally symmetric pattern, so the columns are ordered by minimum
+    degree on A^T + A, which fills far less than SuperLU's default COLAMD.
     """
 
-    def __init__(self, matrix, space, symmetric):
+    def __init__(self, matrix, space):
         self.matrix = sp.csr_matrix(matrix)
         self.space = space
-        self.symmetric = symmetric
         self.factorization_count = 0
         self._lu = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
     def _factorize(self):
         if self._lu is None:
             free = self.space.free_nodes
             a_ff = self.matrix[free][:, free].tocsc()
             try:
-                self._lu = splu(a_ff)
+                self._lu = splu(a_ff, permc_spec="MMD_AT_PLUS_A")
             except Exception as exc:  # scipy raises bare RuntimeError
                 raise SingularOperatorError(
                     f"factorization of the {a_ff.shape[0]}-dof constrained system failed: {exc}"
@@ -311,7 +306,7 @@ class SparseOperator:
 # assembly
 
 
-def element_operator(space, elem, symmetric):
+def element_operator(space, elem):
     """Operator scattered from (ncells, 4, 4) element matrices on the grid of
     ``space``; ``elem[c, p, q]`` couples test node p with trial node q."""
     cn = space.grid.cell_nodes
@@ -319,7 +314,7 @@ def element_operator(space, elem, symmetric):
     rows = np.repeat(cn, 4, axis=1).ravel()
     cols = np.tile(cn, (1, 4)).ravel()
     matrix = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return SparseOperator(matrix, space, symmetric)
+    return SparseOperator(matrix, space)
 
 
 def _subdivisions(grid, micro_size):
@@ -364,7 +359,7 @@ def assemble_diffusion(space, coeff, micro_size=None):
         tensors = coeff.tensors_at(centers.reshape(-1, 2)).reshape(grid.n_cells, sx * sy, 2, 2)
         blocks = _subcell_diffusion_blocks(grid.spacing[0], grid.spacing[1], sx, sy)
         elem = np.einsum("csab,sabpq->cpq", tensors, blocks)
-    return element_operator(space, elem, symmetric=True)
+    return element_operator(space, elem)
 
 
 def _gauss_points_physical(grid, sx, sy):
@@ -398,7 +393,7 @@ def assemble_advection(space, b, micro_size=None):
     """Advection operator for a vector field ``b`` (see
     :func:`advection_element_matrices`)."""
     elem = advection_element_matrices(space.grid, b, micro_size)
-    return element_operator(space, elem, symmetric=False)
+    return element_operator(space, elem)
 
 
 def assemble_rhs(space, f, neumann=()):
@@ -602,7 +597,7 @@ def effective_operator(problem, model, space):
     if model.advection is not None:
         b = CellAveragedAdvection(problem.hierarchy, model.advection)
         adv = assemble_advection(space, b)
-        return SparseOperator(op.matrix + adv.matrix, space, symmetric=False)
+        return SparseOperator(op.matrix + adv.matrix, space)
     return op
 
 
@@ -613,7 +608,7 @@ def fine_operator(problem, space, micro_size=None):
     op = assemble_diffusion(space, problem.coefficient, micro_size=micro_size)
     if problem.is_advective:
         adv = assemble_advection(space, problem.advection, micro_size=micro_size)
-        return SparseOperator(op.matrix + adv.matrix, space, symmetric=False)
+        return SparseOperator(op.matrix + adv.matrix, space)
     return op
 
 

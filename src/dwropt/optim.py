@@ -12,10 +12,12 @@ is available in :func:`full_gateaux` for verification at test scale.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .dwr import (
     DualApproximation,
@@ -195,19 +197,20 @@ def build_jacobian(n, triplets, alpha):
 
 def lm_step(jac, residual_flat, lambda_factor):
     """Damped normal-equation step: (J^T J + lambda I) delta = -J^T G with
-    lambda = lambda_factor * mean |diag(J^T J)|.  Returns (delta, lambda, m)."""
+    lambda = lambda_factor * mean |diag(J^T J)|, a sparse solve (J^T J couples
+    only parameters of overlapping patches).  Returns (delta, lambda, m)."""
     grad = jac.T @ residual_flat
     if not np.any(grad):
         return np.zeros(jac.shape[1]), 0.0, 0.0
-    jtj = (jac.T @ jac).toarray()
-    diag = np.abs(np.diag(jtj))
-    m = float(diag.mean())
+    jtj = (jac.T @ jac).tocsc()
+    m = float(np.abs(jtj.diagonal()).mean())
     lam = lambda_factor * m
-    system = jtj + lam * np.eye(jac.shape[1])
-    try:
-        delta = np.linalg.solve(system, -grad)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"damped normal equations singular (lambda={lam}): {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            delta = spsolve(jtj + lam * sp.identity(jac.shape[1], format="csc"), -grad)
+        except MatrixRankWarning as exc:
+            raise NumericalError(f"damped normal equations singular (lambda={lam}): {exc}") from exc
     return delta, lam, m
 
 
@@ -238,8 +241,8 @@ def resolve_alpha(config, theta_abs, model0):
 
 @dataclass
 class GaussNewtonState:
-    """Outcome of the optimization loop: final model, per-cycle metrics and
-    the resolved regularization."""
+    """Outcome of the optimization loop: final model, per-cycle metrics, the
+    resolved regularization and the ``NumericalError`` that stopped it, if any."""
 
     model: object
     initial_model: object
@@ -248,40 +251,29 @@ class GaussNewtonState:
     initial_estimator: float = None
     stop_reason: str = "max_cycles"
     indefinite_history: list = dc_field(default_factory=list)
+    failure: Exception = None
 
     @property
     def cycles(self):
         return len(self.history)
 
     def history_csv_text(self):
-        cols = (
-            "cycle",
-            "l2_error",
-            "j_of_U",
-            "abs_error",
-            "rel_error_pct",
-            "theta_tilde",
-            "I_eff",
-            "I_loc",
-            "lambda",
-            "step_norm",
+        columns = (  # (history.csv column, history row key)
+            ("cycle", "cycle"),
+            ("l2_error", "l2_error"),
+            ("j_of_U", "j_of_U"),
+            ("abs_error", "abs_error"),
+            ("rel_error_pct", "rel_error_pct"),
+            ("theta_tilde", "theta_tilde"),
+            ("I_eff", "i_eff"),
+            ("I_loc", "i_loc"),
+            ("lambda", "lam"),
+            ("step_norm", "step_norm"),
         )
-        keys = (
-            "cycle",
-            "l2_error",
-            "j_of_U",
-            "abs_error",
-            "rel_error_pct",
-            "theta_tilde",
-            "i_eff",
-            "i_loc",
-            "lam",
-            "step_norm",
-        )
-        lines = [",".join(cols)]
+        lines = [",".join(col for col, _ in columns)]
         for row in self.history:
             parts = []
-            for key in keys:
+            for _, key in columns:
                 v = row.get(key)
                 if v is None:
                     parts.append("")
@@ -311,8 +303,9 @@ def run_optimization(problem, initial_model, config, oracle=None):
     for indicators, patch reconstructions and Jacobian entries, then take one
     damped step.  Stops when |theta| falls below ``stop_fraction`` of its
     first-cycle value, diverges past ``divergence_factor`` times it, theta or
-    the step turns non-finite, or the cycle budget is exhausted.  ``oracle``
-    is an optional (u_ref, j_ref) pair used only for reporting.
+    the step turns non-finite, a solve raises a ``NumericalError`` (stop
+    reason "numerical failure: <message>"), or the cycle budget is exhausted.
+    ``oracle`` is an optional (u_ref, j_ref) pair used only for reporting.
     """
     config.validate()
     model = initial_model
@@ -321,69 +314,73 @@ def run_optimization(problem, initial_model, config, oracle=None):
     n_rows = max(config.max_cycles, 1)
     dual = None
 
-    for cycle in range(1, n_rows + 1):
-        operator, U, dual = primal_dual(problem, model, config, previous=dual)
-        want_jac = cycle < n_rows
-        eta, triplets = assemble_system(
-            problem, model, U, operator, dual, config.jacobian_mode, want_jacobian=want_jac
-        )
-        err = ErrorBreakdown(
-            theta_H=_theta_macro(problem, model, U, dual.z_global),
-            eta=eta,
-            j_of_U=apply_functional(problem.functional, U),
-            j_reference=None if oracle is None else oracle[1],
-        )
-        theta = err.theta_delta
-        row = {
-            "cycle": cycle,
-            "j_of_U": err.j_of_U,
-            "theta_tilde": theta,
-            "i_loc": err.i_loc,
-            "l2_error": None,
-            "abs_error": None,
-            "rel_error_pct": None,
-            "i_eff": err.i_eff,
-            "lam": None,
-            "step_norm": None,
-        }
-        if oracle is not None:
-            u_ref, j_ref = oracle
-            row["l2_error"] = l2_error_against(u_ref, U)
-            abs_err = abs(j_ref - err.j_of_U)
-            row["abs_error"] = abs_err
-            row["rel_error_pct"] = 100.0 * abs_err / abs(j_ref) if j_ref != 0.0 else None
-        state.history.append(row)
-        state.model = model
-        state.indefinite_history.append(int(np.sum(model.min_eigenvalues() < 0.0)))
+    try:
+        for cycle in range(1, n_rows + 1):
+            operator, U, dual = primal_dual(problem, model, config, previous=dual)
+            want_jac = cycle < n_rows
+            eta, triplets = assemble_system(
+                problem, model, U, operator, dual, config.jacobian_mode, want_jacobian=want_jac
+            )
+            err = ErrorBreakdown(
+                theta_H=_theta_macro(problem, model, U, dual.z_global),
+                eta=eta,
+                j_of_U=apply_functional(problem.functional, U),
+                j_reference=None if oracle is None else oracle[1],
+            )
+            theta = err.theta_delta
+            row = {
+                "cycle": cycle,
+                "j_of_U": err.j_of_U,
+                "theta_tilde": theta,
+                "i_loc": err.i_loc,
+                "l2_error": None,
+                "abs_error": None,
+                "rel_error_pct": None,
+                "i_eff": err.i_eff,
+                "lam": None,
+                "step_norm": None,
+            }
+            if oracle is not None:
+                u_ref, j_ref = oracle
+                row["l2_error"] = l2_error_against(u_ref, U)
+                abs_err = abs(j_ref - err.j_of_U)
+                row["abs_error"] = abs_err
+                row["rel_error_pct"] = 100.0 * abs_err / abs(j_ref) if j_ref != 0.0 else None
+            state.history.append(row)
+            state.model = model
+            state.indefinite_history.append(int(np.sum(model.min_eigenvalues() < 0.0)))
 
-        if cycle == 1:
-            theta1 = abs(theta)
-            state.initial_estimator = theta1
-            state.alpha = resolve_alpha(config, theta1, initial_model)
-        g_block = regularization_residual(model, initial_model, state.alpha)
-        row["cost"] = float(eta @ eta + g_block @ g_block)
-        if cycle == 1 and theta1 == 0.0:
-            state.stop_reason = "initial estimator zero"
-            break
-        if abs(theta) <= config.stop_fraction * theta1:
-            state.stop_reason = "converged"
-            break
-        if not np.isfinite(theta) or abs(theta) > config.divergence_factor * theta1:
-            state.stop_reason = "diverged"
-            break
-        if not want_jac:
-            state.stop_reason = "max_cycles"
-            break
+            if cycle == 1:
+                theta1 = abs(theta)
+                state.initial_estimator = theta1
+                state.alpha = resolve_alpha(config, theta1, initial_model)
+            g_block = regularization_residual(model, initial_model, state.alpha)
+            row["cost"] = float(eta @ eta + g_block @ g_block)
+            if cycle == 1 and theta1 == 0.0:
+                state.stop_reason = "initial estimator zero"
+                break
+            if abs(theta) <= config.stop_fraction * theta1:
+                state.stop_reason = "converged"
+                break
+            if not np.isfinite(theta) or abs(theta) > config.divergence_factor * theta1:
+                state.stop_reason = "diverged"
+                break
+            if not want_jac:
+                state.stop_reason = "max_cycles"
+                break
 
-        jac = build_jacobian(problem.hierarchy.n_sampling, triplets, state.alpha)
-        residual = ResidualVector(eta=eta, g=g_block)
-        delta, lam, _ = lm_step(jac, residual.flat, config.lambda_factor)
-        if not np.all(np.isfinite(delta)):
-            state.stop_reason = "diverged"
-            break
-        model, step_norm = apply_update(model, delta, cycle)
-        row["lam"] = lam
-        row["step_norm"] = step_norm
+            jac = build_jacobian(problem.hierarchy.n_sampling, triplets, state.alpha)
+            residual = ResidualVector(eta=eta, g=g_block)
+            delta, lam, _ = lm_step(jac, residual.flat, config.lambda_factor)
+            if not np.all(np.isfinite(delta)):
+                state.stop_reason = "diverged"
+                break
+            model, step_norm = apply_update(model, delta, cycle)
+            row["lam"] = lam
+            row["step_norm"] = step_norm
+    except NumericalError as exc:  # a singular macro, patch or normal-equation solve
+        state.stop_reason = f"numerical failure: {exc}"
+        state.failure = exc
     return state
 
 

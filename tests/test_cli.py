@@ -317,6 +317,33 @@ def test_nan_step_stops_as_diverged(tmp_path, monkeypatch):
     assert len(history) == 2  # header and cycle 1, whose step was NaN
 
 
+def test_singular_operator_mid_run_writes_partial_artifacts(tmp_path, monkeypatch):
+    from dwropt import optim
+    from dwropt.errors import SingularOperatorError
+
+    solve_model = optim.primal_dual
+    calls = []
+
+    def singular_in_cycle_2(*args, **kwargs):
+        calls.append(len(calls) + 1)
+        if calls[-1] == 2:
+            raise SingularOperatorError("factorization of the 225-dof constrained system failed")
+        return solve_model(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "primal_dual", singular_in_cycle_2)
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY)
+    out = tmp_path / "o"
+    assert main(["optimize", str(cfg_path), "--out", str(out)]) == 3
+    history = (out / "history.csv").read_text().splitlines()
+    assert len(history) == 2  # header and cycle 1
+    report = (out / "report.txt").read_text()
+    assert "stop reason: numerical failure: factorization of the 225-dof" in report
+    assert "cycles: 1" in report
+    for name in ("model_final.csv", "solution_final.csv"):
+        assert (out / name).exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # geometric upscaling of a field with nonpositive diagonal entries is a
     # numerical failure, reported with exit code 3

@@ -24,7 +24,7 @@ from dwropt.fem import (
     solve,
     solve_dual,
 )
-from dwropt.field import CoefficientField, gen_gaussian_raster
+from dwropt.field import CoefficientField, average_advection, gen_gaussian_raster
 from dwropt.mesh import Domain, Grid, build_hierarchy
 from dwropt.upscale import constant_model
 
@@ -154,7 +154,7 @@ def test_solve_identity_operator():
     import scipy.sparse as sp
 
     space = unit_space(4)
-    op = SparseOperator(sp.identity(space.n_dofs, format="csr"), space, symmetric=True)
+    op = SparseOperator(sp.identity(space.n_dofs, format="csr"), space)
     rhs = np.arange(space.n_dofs, dtype=float)
     x = solve(op, rhs)
     free = space.free_nodes
@@ -173,6 +173,33 @@ def test_solver_residual_contract():
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs[free])
 
 
+def test_transposed_solve_residual_contract_with_advection():
+    # the patch dual's path: a transposed solve with a non-symmetric operator
+    problem = advection_problem()
+    b_delta = average_advection(problem.advection, problem.hierarchy)
+    model = constant_model(problem.hierarchy, 0.1, advection=b_delta)
+    space = problem.fine_space(2.0**-6)
+    op = effective_operator(problem, model, space)
+    free = space.free_nodes
+    a_ff = op.matrix[free][:, free]
+    assert abs(a_ff - a_ff.T).max() > 1e-3 * abs(a_ff).max()
+    rhs = functional_vector(space, problem.functional)
+    z = op.solve_constrained(rhs, transpose=True)
+    res = a_ff.T @ z[free] - rhs[free]
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs[free])
+
+
+def test_factorization_fills_less_than_default_ordering():
+    from scipy.sparse.linalg import splu
+
+    problem = lognormal_problem()
+    space = problem.fine_space(2.0**-6)
+    op = fine_operator(problem, space)
+    free = space.free_nodes
+    default = splu(op.matrix[free][:, free].tocsc())
+    assert op._factorize().nnz < default.nnz
+
+
 def test_factorization_cached_across_solves():
     space = unit_space(8)
     op = assemble_diffusion(space, CoefficientField.constant(1.0))
@@ -187,7 +214,7 @@ def test_singular_operator_reported():
     import scipy.sparse as sp
 
     space = unit_space(4)
-    op = SparseOperator(sp.csr_matrix((space.n_dofs, space.n_dofs)), space, symmetric=True)
+    op = SparseOperator(sp.csr_matrix((space.n_dofs, space.n_dofs)), space)
     with pytest.raises(SingularOperatorError, match="dof"):
         solve(op, np.ones(space.n_dofs))
 

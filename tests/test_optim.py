@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import advection_problem, lognormal_problem
-from dwropt.errors import ConfigurationError
+from dwropt.errors import ConfigurationError, NumericalError
 from dwropt.fem import (
     Functional,
     Problem,
@@ -273,6 +273,27 @@ def test_lm_scalar_closed_form():
     assert np.isclose(lam, factor * jtj)
     expect = -(j0 * g0 + sqrt_a * ga) / (jtj + lam)
     assert np.isclose(delta[0], expect)
+
+
+def test_lm_step_matches_dense_normal_equations():
+    # the sparse solve against the dense reference, on a sparse J with
+    # regularization rows below it, as build_jacobian stacks them
+    rng = np.random.default_rng(3)
+    band = sp.random(40, 24, density=0.2, random_state=rng) + sp.eye(40, 24)
+    jac = sp.vstack([band, 0.1 * sp.identity(24)]).tocsr()
+    g = rng.standard_normal(64)
+    delta, lam, m = lm_step(jac, g, 0.5)
+    jtj = (jac.T @ jac).toarray()
+    expect = np.linalg.solve(jtj + lam * np.eye(24), -(jac.T @ g))
+    assert np.isclose(m, np.abs(np.diag(jtj)).mean(), rtol=1e-14)
+    assert np.linalg.norm(delta - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_lm_singular_normal_equations_raise():
+    # without damping, a parameter that no residual sees leaves J^T J singular
+    jac = sp.csr_matrix(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(NumericalError, match="singular"):
+        lm_step(jac, np.array([1.0, -1.0, 0.5]), 0.0)
 
 
 # ---------------------------------------------------------------------------
