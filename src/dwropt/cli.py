@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .dwr import error_identity
 from .errors import (
@@ -52,18 +54,22 @@ from .upscale import (
 
 
 def parse_quantity(text):
-    """Parse a length like '0.125', '1/8' or '2^-3'."""
+    """Parse a finite quantity like '0.125', '1/8' or '2^-3'."""
     t = text.strip()
     try:
         if "^" in t:
             base, expo = t.split("^")
-            return float(base) ** float(expo)
-        if "/" in t:
+            value = float(base) ** float(expo)
+        elif "/" in t:
             num, den = t.split("/")
-            return float(num) / float(den)
-        return float(t)
-    except (ValueError, ZeroDivisionError) as exc:
+            value = float(num) / float(den)
+        else:
+            value = float(t)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"cannot parse quantity '{text}'") from exc
+    if not np.isfinite(value):
+        raise ConfigurationError(f"quantity '{text}' is not finite")
+    return value
 
 
 @dataclass
@@ -346,10 +352,22 @@ def oracle_reference(problem, h_fine, dof_cap=500_000, raster=None):
 # scenarios
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_environment():
+    """Library versions and BLAS thread variables as found; the last digits
+    of ``history.csv`` depend on both."""
+    env = {"numpy": np.__version__, "scipy": scipy.__version__}
+    env.update((name, os.environ.get(name, "unset")) for name in _THREAD_VARS)
+    return env
+
+
 @dataclass
 class RunReport:
     """Everything a run leaves behind: config echo, phase timings, reference
-    value, final metrics and the output-file manifest."""
+    value, final metrics, the per-cycle cost and indefinite-cell counts, the
+    run environment and the output-file manifest."""
 
     config_echo: str
     phases: dict
@@ -357,6 +375,8 @@ class RunReport:
     j_reference: float = None
     stop_reason: str = None
     cycles: int = 0
+    per_cycle: list = dc_field(default_factory=list)  # (cycle, cost, indefinite cells)
+    environment: dict = dc_field(default_factory=_run_environment)
 
     def to_text(self):
         lines = ["dwropt run report", "=" * 40, ""]
@@ -365,10 +385,19 @@ class RunReport:
         if self.stop_reason is not None:
             lines.append(f"stop reason: {self.stop_reason}")
             lines.append(f"cycles: {self.cycles}")
+        if self.per_cycle:
+            lines.append("")
+            lines.append("per cycle (cycle, cost, indefinite cells):")
+            for cycle, cost, indefinite in self.per_cycle:
+                lines.append(f"  {cycle}, {cost:.17g}, {indefinite}")
         lines.append("")
         lines.append("wall-clock per phase (s):")
         for name, dt in self.phases.items():
             lines.append(f"  {name}: {dt:.3f}")
+        lines.append("")
+        lines.append("environment:")
+        for name, value in self.environment.items():
+            lines.append(f"  {name}: {value}")
         lines.append("")
         lines.append("artifacts:")
         for name in self.manifest:
@@ -428,17 +457,23 @@ class Scenario:
 
 
 def build_scenario(cfg, seed_override=None, dual_modes=None):
-    """Problem, initial model and optimizer config of ``cfg``.  When one of
-    ``dual_modes`` (default: the configured one) is the full dual, its mesh
-    is checked against ``[mesh] dof_cap`` before any fine space is built."""
+    """Problem, initial model and optimizer config of ``cfg``.  For each of
+    ``dual_modes`` (default: the configured one), the global grid whose fine
+    data the indicator sweep slices (the micro grid; for the full dual the
+    ``h_fine`` grid of its solve) is checked against ``[mesh] dof_cap``
+    before any fine data is sampled or fine space built."""
     problem, raster = build_problem(cfg, seed_override)
-    model0 = build_initial_model(cfg, problem)
     config = build_optimizer_config(cfg)
     dof_cap = _dof_cap(cfg)
-    if "full" in (dual_modes or (config.dual_mode,)):
-        n_fine = problem.hierarchy.fine_grid(config.h_fine).n_nodes
+    hierarchy = problem.hierarchy
+    for mode in dual_modes or (config.dual_mode,):
+        h = config.h_fine if mode == "full" else hierarchy.h_micro
+        n_fine = hierarchy.fine_grid(h).n_nodes
         if n_fine > dof_cap:
-            raise ResourceCapError(f"full dual needs {n_fine} dofs, above the cap {dof_cap}")
+            raise ResourceCapError(
+                f"{mode} dual needs fine data on {n_fine} nodes, above the cap {dof_cap}"
+            )
+    model0 = build_initial_model(cfg, problem)
     reference = cfg.get("problem", "reference", "no").lower() in ("yes", "true", "1")
     return Scenario(problem, raster, model0, config, dof_cap, reference)
 
@@ -497,6 +532,10 @@ def run_scenario(cfg, outdir, seed_override=None):
         j_reference=None if oracle is None else oracle[1],
         stop_reason=state.stop_reason,
         cycles=state.cycles,
+        per_cycle=[
+            (row["cycle"], row["cost"], indefinite)
+            for row, indefinite in zip(state.history, state.indefinite_history)
+        ],
     )
     (out / "report.txt").write_text(report.to_text(), newline="\n")
     for name in report.manifest:

@@ -51,19 +51,19 @@ class DualApproximation:
 
 
 def _fine_data(problem, model, grid):
-    """The fine data of a patch grid, sampled once and shared by the patch
-    operator and the indicator forms: the fine tensor per cell and, for
-    advective problems, the element matrices E of the transport fluctuation
-    (b_eps - b_delta) . grad u, each part with its own form (skew / plain);
-    None without transport."""
-    a_eps = problem.coefficient.tensors_at(grid.cell_centers)
-    if not problem.is_advective:
-        return a_eps, None
-    fluct = advection_element_matrices(grid, problem.advection, None)
-    if model.advection is not None:
+    """The fine data of a patch grid, shared by the patch operator and the
+    indicator forms: the fine tensor per cell and, for advective problems,
+    the element matrices E of the transport fluctuation (b_eps - b_delta) .
+    grad u, each part with its own form (skew / plain); None without
+    transport.  The a_eps and b_eps parts are slices of the problem's global
+    fine data on the grid's spacing; only b_delta is sampled per patch."""
+    fine_grid, a_eps, e_eps = problem.fine_data(grid.spacing[0])
+    ids = fine_grid.subgrid_cell_ids(grid.bbox)
+    fluct = None if e_eps is None else e_eps[ids]
+    if fluct is not None and model.advection is not None:
         b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
         fluct = fluct - advection_element_matrices(grid, b_delta, None)
-    return a_eps, fluct
+    return a_eps[ids], fluct
 
 
 def local_enhancement(problem, model, z_eff, k, depth):
@@ -166,8 +166,9 @@ def _subgrid(grid, bbox):
 
 class _PatchContext:
     """Per-cell data shared by the indicator eta_K and its Jacobian row: the
-    patch micro grid, U and the dual z* on it, the tensor differences
-    A_delta - A_eps and the transport fluctuation element matrices."""
+    patch micro grid, U and the dual z* on it, the fine tensors A_eps, the
+    differences A_delta - A_eps and the transport fluctuation element
+    matrices."""
 
     def __init__(self, problem, model, U, k, patch, grid, zstar, data):
         self.k = k
@@ -176,8 +177,8 @@ class _PatchContext:
         self.zstar = zstar
         hierarchy = problem.hierarchy
         parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
-        a_eps, self.fluct = data
-        self.d_tensors = model.tensors[parents] - a_eps
+        self.a_eps, self.fluct = data
+        self.d_tensors = model.tensors[parents] - self.a_eps
         self.u4 = self.nodal4(U)
         self.z4 = gather(grid, zstar)
         self.cell_slices = {

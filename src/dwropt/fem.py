@@ -562,6 +562,10 @@ class Problem:
     divergence-free field.  ``neumann`` lists (marker, flux) pairs entering
     the load functional; ``dirichlet`` the markers carrying (homogeneous)
     Dirichlet conditions.
+
+    The problem is the one place that keeps what every cycle reads: the
+    macro and global fine spaces, and the fine data per grid spacing.  Patch
+    spaces are built on demand and never cached.
     """
 
     hierarchy: object
@@ -572,22 +576,42 @@ class Problem:
     neumann: tuple = ()
     dirichlet: tuple = SIDES
     _spaces: dict = dc_field(default_factory=dict, repr=False)
+    _fine: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def is_advective(self):
         return self.advection is not None and getattr(self.advection, "kind", None) != "zero"
 
     def space(self, grid):
+        return FeSpace(grid, self.hierarchy.domain, self.dirichlet)
+
+    def _global_space(self, grid):
         key = (grid.origin, grid.spacing, grid.shape)
         if key not in self._spaces:
-            self._spaces[key] = FeSpace(grid, self.hierarchy.domain, self.dirichlet)
+            self._spaces[key] = self.space(grid)
         return self._spaces[key]
 
     def macro_space(self):
-        return self.space(self.hierarchy.macro_grid)
+        return self._global_space(self.hierarchy.macro_grid)
 
     def fine_space(self, h):
-        return self.space(self.hierarchy.fine_grid(h))
+        return self._global_space(self.hierarchy.fine_grid(h))
+
+    def fine_data(self, h):
+        """(grid, a_eps, E_eps) on ``hierarchy.fine_grid(h)``, sampled once
+        per spacing: the fine tensor per cell and, for advective problems,
+        the skew element matrices of b_eps (None without transport).  The
+        arrays are shared by every caller and read-only."""
+        if h not in self._fine:
+            grid = self.hierarchy.fine_grid(h)
+            a_eps = self.coefficient.tensors_at(grid.cell_centers)
+            a_eps.flags.writeable = False
+            e_eps = None
+            if self.is_advective:
+                e_eps = advection_element_matrices(grid, self.advection, None)
+                e_eps.flags.writeable = False
+            self._fine[h] = (grid, a_eps, e_eps)
+        return self._fine[h]
 
 
 def effective_operator(problem, model, space):

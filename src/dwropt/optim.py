@@ -32,9 +32,10 @@ from .fem import (
     DiscreteField,
     advection_form_percell,
     apply_functional,
-    assemble_diffusion,
+    diffusion_element_matrices,
     diffusion_form_percell,
     effective_operator,
+    element_operator,
     evaluate,
     fine_operator,
     gather,
@@ -496,7 +497,8 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
             if config.dual_mode == "enhanced":
                 # patch-reconstruction response: (A_eps grad phi, grad DZ_K) =
                 # -(A_eps grad phi, grad DZ) on the patch
-                patch_op = assemble_diffusion(problem.space(ctx.grid), problem.coefficient)
+                elem = diffusion_element_matrices(ctx.grid, ctx.a_eps)
+                patch_op = element_operator(problem.space(ctx.grid), elem)
                 dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
             ids = ctx.cell_slices[k]
             t_dual = float(

@@ -78,6 +78,16 @@ def test_parse_quantity_forms():
         parse_quantity("eight")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+def test_non_finite_quantity_exits_as_configuration_error(tmp_path, text):
+    with pytest.raises(ConfigurationError):
+        parse_quantity(text)
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY.replace("scale = 1.35", f"scale = {text}"))
+    for command in ("upscale", "optimize"):
+        assert main([command, str(cfg_path), "--out", str(tmp_path / command)]) == 2
+
+
 def test_config_round_trip():
     cfg = tiny_config()
     again = ExperimentConfig.from_ini_text(cfg.to_ini_text())
@@ -270,6 +280,46 @@ def test_full_dual_dof_cap_exit_code(tmp_path, monkeypatch, command):
         .replace("reference = yes", "reference = no")
     )
     assert main([command, str(capped), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("command", ["estimate", "optimize"])
+def test_micro_grid_dof_cap_exit_code(tmp_path, monkeypatch, command):
+    # the enhanced dual slices its fine data from the global micro grid: its
+    # 1089 nodes exceed the cap of 500 (the 289 macro nodes do not), and the
+    # cap must stop the run before the fine coefficient is sampled
+    def no_sampling(self, points):
+        raise AssertionError("the fine coefficient was sampled before the dof cap check")
+
+    monkeypatch.setattr(CoefficientField, "tensors_at", no_sampling)
+    capped = tmp_path / "capped.ini"
+    capped.write_text(
+        TINY.replace("dof_cap = 500000", "dof_cap = 500").replace("reference = yes", "reference = no")
+    )
+    assert main([command, str(capped), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_report_records_cost_indefinite_cells_and_environment(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = tiny_config()
+    cfg.set("optimizer", "max_cycles", 2)
+    _, state = run_scenario(cfg, tmp_path)
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert "stop reason: max_cycles" in report
+    start = report.index("per cycle (cycle, cost, indefinite cells):")
+    assert state.cycles == 2
+    for c, (row, indefinite) in enumerate(zip(state.history, state.indefinite_history), 1):
+        assert report[start + c] == f"  {c}, {row['cost']:.17g}, {indefinite}"
+    for line in (
+        f"  numpy: {np.__version__}",
+        f"  scipy: {scipy.__version__}",
+        "  OPENBLAS_NUM_THREADS: 3",
+        "  OMP_NUM_THREADS: unset",
+    ):
+        assert line in report
+    assert (tmp_path / "history.csv").read_text() == state.history_csv_text()
 
 
 def test_nan_indicator_stops_as_diverged(tmp_path, monkeypatch):

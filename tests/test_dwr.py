@@ -5,11 +5,14 @@ from conftest import advection_problem, lognormal_problem
 from dwropt.dwr import (
     DualApproximation,
     ErrorBreakdown,
+    _fine_data,
+    _subgrid,
     error_identity,
     local_enhancement,
 )
 from dwropt.fem import (
     Functional,
+    advection_element_matrices,
     apply_functional,
     assemble_diffusion,
     assemble_rhs,
@@ -23,7 +26,7 @@ from dwropt.fem import (
     solve,
     solve_dual,
 )
-from dwropt.field import CoefficientField, average_advection
+from dwropt.field import CellAveragedAdvection, CoefficientField, average_advection
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.upscale import constant_model, geometric_mean_model
 
@@ -274,3 +277,32 @@ def test_enhanced_identity_runs_on_advection(tmp_path):
     text = path.read_text()
     assert text.startswith("cell_i,cell_j,eta_K")
     assert "# summary,theta_H=" in text
+
+
+def _sampled_directly(problem, model, grid):
+    """Fine data of ``grid`` sampled on the grid itself."""
+    a_eps = problem.coefficient.tensors_at(grid.cell_centers)
+    b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
+    fluct = advection_element_matrices(grid, problem.advection, None)
+    return a_eps, fluct - advection_element_matrices(grid, b_delta, None)
+
+
+@pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "full_dual_half_h"])
+def test_fine_data_slice_equals_direct_sampling(fine_ratio):
+    # the global fine data sliced to a patch must be bit-identical to
+    # sampling the patch grid itself, on an interior, an edge and a corner
+    # patch; fine_ratio 2 is the full-dual grid with h_fine = h_micro / 2
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5, confine_eddies=True)
+    hierarchy = problem.hierarchy
+    model = constant_model(
+        hierarchy, 0.1, advection=average_advection(problem.advection, hierarchy)
+    )
+    fine = hierarchy.fine_grid(hierarchy.h_micro / fine_ratio)
+    g = hierarchy.sampling_grid
+    for k in (g.cell_id(1, 2), g.cell_id(0, 3), g.cell_id(g.nx - 1, g.ny - 1)):
+        grid = _subgrid(fine, hierarchy.patch_of(k, 1).bbox)
+        a_eps, fluct = _fine_data(problem, model, grid)
+        a_ref, fluct_ref = _sampled_directly(problem, model, grid)
+        assert fluct.shape == (grid.n_cells, 4, 4)
+        assert np.array_equal(a_eps, a_ref)
+        assert np.array_equal(fluct, fluct_ref)

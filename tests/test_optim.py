@@ -467,3 +467,25 @@ def test_invalid_config_rejected():
         OptimizerConfig(stop_fraction=0.0).validate()
     with pytest.raises(ConfigurationError):
         OptimizerConfig(depth=2).validate()
+
+
+@pytest.mark.parametrize("dual_mode", ["enhanced", "effective"])
+def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
+    # b_eps is fixed data: two cycles of patch sweeps read it from one
+    # sampling on the global micro grid
+    problem = advection_problem(h_micro=2.0**-5)
+    hierarchy = problem.hierarchy
+    model = constant_model(
+        hierarchy, 0.1, advection=average_advection(problem.advection, hierarchy)
+    )
+    sample = problem.advection.values_at
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return sample(points)
+
+    monkeypatch.setattr(problem.advection, "values_at", counted)
+    state = run_optimization(problem, model, OptimizerConfig(max_cycles=2, dual_mode=dual_mode))
+    assert state.cycles == 2
+    assert calls == [4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells]
