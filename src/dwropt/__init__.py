@@ -17,7 +17,6 @@ from .field import (  # noqa: F401
     CoefficientField,
     RasterField,
     SumAdvection,
-    average_advection,
     gen_gaussian_raster,
     stream_advection,
 )

@@ -38,7 +38,6 @@ from .field import (
     CoefficientField,
     RasterField,
     SumAdvection,
-    average_advection,
     correlated_noise,
     gen_gaussian_raster,
     stream_advection,
@@ -295,9 +294,12 @@ def build_initial_model(cfg, problem):
         raise ConfigurationError(f"unknown upscaler '{upscaler}'")
     scale = parse_quantity(cfg.get("initial_model", "scale", "1.0"))
     if scale != 1.0:
-        model = model.with_tensors(scale * model.tensors, f"{model.provenance} x {scale}")
-    if problem.is_advective:
-        model.advection = average_advection(problem.advection, hierarchy)
+        with np.errstate(over="ignore"):
+            tensors = scale * model.tensors
+        if not np.all(np.isfinite(tensors)):
+            raise ConfigurationError(f"[initial_model] scale {scale} overflows the model tensors")
+        model = model.with_tensors(tensors, f"{model.provenance} x {scale}")
+    model.advection = problem.average_advection()
     return model
 
 

@@ -62,7 +62,7 @@ def _fine_data(problem, model, grid):
     fluct = None if e_eps is None else e_eps[ids]
     if fluct is not None and model.advection is not None:
         b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
-        fluct = fluct - advection_element_matrices(grid, b_delta, None)
+        fluct = fluct - advection_element_matrices(grid, b_delta)
     return a_eps[ids], fluct
 
 

@@ -2,10 +2,10 @@
 
 Element integrals of basis-function products are exact (the 2x2 Gauss rule is
 exact for every polynomial appearing here).  Variable diffusion tensors are
-sampled once per cell or micro subcell (midpoint); advection fields are
-sampled at the 2x2 Gauss points.  Every bilinear form in the package is
-evaluated through the element machinery in this module, which is what makes
-the discrete error identity hold to solver precision.
+sampled once per cell (midpoint); advection fields are sampled at the 2x2
+Gauss points.  Every bilinear form in the package is evaluated through the
+element machinery in this module, which is what makes the discrete error
+identity hold to solver precision.
 
 The advection form is assembled in cellwise skew-symmetrized fashion,
 0.5 * [(b . grad u, v) - (b . grad v, u)].  For divergence-free fields that
@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, OutOfDomainError, SingularOperatorError
 from .field import CellAveragedAdvection
-from .mesh import SIDES
+from .mesh import SIDES, _exact_ratio
 
 # 1-d exact integrals of the hat functions N0 = 1 - t, N1 = t on [0, 1]
 _M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0       # int N_i N_j
@@ -66,41 +66,20 @@ def _shape_values(u, v):
     return phi, dphi
 
 
-@lru_cache(maxsize=64)
-def _gauss_tables(sub_x, sub_y):
-    """Unit-coordinate Gauss data for an element split into sub_x x sub_y
-    subcells with a 2x2 rule per subcell.
-
-    Returns (points, weights, phi, dphi) with shapes (n, 2), (n,), (n, 4) and
-    (n, 4, 2); weights sum to 1.
-    """
-    pts, phis, dphis = [], [], []
-    for j in range(sub_y):
-        for i in range(sub_x):
-            for gv in _GP:
-                for gu in _GP:
-                    u = (i + gu) / sub_x
-                    v = (j + gv) / sub_y
-                    pts.append((u, v))
-                    phi, dphi = _shape_values(u, v)
-                    phis.append(phi)
-                    dphis.append(dphi)
-    n = len(pts)
-    w = np.full(n, 1.0 / n)
-    return np.array(pts), w, np.array(phis), np.array(dphis)
+def _gauss_tables():
+    """Unit-coordinate data of the 2x2 Gauss rule: (points, weights, phi,
+    dphi) with shapes (4, 2), (4,), (4, 4) and (4, 4, 2); weights sum to 1."""
+    pts = [(u, v) for v in _GP for u in _GP]
+    shapes = [_shape_values(u, v) for u, v in pts]
+    return (
+        np.array(pts),
+        np.full(len(pts), 0.25),
+        np.array([phi for phi, _ in shapes]),
+        np.array([dphi for _, dphi in shapes]),
+    )
 
 
-@lru_cache(maxsize=64)
-def _subcell_diffusion_blocks(hx, hy, sub_x, sub_y):
-    """Per-subcell analog of :func:`q1_blocks`: shape (nsub, 2, 2, 4, 4)."""
-    _, _, _, dphi = _gauss_tables(sub_x, sub_y)
-    n = dphi.shape[0]
-    scale = np.array([[hy / hx, 1.0], [1.0, hx / hy]])
-    blocks = np.empty((sub_x * sub_y, 2, 2, 4, 4))
-    per_point = np.einsum("qpa,qmb->qabpm", dphi, dphi) / n * 4.0
-    grouped = per_point.reshape(sub_x * sub_y, 4, 2, 2, 4, 4).sum(axis=1) / 4.0
-    blocks[:] = grouped * scale[None, :, :, None, None]
-    return blocks
+_GAUSS = _gauss_tables()
 
 
 @dataclass(frozen=True)
@@ -317,53 +296,23 @@ def element_operator(space, elem):
     return SparseOperator(matrix, space)
 
 
-def _subdivisions(grid, micro_size):
-    if micro_size is None:
-        return 1, 1
-    sx = max(1, int(round(grid.spacing[0] / micro_size)))
-    sy = max(1, int(round(grid.spacing[1] / micro_size)))
-    return sx, sy
-
-
-def _subcell_centers(grid, sx, sy):
-    """Centers of the sx x sy subcells of every cell: (ncells, nsub, 2)."""
-    hx, hy = grid.spacing
-    off_x = (np.arange(sx) + 0.5) * hx / sx - 0.5 * hx
-    off_y = (np.arange(sy) + 0.5) * hy / sy - 0.5 * hy
-    ox, oy = np.meshgrid(off_x, off_y)
-    offsets = np.column_stack([ox.ravel(), oy.ravel()])
-    return grid.cell_centers[:, None, :] + offsets[None, :, :]
-
-
 def diffusion_element_matrices(grid, tensors):
     """(ncells, 4, 4) element stiffness for cellwise-sampled tensors."""
     k, _ = q1_blocks(*grid.spacing)
     return np.einsum("cab,abpq->cpq", tensors, k)
 
 
-def assemble_diffusion(space, coeff, micro_size=None):
-    """Stiffness operator for a tensor coefficient.
-
-    ``coeff`` may be any object with a ``tensors_at(points)`` method (a
-    CoefficientField or an EffectiveModel).  With ``micro_size`` each element
-    is subdivided into micro subcells of that size and the coefficient is
-    sampled once per subcell (midpoint); otherwise once per element.
-    """
+def assemble_diffusion(space, coeff):
+    """Stiffness operator for a tensor coefficient sampled once per element
+    (midpoint).  ``coeff`` may be any object with a ``tensors_at(points)``
+    method (a CoefficientField or an EffectiveModel)."""
     grid = space.grid
-    sx, sy = _subdivisions(grid, micro_size)
-    if sx == 1 and sy == 1:
-        tensors = coeff.tensors_at(grid.cell_centers)
-        elem = diffusion_element_matrices(grid, tensors)
-    else:
-        centers = _subcell_centers(grid, sx, sy)
-        tensors = coeff.tensors_at(centers.reshape(-1, 2)).reshape(grid.n_cells, sx * sy, 2, 2)
-        blocks = _subcell_diffusion_blocks(grid.spacing[0], grid.spacing[1], sx, sy)
-        elem = np.einsum("csab,sabpq->cpq", tensors, blocks)
-    return element_operator(space, elem)
+    tensors = coeff.tensors_at(grid.cell_centers)
+    return element_operator(space, diffusion_element_matrices(grid, tensors))
 
 
-def _gauss_points_physical(grid, sx, sy):
-    pts, w, phi, dphi = _gauss_tables(sx, sy)
+def _gauss_points_physical(grid):
+    pts, w, phi, dphi = _GAUSS
     hx, hy = grid.spacing
     offsets = np.column_stack([pts[:, 0] * hx - 0.5 * hx, pts[:, 1] * hy - 0.5 * hy])
     coords = grid.cell_centers[:, None, :] + offsets[None, :, :]
@@ -371,29 +320,40 @@ def _gauss_points_physical(grid, sx, sy):
     return coords, w * hx * hy, phi, dphi_scaled
 
 
-def advection_element_matrices(grid, b, micro_size):
-    """(ncells, 4, 4) element matrices of (b . grad u, v), with ``b``
-    (``values_at`` protocol) sampled at the 2x2 Gauss points of every micro
-    subcell of size ``micro_size`` (None: of every cell).
+def gauss_values(grid, b):
+    """Values of ``b`` (``values_at`` protocol) at the 2x2 Gauss points of
+    every cell: (ncells, 4, 2)."""
+    coords = gauss_point_coords(grid)
+    return b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, 4, 2)
+
+
+def advection_elements(grid, b_values, skew=True):
+    """(ncells, 4, 4) element matrices of (b . grad u, v) from the Gauss-point
+    values of b (see :func:`gauss_values`): skew-symmetrized, or the plain
+    Galerkin form with ``skew=False``."""
+    _, w, phi, dphi = _gauss_points_physical(grid)
+    wb = w[:, None] * b_values
+    raw = np.einsum("ql,cqm->clm", phi, np.einsum("cqd,qmd->cqm", wb, dphi))
+    if skew:
+        return 0.5 * (raw - raw.transpose(0, 2, 1))
+    return raw
+
+
+def advection_element_matrices(grid, b):
+    """Element matrices of (b . grad u, v) with ``b`` sampled at the 2x2
+    Gauss points of every cell.
 
     The form follows the field's ``prefers_skew`` attribute: skew-symmetrized
     for divergence-free fine-scale fields, plain Galerkin for cellwise-constant
     effective transport.
     """
-    sx, sy = _subdivisions(grid, micro_size)
-    coords, w, phi, dphi = _gauss_points_physical(grid, sx, sy)
-    wb = w[:, None] * b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, len(w), 2)
-    raw = np.einsum("ql,cqm->clm", phi, np.einsum("cqd,qmd->cqm", wb, dphi))
-    if getattr(b, "prefers_skew", True):
-        return 0.5 * (raw - raw.transpose(0, 2, 1))
-    return raw
+    return advection_elements(grid, gauss_values(grid, b), getattr(b, "prefers_skew", True))
 
 
-def assemble_advection(space, b, micro_size=None):
+def assemble_advection(space, b):
     """Advection operator for a vector field ``b`` (see
     :func:`advection_element_matrices`)."""
-    elem = advection_element_matrices(space.grid, b, micro_size)
-    return element_operator(space, elem)
+    return element_operator(space, advection_element_matrices(space.grid, b))
 
 
 def assemble_rhs(space, f, neumann=()):
@@ -401,7 +361,7 @@ def assemble_rhs(space, f, neumann=()):
     grid = space.grid
     rhs = np.zeros(space.n_dofs)
     if callable(f):
-        coords, w, phi, _ = _gauss_points_physical(grid, 1, 1)
+        coords, w, phi, _ = _gauss_points_physical(grid)
         fv = np.asarray(f(coords.reshape(-1, 2)), dtype=float).reshape(grid.n_cells, len(w))
         elem = np.einsum("q,cq,qp->cp", w, fv, phi)
         np.add.at(rhs, grid.cell_nodes.ravel(), elem.ravel())
@@ -514,9 +474,9 @@ def diffusion_form_percell(grid, tensors, u4, z4):
 
 def advection_form_percell(grid, b_values, u4, z4, skew=True):
     """Cellwise (b . grad u, z) from Gauss-point values of b, with the same
-    quadrature and (skewed) form as :func:`advection_element_matrices` with
-    ``micro_size=None``: an independent evaluation of z4^T E u4."""
-    _, w, phi, dphi = _gauss_points_physical(grid, 1, 1)
+    quadrature and (skewed) form as :func:`advection_elements`: an independent
+    evaluation of z4^T E u4."""
+    _, w, phi, dphi = _gauss_points_physical(grid)
     du = np.einsum("cp,qpd->cqd", u4, dphi)
     zq = np.einsum("cp,qp->cq", z4, phi)
     raw_uz = np.einsum("q,cqd,cqd,cq->c", w, b_values, du, zq)
@@ -530,22 +490,15 @@ def advection_form_percell(grid, b_values, u4, z4, skew=True):
 
 def gauss_point_coords(grid):
     """Physical 2x2 Gauss points per cell: (ncells, 4, 2)."""
-    coords, _, _, _ = _gauss_points_physical(grid, 1, 1)
+    coords, _, _, _ = _gauss_points_physical(grid)
     return coords
 
 
 def value_sq_percell(grid, u4):
     """int_cell u^2 (exact for bilinear u)."""
-    _, w, phi, _ = _gauss_points_physical(grid, 1, 1)
+    _, w, phi, _ = _gauss_points_physical(grid)
     uq = np.einsum("cp,qp->cq", u4, phi)
     return np.einsum("q,cq->c", w, uq**2)
-
-
-def grad_sq_percell(grid, u4):
-    """int_cell |grad u|^2 (exact for bilinear u)."""
-    _, w, _, dphi = _gauss_points_physical(grid, 1, 1)
-    du = np.einsum("cp,qpd->cqd", u4, dphi)
-    return np.einsum("q,cqd->c", w, du**2)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +530,7 @@ class Problem:
     dirichlet: tuple = SIDES
     _spaces: dict = dc_field(default_factory=dict, repr=False)
     _fine: dict = dc_field(default_factory=dict, repr=False)
+    _b_delta: object = dc_field(default=None, repr=False)
 
     @property
     def is_advective(self):
@@ -598,20 +552,53 @@ class Problem:
         return self._global_space(self.hierarchy.fine_grid(h))
 
     def fine_data(self, h):
-        """(grid, a_eps, E_eps) on ``hierarchy.fine_grid(h)``, sampled once
-        per spacing: the fine tensor per cell and, for advective problems,
-        the skew element matrices of b_eps (None without transport).  The
-        arrays are shared by every caller and read-only."""
+        """(grid, a_eps, E_eps) on ``hierarchy.fine_grid(h)``: the fine tensor
+        per cell and, for advective problems, the skew element matrices of
+        b_eps (None without transport).  ``h`` must be h_micro / n for an
+        integer n >= 1; other spacings raise ``ConfigurationError``.
+
+        This is the one fine-scale sampler, shared by the indicator sweep,
+        the reference, the full dual and b_delta; it samples once per
+        spacing.  On the micro grid the Gauss-point values of b_eps behind
+        E_eps are also reduced to b_delta (:meth:`average_advection`) and not
+        kept.  The arrays are shared by every caller and read-only."""
         if h not in self._fine:
+            _exact_ratio(self.hierarchy.h_micro, h, "[mesh] h / fine")
             grid = self.hierarchy.fine_grid(h)
             a_eps = self.coefficient.tensors_at(grid.cell_centers)
             a_eps.flags.writeable = False
             e_eps = None
             if self.is_advective:
-                e_eps = advection_element_matrices(grid, self.advection, None)
+                b_eps = gauss_values(grid, self.advection)
+                skew = getattr(self.advection, "prefers_skew", True)
+                e_eps = advection_elements(grid, b_eps, skew)
                 e_eps.flags.writeable = False
+                if h == self.hierarchy.h_micro:
+                    self._b_delta = self._sampling_cell_means(grid, b_eps)
             self._fine[h] = (grid, a_eps, e_eps)
         return self._fine[h]
+
+    def _sampling_cell_means(self, grid, b_eps):
+        """Per-sampling-cell arithmetic mean of the Gauss-point values
+        ``b_eps`` on the micro ``grid``: (n, 2)."""
+        hierarchy = self.hierarchy
+        per_cell = 0.25 * (b_eps[:, 0] + b_eps[:, 1] + b_eps[:, 2] + b_eps[:, 3])
+        parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
+        sums = np.zeros((hierarchy.n_sampling, 2))
+        np.add.at(sums, parents, per_cell)
+        counts = np.bincount(parents, minlength=hierarchy.n_sampling).astype(float)
+        means = sums / counts[:, None]
+        means.flags.writeable = False
+        return means
+
+    def average_advection(self):
+        """b_delta, the mean of b_eps over every sampling cell with the 2x2
+        Gauss rule on each micro cell: (n, 2), read-only; None without
+        transport."""
+        if not self.is_advective:
+            return None
+        self.fine_data(self.hierarchy.h_micro)
+        return self._b_delta
 
 
 def effective_operator(problem, model, space):
@@ -625,13 +612,14 @@ def effective_operator(problem, model, space):
     return op
 
 
-def fine_operator(problem, space, micro_size=None):
-    """Operator of the fine-scale problem on the given space."""
-    if micro_size is None:
-        micro_size = problem.hierarchy.h_micro
-    op = assemble_diffusion(space, problem.coefficient, micro_size=micro_size)
-    if problem.is_advective:
-        adv = assemble_advection(space, problem.advection, micro_size=micro_size)
+def fine_operator(problem, space):
+    """Operator of the fine-scale problem on a global fine space, assembled
+    from ``problem.fine_data`` of its spacing: the element data that the
+    indicator sweep slices."""
+    grid, a_eps, e_eps = problem.fine_data(space.grid.spacing[0])
+    op = element_operator(space, diffusion_element_matrices(grid, a_eps))
+    if e_eps is not None:
+        adv = element_operator(space, e_eps)
         return SparseOperator(op.matrix + adv.matrix, space)
     return op
 

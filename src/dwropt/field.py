@@ -242,11 +242,6 @@ class CoefficientField:
         return s[:, None, None] * _ID
 
 
-def eval_coefficient(field, x):
-    """Tensor value of ``field`` at a single point."""
-    return field.tensors_at(np.asarray(x, dtype=float).reshape(1, 2))[0]
-
-
 def _smoothstep(t):
     t = np.clip(t, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
@@ -364,17 +359,6 @@ class AdvectionField:
         by = -scale * (rt - lt) / (2.0 * d)
         return np.column_stack([bx, by])
 
-    def divergence_fd(self, points):
-        """Centered-difference divergence probe at the field's own ``fd_step``."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "zero":
-            return np.zeros(len(p))
-        d = self.params["fd_step"]
-        return (
-            self.values_at(p + [d, 0.0])[:, 0] - self.values_at(p - [d, 0.0])[:, 0]
-            + self.values_at(p + [0.0, d])[:, 1] - self.values_at(p - [0.0, d])[:, 1]
-        ) / (2.0 * d)
-
     def max_magnitude(self):
         """Max |b| over a probe grid (used to scale to a target)."""
         if self.kind == "zero":
@@ -428,34 +412,3 @@ class CellAveragedAdvection:
     def values_at(self, points):
         cells = self.hierarchy.sampling_grid.locate(points, clip=True)
         return self.vectors[cells]
-
-
-_G1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-
-
-def average_advection(b, hierarchy):
-    """Per-sampling-cell arithmetic average of ``b`` using tensor-product
-    Gauss quadrature on the micro subdivision of each cell; returns (n, 2)."""
-    micro = hierarchy.micro_grid(
-        (
-            hierarchy.domain.xmin,
-            hierarchy.domain.ymin,
-            hierarchy.domain.xmax,
-            hierarchy.domain.ymax,
-        )
-    )
-    centers = micro.cell_centers
-    h = hierarchy.h_micro
-    offs = [
-        (h * (gx - 0.5), h * (gy - 0.5)) for gy in _G1D for gx in _G1D
-    ]
-    acc = np.zeros((micro.n_cells, 2))
-    for ox, oy in offs:
-        acc += b.values_at(centers + [ox, oy])
-    acc *= 0.25
-    parents = hierarchy.sampling_grid.locate(centers, clip=True)
-    n = hierarchy.n_sampling
-    sums = np.zeros((n, 2))
-    np.add.at(sums, parents, acc)
-    counts = np.bincount(parents, minlength=n).astype(float)
-    return sums / counts[:, None]

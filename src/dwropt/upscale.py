@@ -200,7 +200,7 @@ def homogenized_model(field, hierarchy, k):
         w -= w.mean()
         correctors.append(w)
 
-    _, wq, _, dphi = _gauss_points_physical(grid, 1, 1)
+    _, wq, _, dphi = _gauss_points_physical(grid)
     area = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
     grads = [
         np.einsum("cp,qpd->cqd", correctors[i][cn], dphi) + np.eye(2)[i]

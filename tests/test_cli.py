@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwropt import cli
 from dwropt.cli import (
     ExperimentConfig,
     build_domain,
@@ -66,6 +67,54 @@ dir = out
 """
 
 
+# TINY with a laminate field resolved at h = 2^-6 and a coarser [mesh] fine
+COARSE_FINE = TINY.replace("h = 2^-5\nfine = 2^-5", "h = 2^-6\nfine = 2^-5").replace(
+    "kind = lognormal", "kind = laminate\naxis = 0\na = 1\nb = 4\nlayer_width = 2^-6"
+)
+
+# advection-diffusion on the 1 x 2 rectangle: cell-confined eddies plus drift
+ADVECTIVE = """
+[domain]
+origin = 0 0
+extent = 1 2
+left = gamma_d split 1.0 gamma_c
+right = gamma_a
+bottom = gamma_e
+top = gamma_b
+
+[mesh]
+delta = 1/4
+H = 2^-4
+h = 2^-5
+fine = 2^-5
+
+[field]
+kind = constant
+gamma = 0.1
+
+[advection]
+eddy_max = 100.0
+drift_max = 1.5
+seed = 21
+
+[functional]
+kind = boundary_integral
+marker = gamma_b
+
+[problem]
+dirichlet = gamma_d
+neumann = gamma_e:1.0
+reference = yes
+
+[initial_model]
+upscaler = constant
+value = 0.1
+
+[optimizer]
+max_cycles = 1
+"""
+
+
 def tiny_config():
     return ExperimentConfig.from_ini_text(TINY)
 
@@ -84,6 +133,14 @@ def test_non_finite_quantity_exits_as_configuration_error(tmp_path, text):
         parse_quantity(text)
     cfg_path = tmp_path / "tiny.ini"
     cfg_path.write_text(TINY.replace("scale = 1.35", f"scale = {text}"))
+    for command in ("upscale", "optimize"):
+        assert main([command, str(cfg_path), "--out", str(tmp_path / command)]) == 2
+
+
+def test_initial_model_scale_overflow_exits_as_configuration_error(tmp_path):
+    # 1e308 is a finite quantity, but the scaled model tensors overflow
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY.replace("scale = 1.35", "scale = 1e308"))
     for command in ("upscale", "optimize"):
         assert main([command, str(cfg_path), "--out", str(tmp_path / command)]) == 2
 
@@ -127,7 +184,7 @@ def test_oracle_manufactured_solution():
     # A = Id and f matching u = sin(pi x) sin(pi y): the QoI converges to
     # the analytic integral 4 / pi^2 at second order
     domain = Domain()
-    hierarchy = build_hierarchy(domain, 0.5, 0.25, 2.0**-6)
+    hierarchy = build_hierarchy(domain, 0.5, 0.25, 2.0**-4)
 
     def source(points):
         return (
@@ -392,6 +449,43 @@ def test_singular_operator_mid_run_writes_partial_artifacts(tmp_path, monkeypatc
     assert "cycles: 1" in report
     for name in ("model_final.csv", "solution_final.csv"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "optimize", "compare-duals", "reference"])
+def test_fine_mesh_coarser_than_h_exit_code(tmp_path, command):
+    # the reference and the full dual must discretize the fine problem the
+    # indicators see: a [mesh] fine of 2 h cannot resolve the 2^-6 layers
+    text = COARSE_FINE
+    if command == "estimate":
+        text = text.replace("dual = enhanced", "dual = full")
+    cfg_path = tmp_path / "coarse_fine.ini"
+    cfg_path.write_text(text)
+    assert main([command, str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_samples_fine_advection_once(tmp_path, monkeypatch):
+    # the initial b_delta, the reference and the indicator sweep all read
+    # b_eps from one sampling at the Gauss points of the micro grid
+    calls, built = [], []
+    build = cli.build_problem
+
+    def counting_build(cfg, seed_override=None):
+        problem, raster = build(cfg, seed_override)
+        built.append(problem)
+        sample = problem.advection.values_at
+
+        def counted(points):
+            calls.append(len(points))
+            return sample(points)
+
+        monkeypatch.setattr(problem.advection, "values_at", counted)
+        return problem, raster
+
+    monkeypatch.setattr(cli, "build_problem", counting_build)
+    report, state = run_scenario(ExperimentConfig.from_ini_text(ADVECTIVE), tmp_path)
+    assert report.j_reference is not None and state.cycles == 1
+    hierarchy = built[0].hierarchy
+    assert sum(calls) == 4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

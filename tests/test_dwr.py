@@ -12,6 +12,7 @@ from dwropt.dwr import (
 )
 from dwropt.fem import (
     Functional,
+    _gauss_points_physical,
     advection_element_matrices,
     apply_functional,
     assemble_diffusion,
@@ -20,15 +21,21 @@ from dwropt.fem import (
     evaluate,
     fine_operator,
     gather,
-    grad_sq_percell,
     interpolate,
     problem_rhs,
     solve,
     solve_dual,
 )
-from dwropt.field import CellAveragedAdvection, CoefficientField, average_advection
+from dwropt.field import CellAveragedAdvection, CoefficientField
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.upscale import constant_model, geometric_mean_model
+
+
+def grad_sq_percell(grid, u4):
+    """int_cell |grad u|^2 (exact for bilinear u)."""
+    _, w, _, dphi = _gauss_points_physical(grid)
+    du = np.einsum("cp,qpd->cqd", u4, dphi)
+    return np.einsum("q,cqd->c", w, du**2)
 
 
 def solve_states(problem, model, h_fine):
@@ -55,9 +62,7 @@ def test_effective_dual_self_adjoint_case():
 
 def test_effective_dual_duality_identity():
     problem = advection_problem(h_micro=2.0**-5)
-    model = constant_model(
-        problem.hierarchy, 0.1, advection=average_advection(problem.advection, problem.hierarchy)
-    )
+    model = constant_model(problem.hierarchy, 0.1, advection=problem.average_advection())
     space = problem.macro_space()
     op = effective_operator(problem, model, space)
     rhs = problem_rhs(problem, space)
@@ -173,7 +178,7 @@ def test_exact_discrete_error_identity_diffusion():
 def test_exact_discrete_error_identity_advection():
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    b_delta = average_advection(problem.advection, hierarchy)
+    b_delta = problem.average_advection()
     model = constant_model(hierarchy, 0.1, advection=b_delta)
     U, u_fine, z_fine, _ = solve_states(problem, model, hierarchy.h_micro)
     err = error_identity(problem, model, U, DualApproximation("full", z_fine))
@@ -222,10 +227,12 @@ def test_indicators_linear_in_functional():
     assert np.isclose(3.0 * e1.theta_H, e3.theta_H, rtol=1e-10)
 
 
-def test_full_dual_effectivity_is_one():
+@pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "half_micro"])
+def test_full_dual_effectivity_is_one(fine_ratio):
+    # the two fine spacings a full dual may use: h_micro and h_micro / 2
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5, seed=23)
     model = geometric_mean_model(problem.coefficient, problem.hierarchy)
-    U, u_fine, z_fine, _ = solve_states(problem, model, problem.hierarchy.h_micro)
+    U, u_fine, z_fine, _ = solve_states(problem, model, problem.hierarchy.h_micro / fine_ratio)
     j_ref = apply_functional(problem.functional, u_fine)
     err = error_identity(problem, model, U, DualApproximation("full", z_fine), j_reference=j_ref)
     assert err.i_eff is not None
@@ -263,7 +270,7 @@ def test_enhanced_single_patch_degenerates_to_full():
 def test_enhanced_identity_runs_on_advection(tmp_path):
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    b_delta = average_advection(problem.advection, hierarchy)
+    b_delta = problem.average_advection()
     model = constant_model(hierarchy, 0.1, advection=b_delta)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
@@ -283,8 +290,8 @@ def _sampled_directly(problem, model, grid):
     """Fine data of ``grid`` sampled on the grid itself."""
     a_eps = problem.coefficient.tensors_at(grid.cell_centers)
     b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
-    fluct = advection_element_matrices(grid, problem.advection, None)
-    return a_eps, fluct - advection_element_matrices(grid, b_delta, None)
+    fluct = advection_element_matrices(grid, problem.advection)
+    return a_eps, fluct - advection_element_matrices(grid, b_delta)
 
 
 @pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "full_dual_half_h"])
@@ -294,9 +301,7 @@ def test_fine_data_slice_equals_direct_sampling(fine_ratio):
     # patch; fine_ratio 2 is the full-dual grid with h_fine = h_micro / 2
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5, confine_eddies=True)
     hierarchy = problem.hierarchy
-    model = constant_model(
-        hierarchy, 0.1, advection=average_advection(problem.advection, hierarchy)
-    )
+    model = constant_model(hierarchy, 0.1, advection=problem.average_advection())
     fine = hierarchy.fine_grid(hierarchy.h_micro / fine_ratio)
     g = hierarchy.sampling_grid
     for k in (g.cell_id(1, 2), g.cell_id(0, 3), g.cell_id(g.nx - 1, g.ny - 1)):

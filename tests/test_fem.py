@@ -12,19 +12,17 @@ from dwropt.fem import (
     assemble_advection,
     assemble_diffusion,
     assemble_rhs,
-    diffusion_form_percell,
     effective_operator,
     evaluate,
     fine_operator,
     functional_vector,
-    gather,
     interpolate,
     problem_rhs,
     q1_blocks,
     solve,
     solve_dual,
 )
-from dwropt.field import CoefficientField, average_advection, gen_gaussian_raster
+from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, Grid, build_hierarchy
 from dwropt.upscale import constant_model
 
@@ -176,7 +174,7 @@ def test_solver_residual_contract():
 def test_transposed_solve_residual_contract_with_advection():
     # the patch dual's path: a transposed solve with a non-symmetric operator
     problem = advection_problem()
-    b_delta = average_advection(problem.advection, problem.hierarchy)
+    b_delta = problem.average_advection()
     model = constant_model(problem.hierarchy, 0.1, advection=b_delta)
     space = problem.fine_space(2.0**-6)
     op = effective_operator(problem, model, space)
@@ -334,22 +332,18 @@ def test_energy_identity_nonnegative():
         assert u @ (op.matrix @ u) >= 0.0
 
 
-def test_subdivided_assembly_equals_fine_energy():
-    # midpoint sampling per micro subcell: the coarse-space energy of an
-    # interpolated field equals the fine-space energy computed cell by cell
+@pytest.mark.parametrize("ratio", [2.0, 2.0 / 3.0], ids=["coarser", "not_nested"])
+def test_fine_data_rejects_spacing_not_dividing_h(ratio):
+    # fine data lives on h_micro / n only, and nothing is sampled before
+    # the spacing is checked
+    class Unsampled:
+        def tensors_at(self, points):
+            raise AssertionError("the fine coefficient was sampled")
+
     problem = lognormal_problem(h_macro=2.0**-3, h_micro=2.0**-5)
-    hierarchy = problem.hierarchy
-    coarse = problem.macro_space()
-    op = assemble_diffusion(coarse, problem.coefficient, micro_size=hierarchy.h_micro)
-    rng = np.random.default_rng(4)
-    u = DiscreteField(coarse, rng.standard_normal(coarse.n_dofs))
-    coarse_energy = float(u.values @ (op.matrix @ u.values))
-    fine = problem.fine_space(hierarchy.h_micro)
-    uf = interpolate(u, fine)
-    tensors = problem.coefficient.tensors_at(fine.grid.cell_centers)
-    u4 = gather(fine.grid, uf.values)
-    fine_energy = float(np.sum(diffusion_form_percell(fine.grid, tensors, u4, u4)))
-    assert np.isclose(coarse_energy, fine_energy, rtol=1e-12)
+    problem.coefficient = Unsampled()
+    with pytest.raises(ConfigurationError, match="does not divide"):
+        problem.fine_data(ratio * problem.hierarchy.h_micro)
 
 
 def test_interpolation_exact_on_nested_refinement():

@@ -6,12 +6,11 @@ from dwropt.field import (
     AdvectionField,
     CoefficientField,
     RasterField,
-    average_advection,
     correlated_noise,
-    eval_coefficient,
     gen_gaussian_raster,
     stream_advection,
 )
+from dwropt.fem import Functional, Problem
 from dwropt.mesh import Domain, build_hierarchy
 
 
@@ -21,6 +20,32 @@ class ConstantAdvection:
 
     def values_at(self, points):
         return np.broadcast_to(self.vector, (len(np.atleast_2d(points)), 2)).copy()
+
+
+def eval_coefficient(field, x):
+    """Tensor value of ``field`` at a single point."""
+    return field.tensors_at(np.asarray(x, dtype=float).reshape(1, 2))[0]
+
+
+def divergence_fd(b, points):
+    """Centered-difference divergence probe at the field's own ``fd_step``."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    d = b.params["fd_step"]
+    return (
+        b.values_at(p + [d, 0.0])[:, 0] - b.values_at(p - [d, 0.0])[:, 0]
+        + b.values_at(p + [0.0, d])[:, 1] - b.values_at(p - [0.0, d])[:, 1]
+    ) / (2.0 * d)
+
+
+def b_delta_of(b, hierarchy):
+    """b_delta of ``b`` as the problem reduces it from its micro-grid data."""
+    problem = Problem(
+        hierarchy=hierarchy,
+        coefficient=CoefficientField.constant(1.0),
+        functional=Functional.domain_integral(),
+        advection=b,
+    )
+    return problem.average_advection()
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +180,7 @@ def test_stream_divergence_probe():
     gx, gy = np.meshgrid(xs, xs)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     interior = np.all((pts > 0.01) & (pts < 0.99), axis=1)
-    div = b.divergence_fd(pts[interior])
+    div = divergence_fd(b, pts[interior])
     bmax = b.max_magnitude()
     assert bmax > 0.0
     assert np.abs(div).max() <= 1e-8 * bmax
@@ -201,7 +226,7 @@ def test_degenerate_taper_rejected():
 
 def test_average_of_constant_field():
     h = build_hierarchy(Domain(), 0.25, 0.125, 0.0625)
-    avg = average_advection(ConstantAdvection((2.0, -1.5)), h)
+    avg = b_delta_of(ConstantAdvection((2.0, -1.5)), h)
     assert np.allclose(avg, np.array([2.0, -1.5]))
 
 
@@ -211,7 +236,7 @@ def test_average_of_curl_over_domain_vanishes():
     h = build_hierarchy(Domain(), 1.0, 0.125, 2.0**-6)
     psi = RasterField(values=correlated_noise(33, 33, 3.0, seed=12))
     b = stream_advection(psi, scale=100.0, taper_width=0.1, fd_step=2.0**-7)
-    avg = average_advection(b, h)
+    avg = b_delta_of(b, h)
 
     # fine-quadrature oracle: dense midpoint average
     n = 512
@@ -231,7 +256,7 @@ def test_average_of_odd_symmetric_field():
             p = np.atleast_2d(points)
             return np.column_stack([p[:, 0] - 0.5, (p[:, 1] - 0.5) ** 3])
 
-    avg = average_advection(Odd(), h)
+    avg = b_delta_of(Odd(), h)
     assert np.abs(avg).max() <= 1e-12
 
 

@@ -11,7 +11,7 @@ from dwropt.fem import (
     problem_rhs,
     solve,
 )
-from dwropt.field import CoefficientField, average_advection, gen_gaussian_raster
+from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.optim import (
     OptimizerConfig,
@@ -107,7 +107,7 @@ def _advection_case():
     # the transport fluctuation read from element matrices is checked against
     # the per-Gauss-point quadrature of _eta_independent
     problem = advection_problem(h_micro=2.0**-5)
-    b_delta = average_advection(problem.advection, problem.hierarchy)
+    b_delta = problem.average_advection()
     model0 = constant_model(problem.hierarchy, 0.1, advection=b_delta)
     return problem, model0, ("full", "enhanced", "effective")
 
@@ -330,10 +330,9 @@ def test_full_gateaux_matches_central_differences(mode):
 
 def test_full_gateaux_rejects_advection():
     from conftest import advection_problem
-    from dwropt.field import average_advection
 
     problem = advection_problem(h_micro=2.0**-5)
-    b_delta = average_advection(problem.advection, problem.hierarchy)
+    b_delta = problem.average_advection()
     model = constant_model(problem.hierarchy, 0.1, advection=b_delta)
     with pytest.raises(ConfigurationError):
         full_gateaux(problem, model, model, np.zeros(problem.hierarchy.n_sampling),
@@ -475,9 +474,6 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
     # sampling on the global micro grid
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    model = constant_model(
-        hierarchy, 0.1, advection=average_advection(problem.advection, hierarchy)
-    )
     sample = problem.advection.values_at
     calls = []
 
@@ -486,6 +482,7 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
         return sample(points)
 
     monkeypatch.setattr(problem.advection, "values_at", counted)
+    model = constant_model(hierarchy, 0.1, advection=problem.average_advection())
     state = run_optimization(problem, model, OptimizerConfig(max_cycles=2, dual_mode=dual_mode))
     assert state.cycles == 2
     assert calls == [4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells]
