@@ -42,7 +42,7 @@ from .field import (
     gen_gaussian_raster,
     stream_advection,
 )
-from .mesh import SIDES, Domain, build_hierarchy
+from .mesh import SIDES, Domain, _exact_ratio, build_hierarchy
 from .optim import OptimizerConfig, primal_dual, run_optimization
 from .upscale import (
     arithmetic_mean_model,
@@ -257,7 +257,7 @@ def build_problem(cfg, seed_override=None):
         parse_quantity(cfg.require("mesh", "h")),
     )
     coeff, raster = build_field(cfg, domain, seed_override)
-    advection = build_advection(cfg, domain, hierarchy, seed_override)
+    b_eps = build_advection(cfg, domain, hierarchy, seed_override)
     neumann = []
     for item in cfg.get("problem", "neumann", "").split(","):
         item = item.strip()
@@ -269,7 +269,7 @@ def build_problem(cfg, seed_override=None):
         hierarchy=hierarchy,
         coefficient=coeff,
         functional=build_functional(cfg),
-        advection=advection,
+        advection=b_eps,
         source=parse_quantity(cfg.get("problem", "source", "0.0")),
         neumann=tuple(neumann),
         dirichlet=dirichlet,
@@ -299,13 +299,17 @@ def build_initial_model(cfg, problem):
         if not np.all(np.isfinite(tensors)):
             raise ConfigurationError(f"[initial_model] scale {scale} overflows the model tensors")
         model = model.with_tensors(tensors, f"{model.provenance} x {scale}")
-    model.advection = problem.average_advection()
     return model
 
 
 def _fine_h(cfg):
-    """Reference and full-dual mesh size: ``[mesh] fine``, else ``h``."""
-    return parse_quantity(cfg.get("mesh", "fine", cfg.require("mesh", "h")))
+    """Reference and full-dual mesh size: ``[mesh] fine``, else ``h``.  It
+    must divide ``h``, which is checked here, before anything is sampled or
+    written."""
+    h = cfg.require("mesh", "h")
+    fine = parse_quantity(cfg.get("mesh", "fine", h))
+    _exact_ratio(parse_quantity(h), fine, "[mesh] h / fine")
+    return fine
 
 
 def build_optimizer_config(cfg):
@@ -491,6 +495,7 @@ def run_scenario(cfg, outdir, seed_override=None):
     phases.start("setup")
     sc = build_scenario(cfg, seed_override)
     problem, raster, model0 = sc.problem, sc.raster, sc.model0
+    b_delta = problem.average_advection()  # the micro fine data, timed as setup
     phases.stop()
 
     if raster is not None and raster.values.dtype == np.uint8:
@@ -499,8 +504,8 @@ def run_scenario(cfg, outdir, seed_override=None):
 
     model0.to_csv(out / "model_initial.csv")
     manifest.append("model_initial.csv")
-    if model0.advection is not None:
-        _write_b_delta(out / "advection_delta.csv", problem.hierarchy, model0.advection)
+    if b_delta is not None:
+        _write_b_delta(out / "advection_delta.csv", problem.hierarchy, b_delta)
         manifest.append("advection_delta.csv")
 
     oracle = None

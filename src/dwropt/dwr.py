@@ -18,7 +18,6 @@ import numpy as np
 
 from .fem import (
     DiscreteField,
-    advection_element_matrices,
     apply_functional,
     diffusion_element_matrices,
     diffusion_form_percell,
@@ -31,8 +30,6 @@ from .fem import (
     interpolate,
     problem_rhs,
 )
-from .field import CellAveragedAdvection
-from .mesh import Grid
 
 
 @dataclass
@@ -50,23 +47,18 @@ class DualApproximation:
     depth: int = 1
 
 
-def _fine_data(problem, model, grid):
+def _fine_data(problem, grid):
     """The fine data of a patch grid, shared by the patch operator and the
     indicator forms: the fine tensor per cell and, for advective problems,
-    the element matrices E of the transport fluctuation (b_eps - b_delta) .
-    grad u, each part with its own form (skew / plain); None without
-    transport.  The a_eps and b_eps parts are slices of the problem's global
-    fine data on the grid's spacing; only b_delta is sampled per patch."""
-    fine_grid, a_eps, e_eps = problem.fine_data(grid.spacing[0])
+    the element matrices of the transport fluctuation (b_eps - b_delta) .
+    grad u (None without transport).  Both are slices of the problem's global
+    fine data on the grid's spacing."""
+    fine_grid, a_eps, _, fluct = problem.fine_data(grid.spacing[0])
     ids = fine_grid.subgrid_cell_ids(grid.bbox)
-    fluct = None if e_eps is None else e_eps[ids]
-    if fluct is not None and model.advection is not None:
-        b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
-        fluct = fluct - advection_element_matrices(grid, b_delta)
-    return a_eps[ids], fluct
+    return a_eps[ids], None if fluct is None else fluct[ids]
 
 
-def local_enhancement(problem, model, z_eff, k, depth):
+def local_enhancement(problem, z_eff, k, depth):
     """Patch-local micro correction of the effective dual around cell ``k``.
 
     Solves the patch dual problem for the correction z_k with zero Dirichlet
@@ -80,7 +72,7 @@ def local_enhancement(problem, model, z_eff, k, depth):
     patch = hierarchy.patch_of(k, depth)
     grid = hierarchy.micro_grid(patch.bbox)
     space = problem.space(grid)
-    data = _fine_data(problem, model, grid)
+    data = _fine_data(problem, grid)
     a_eps, fluct = data
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
@@ -157,13 +149,6 @@ def _theta_macro(problem, model, U, z):
     return float(problem_rhs(problem, space) @ z.values - z.values @ (operator.matrix @ u))
 
 
-def _subgrid(grid, bbox):
-    """Grid with the spacing of ``grid`` tiling ``bbox``."""
-    nx = int(round((bbox[2] - bbox[0]) / grid.spacing[0]))
-    ny = int(round((bbox[3] - bbox[1]) / grid.spacing[1]))
-    return Grid((bbox[0], bbox[1]), grid.spacing, (nx, ny))
-
-
 class _PatchContext:
     """Per-cell data shared by the indicator eta_K and its Jacobian row: the
     patch micro grid, U and the dual z* on it, the fine tensors A_eps, the
@@ -221,20 +206,20 @@ def _patch_context(problem, model, U, dual, k):
     hierarchy = problem.hierarchy
     z = dual.z_global
     if dual.mode == "enhanced":
-        patch, patch_space, z_k, data = local_enhancement(problem, model, z, k, dual.depth)
+        patch, patch_space, z_k, data = local_enhancement(problem, z, k, dual.depth)
         grid = patch_space.grid
         zstar = evaluate(z, grid.node_coords) + z_k.values
         return _PatchContext(problem, model, U, k, patch, grid, zstar, data)
     patch = hierarchy.patch_of(k, 1)
     if dual.mode == "full":
-        grid = _subgrid(z.space.grid, patch.bbox)
+        grid = z.space.grid.subgrid(patch.bbox)
         zstar = z.values[z.space.grid.subgrid_node_ids(patch.bbox)]
     elif dual.mode == "effective":
         grid = hierarchy.micro_grid(patch.bbox)
         zstar = evaluate(z, grid.node_coords)
     else:
         raise ValueError(f"unknown dual mode '{dual.mode}'")
-    return _PatchContext(problem, model, U, k, patch, grid, zstar, _fine_data(problem, model, grid))
+    return _PatchContext(problem, model, U, k, patch, grid, zstar, _fine_data(problem, grid))
 
 
 def indicator_sweep(problem, model, U, dual):

@@ -534,7 +534,9 @@ class Problem:
 
     @property
     def is_advective(self):
-        return self.advection is not None and getattr(self.advection, "kind", None) != "zero"
+        if self.advection is None:
+            return False
+        return getattr(self.advection, "kind", None) != "zero"
 
     def space(self, grid):
         return FeSpace(grid, self.hierarchy.domain, self.dirichlet)
@@ -552,22 +554,25 @@ class Problem:
         return self._global_space(self.hierarchy.fine_grid(h))
 
     def fine_data(self, h):
-        """(grid, a_eps, E_eps) on ``hierarchy.fine_grid(h)``: the fine tensor
-        per cell and, for advective problems, the skew element matrices of
-        b_eps (None without transport).  ``h`` must be h_micro / n for an
-        integer n >= 1; other spacings raise ``ConfigurationError``.
+        """(grid, a_eps, E_eps, F) on ``hierarchy.fine_grid(h)``: the fine
+        tensor per cell and, for advective problems, the skew element matrices
+        E_eps of b_eps and the transport fluctuation F = E_eps - E_delta, with
+        E_delta the plain element matrices of b_delta (both None without
+        transport).  ``h`` must be h_micro / n for an integer n >= 1; other
+        spacings raise ``ConfigurationError``.
 
         This is the one fine-scale sampler, shared by the indicator sweep,
         the reference, the full dual and b_delta; it samples once per
         spacing.  On the micro grid the Gauss-point values of b_eps behind
         E_eps are also reduced to b_delta (:meth:`average_advection`) and not
-        kept.  The arrays are shared by every caller and read-only."""
+        kept; other spacings build the micro data first for F.  The arrays
+        are shared by every caller and read-only."""
         if h not in self._fine:
             _exact_ratio(self.hierarchy.h_micro, h, "[mesh] h / fine")
             grid = self.hierarchy.fine_grid(h)
             a_eps = self.coefficient.tensors_at(grid.cell_centers)
             a_eps.flags.writeable = False
-            e_eps = None
+            e_eps = fluct = None
             if self.is_advective:
                 b_eps = gauss_values(grid, self.advection)
                 skew = getattr(self.advection, "prefers_skew", True)
@@ -575,7 +580,10 @@ class Problem:
                 e_eps.flags.writeable = False
                 if h == self.hierarchy.h_micro:
                     self._b_delta = self._sampling_cell_means(grid, b_eps)
-            self._fine[h] = (grid, a_eps, e_eps)
+                b_delta = CellAveragedAdvection(self.hierarchy, self.average_advection())
+                fluct = e_eps - advection_element_matrices(grid, b_delta)
+                fluct.flags.writeable = False
+            self._fine[h] = (grid, a_eps, e_eps, fluct)
         return self._fine[h]
 
     def _sampling_cell_means(self, grid, b_eps):
@@ -592,21 +600,23 @@ class Problem:
         return means
 
     def average_advection(self):
-        """b_delta, the mean of b_eps over every sampling cell with the 2x2
-        Gauss rule on each micro cell: (n, 2), read-only; None without
-        transport."""
+        """b_delta, the effective transport: the mean of b_eps over every
+        sampling cell with the 2x2 Gauss rule on each micro cell, (n, 2),
+        read-only; None without transport.  It is fixed problem data; only
+        the effective tensors are tuned."""
         if not self.is_advective:
             return None
-        self.fine_data(self.hierarchy.h_micro)
+        if self._b_delta is None:
+            self.fine_data(self.hierarchy.h_micro)
         return self._b_delta
 
 
 def effective_operator(problem, model, space):
     """Operator of the effective problem: diffusion with the per-cell model
-    tensor plus (if present) advection with the cell-averaged field."""
+    tensor plus, for advective problems, advection with b_delta."""
     op = assemble_diffusion(space, model)
-    if model.advection is not None:
-        b = CellAveragedAdvection(problem.hierarchy, model.advection)
+    if problem.is_advective:
+        b = CellAveragedAdvection(problem.hierarchy, problem.average_advection())
         adv = assemble_advection(space, b)
         return SparseOperator(op.matrix + adv.matrix, space)
     return op
@@ -616,7 +626,7 @@ def fine_operator(problem, space):
     """Operator of the fine-scale problem on a global fine space, assembled
     from ``problem.fine_data`` of its spacing: the element data that the
     indicator sweep slices."""
-    grid, a_eps, e_eps = problem.fine_data(space.grid.spacing[0])
+    grid, a_eps, e_eps, _ = problem.fine_data(space.grid.spacing[0])
     op = element_operator(space, diffusion_element_matrices(grid, a_eps))
     if e_eps is not None:
         adv = element_operator(space, e_eps)

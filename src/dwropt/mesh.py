@@ -213,27 +213,34 @@ class Grid:
         iy = np.clip(iy, 0, self.ny - 1)
         return iy * self.nx + ix
 
+    def _window(self, bbox):
+        """Lattice index window (i0, j0, i1, j1) covering ``bbox``, which must
+        align with the grid lattice."""
+        x0, y0 = self.origin
+        hx, hy = self.spacing
+        return (
+            int(round((bbox[0] - x0) / hx)),
+            int(round((bbox[1] - y0) / hy)),
+            int(round((bbox[2] - x0) / hx)),
+            int(round((bbox[3] - y0) / hy)),
+        )
+
+    def subgrid(self, bbox):
+        """Grid with this spacing tiling ``bbox``, a lattice window of this
+        grid."""
+        i0, j0, i1, j1 = self._window(bbox)
+        return Grid((bbox[0], bbox[1]), self.spacing, (i1 - i0, j1 - j0))
+
     def subgrid_node_ids(self, bbox):
         """Node ids of the lattice window covering ``bbox``, in the row-major
-        order of the sub-grid's own nodes.  The window must align with the
-        grid lattice."""
-        i0 = int(round((bbox[0] - self.origin[0]) / self.spacing[0]))
-        j0 = int(round((bbox[1] - self.origin[1]) / self.spacing[1]))
-        i1 = int(round((bbox[2] - self.origin[0]) / self.spacing[0]))
-        j1 = int(round((bbox[3] - self.origin[1]) / self.spacing[1]))
-        ii = np.arange(i0, i1 + 1)
-        jj = np.arange(j0, j1 + 1)
-        return (jj[:, None] * (self.nx + 1) + ii[None, :]).ravel()
+        order of the sub-grid's own nodes."""
+        i0, j0, i1, j1 = self._window(bbox)
+        return (np.arange(j0, j1 + 1)[:, None] * (self.nx + 1) + np.arange(i0, i1 + 1)).ravel()
 
     def subgrid_cell_ids(self, bbox):
         """Cell ids of the lattice window covering ``bbox`` (row-major)."""
-        i0 = int(round((bbox[0] - self.origin[0]) / self.spacing[0]))
-        j0 = int(round((bbox[1] - self.origin[1]) / self.spacing[1]))
-        i1 = int(round((bbox[2] - self.origin[0]) / self.spacing[0]))
-        j1 = int(round((bbox[3] - self.origin[1]) / self.spacing[1]))
-        ii = np.arange(i0, i1)
-        jj = np.arange(j0, j1)
-        return (jj[:, None] * self.nx + ii[None, :]).ravel()
+        i0, j0, i1, j1 = self._window(bbox)
+        return (np.arange(j0, j1)[:, None] * self.nx + np.arange(i0, i1)).ravel()
 
 
 @dataclass(frozen=True)

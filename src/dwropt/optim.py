@@ -22,7 +22,6 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from .dwr import (
     DualApproximation,
     ErrorBreakdown,
-    _subgrid,
     _theta_macro,
     error_identity,
     indicator_sweep,
@@ -423,11 +422,10 @@ def _eta_independent(problem, model, k, grid, u_values, zstar_values):
     if problem.is_advective:
         pts = gauss_point_coords(grid).reshape(-1, 2)
         b_eps = problem.advection.values_at(pts).reshape(grid.n_cells, 4, 2)
+        b = CellAveragedAdvection(problem.hierarchy, problem.average_advection())
+        b_delta = b.values_at(pts).reshape(grid.n_cells, 4, 2)
         fluct = advection_form_percell(grid, b_eps, u4, z4, skew=True)
-        if model.advection is not None:
-            b = CellAveragedAdvection(problem.hierarchy, model.advection)
-            b_delta = b.values_at(pts).reshape(grid.n_cells, 4, 2)
-            fluct = fluct - advection_form_percell(grid, b_delta, u4, z4, skew=False)
+        fluct = fluct - advection_form_percell(grid, b_delta, u4, z4, skew=False)
         total -= float(np.sum(fluct))
     return total
 
@@ -440,7 +438,7 @@ def cost_value(problem, model, model0, alpha, config):
     total = 0.0
     for ctx, _, _ in indicator_sweep(problem, model, U, dual):
         bbox = hierarchy.sampling_bbox(ctx.k)
-        cell_grid = _subgrid(ctx.grid, bbox)
+        cell_grid = ctx.grid.subgrid(bbox)
         zstar = ctx.zstar[ctx.grid.subgrid_node_ids(bbox)]
         u_vals = evaluate(U, cell_grid.node_coords)
         total += _eta_independent(problem, model, ctx.k, cell_grid, u_vals, zstar) ** 2

@@ -15,8 +15,9 @@ from .fem import diffusion_element_matrices, _gauss_points_physical
 
 @dataclass
 class EffectiveModel:
-    """Per-sampling-cell effective data: a 2x2 tensor and optionally an
-    averaged advection vector per cell.
+    """Per-sampling-cell effective data: a 2x2 tensor per cell.  The
+    effective transport b_delta is fixed problem data
+    (:meth:`dwropt.fem.Problem.average_advection`), not part of the model.
 
     Ellipticity of the tensors is deliberately not enforced; the optimizer may
     produce indefinite iterates, which are reported but legal.
@@ -25,7 +26,6 @@ class EffectiveModel:
     hierarchy: object
     tensors: np.ndarray
     provenance: str = "unspecified"
-    advection: np.ndarray = None
 
     def __post_init__(self):
         t = np.asarray(self.tensors, dtype=float)
@@ -34,20 +34,13 @@ class EffectiveModel:
         if not np.all(np.isfinite(t)):
             raise ValueError("effective tensors must be finite")
         self.tensors = t
-        if self.advection is not None:
-            self.advection = np.asarray(self.advection, dtype=float)
 
     def tensors_at(self, points):
         cells = self.hierarchy.sampling_grid.locate(points, clip=True)
         return self.tensors[cells]
 
     def with_tensors(self, tensors, provenance):
-        return EffectiveModel(
-            hierarchy=self.hierarchy,
-            tensors=tensors,
-            provenance=provenance,
-            advection=self.advection,
-        )
+        return EffectiveModel(hierarchy=self.hierarchy, tensors=tensors, provenance=provenance)
 
     def min_eigenvalues(self):
         """Smallest eigenvalue of the symmetrized tensor, per cell."""
@@ -88,13 +81,13 @@ class EffectiveModel:
         return cls(hierarchy=hierarchy, tensors=tensors, provenance=provenance)
 
 
-def constant_model(hierarchy, tensor, advection=None, provenance="constant"):
+def constant_model(hierarchy, tensor, provenance="constant"):
     """Model with the same tensor on every sampling cell."""
     t = np.asarray(tensor, dtype=float)
     if t.ndim == 0:
         t = float(t) * np.eye(2)
     tensors = np.broadcast_to(t, (hierarchy.n_sampling, 2, 2)).copy()
-    return EffectiveModel(hierarchy, tensors, provenance=provenance, advection=advection)
+    return EffectiveModel(hierarchy, tensors, provenance=provenance)
 
 
 def _micro_samples(field, hierarchy):

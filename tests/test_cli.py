@@ -16,9 +16,10 @@ from dwropt.cli import (
     run_scenario,
 )
 from dwropt.errors import ConfigurationError, ResourceCapError
-from dwropt.fem import Functional, Problem, apply_functional
+from dwropt.fem import Functional, Problem, apply_functional, effective_operator
 from dwropt.field import CoefficientField
 from dwropt.mesh import Domain, build_hierarchy
+from dwropt.upscale import EffectiveModel
 
 TINY = """
 [domain]
@@ -460,7 +461,25 @@ def test_fine_mesh_coarser_than_h_exit_code(tmp_path, command):
         text = text.replace("dual = enhanced", "dual = full")
     cfg_path = tmp_path / "coarse_fine.ini"
     cfg_path.write_text(text)
-    assert main([command, str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([command, str(cfg_path), "--out", str(out)]) == 2
+    # the spacing is rejected before anything is written
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_advective_model_csv_round_trip(tmp_path):
+    # b_delta is problem data: the model_initial.csv of an advective run reads
+    # back to the effective problem of the model that was written
+    cfg = ExperimentConfig.from_ini_text(ADVECTIVE)
+    problem, _ = build_problem(cfg)
+    model = build_initial_model(cfg, problem)
+    path = tmp_path / "model_initial.csv"
+    model.to_csv(path)
+    back = EffectiveModel.from_csv(path, problem.hierarchy)
+    space = problem.macro_space()
+    written = effective_operator(problem, model, space).matrix
+    read = effective_operator(problem, back, space).matrix
+    assert np.array_equal(written.toarray(), read.toarray())
 
 
 def test_run_samples_fine_advection_once(tmp_path, monkeypatch):

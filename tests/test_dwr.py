@@ -6,7 +6,6 @@ from dwropt.dwr import (
     DualApproximation,
     ErrorBreakdown,
     _fine_data,
-    _subgrid,
     error_identity,
     local_enhancement,
 )
@@ -62,7 +61,7 @@ def test_effective_dual_self_adjoint_case():
 
 def test_effective_dual_duality_identity():
     problem = advection_problem(h_micro=2.0**-5)
-    model = constant_model(problem.hierarchy, 0.1, advection=problem.average_advection())
+    model = constant_model(problem.hierarchy, 0.1)
     space = problem.macro_space()
     op = effective_operator(problem, model, space)
     rhs = problem_rhs(problem, space)
@@ -97,7 +96,7 @@ def test_enhancement_vanishes_for_exact_model():
     model = constant_model(hierarchy, 2.0)
     fine = problem.fine_space(hierarchy.h_micro)
     z_micro = solve_dual(fine_operator(problem, fine), problem.functional)
-    _, _, z_k, _ = local_enhancement(problem, model, z_micro, 0, depth=1)
+    _, _, z_k, _ = local_enhancement(problem, z_micro, 0, depth=1)
     assert np.abs(z_k.values).max() <= 1e-12 * max(np.abs(z_micro.values).max(), 1.0)
 
 
@@ -109,7 +108,7 @@ def test_enhancement_on_whole_domain_recovers_fine_dual():
     z_eff = solve_dual(op, problem.functional)
     fine = problem.fine_space(2.0**-5)
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
-    patch, patch_space, z_k, _ = local_enhancement(problem, model, z_eff, 0, depth=1)
+    patch, patch_space, z_k, _ = local_enhancement(problem, z_eff, 0, depth=1)
     zi = evaluate(z_eff, patch_space.grid.node_coords)
     assert np.allclose(zi + z_k.values, z_fine.values, atol=1e-10 * np.abs(z_fine.values).max())
 
@@ -127,7 +126,7 @@ def test_enhancement_depth_improves_most_cells():
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
 
     def cell_error(k, depth):
-        patch, patch_space, z_k, _ = local_enhancement(problem, model, z_eff, k, depth)
+        patch, patch_space, z_k, _ = local_enhancement(problem, z_eff, k, depth)
         bbox = hierarchy.sampling_bbox(k)
         ids = patch_space.grid.subgrid_node_ids(bbox)
         zi = evaluate(z_eff, patch_space.grid.node_coords)
@@ -178,8 +177,7 @@ def test_exact_discrete_error_identity_diffusion():
 def test_exact_discrete_error_identity_advection():
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    b_delta = problem.average_advection()
-    model = constant_model(hierarchy, 0.1, advection=b_delta)
+    model = constant_model(hierarchy, 0.1)
     U, u_fine, z_fine, _ = solve_states(problem, model, hierarchy.h_micro)
     err = error_identity(problem, model, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
@@ -270,8 +268,7 @@ def test_enhanced_single_patch_degenerates_to_full():
 def test_enhanced_identity_runs_on_advection(tmp_path):
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    b_delta = problem.average_advection()
-    model = constant_model(hierarchy, 0.1, advection=b_delta)
+    model = constant_model(hierarchy, 0.1)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
@@ -286,10 +283,10 @@ def test_enhanced_identity_runs_on_advection(tmp_path):
     assert "# summary,theta_H=" in text
 
 
-def _sampled_directly(problem, model, grid):
+def _sampled_directly(problem, grid):
     """Fine data of ``grid`` sampled on the grid itself."""
     a_eps = problem.coefficient.tensors_at(grid.cell_centers)
-    b_delta = CellAveragedAdvection(problem.hierarchy, model.advection)
+    b_delta = CellAveragedAdvection(problem.hierarchy, problem.average_advection())
     fluct = advection_element_matrices(grid, problem.advection)
     return a_eps, fluct - advection_element_matrices(grid, b_delta)
 
@@ -301,13 +298,12 @@ def test_fine_data_slice_equals_direct_sampling(fine_ratio):
     # patch; fine_ratio 2 is the full-dual grid with h_fine = h_micro / 2
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5, confine_eddies=True)
     hierarchy = problem.hierarchy
-    model = constant_model(hierarchy, 0.1, advection=problem.average_advection())
     fine = hierarchy.fine_grid(hierarchy.h_micro / fine_ratio)
     g = hierarchy.sampling_grid
     for k in (g.cell_id(1, 2), g.cell_id(0, 3), g.cell_id(g.nx - 1, g.ny - 1)):
-        grid = _subgrid(fine, hierarchy.patch_of(k, 1).bbox)
-        a_eps, fluct = _fine_data(problem, model, grid)
-        a_ref, fluct_ref = _sampled_directly(problem, model, grid)
+        grid = fine.subgrid(hierarchy.patch_of(k, 1).bbox)
+        a_eps, fluct = _fine_data(problem, grid)
+        a_ref, fluct_ref = _sampled_directly(problem, grid)
         assert fluct.shape == (grid.n_cells, 4, 4)
         assert np.array_equal(a_eps, a_ref)
         assert np.array_equal(fluct, fluct_ref)

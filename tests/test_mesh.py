@@ -131,6 +131,18 @@ def test_micro_grid_alignment():
     assert g.spacing == (2.0**-5, 2.0**-5)
 
 
+def test_subgrid_is_a_lattice_window():
+    # the window's node and cell ids address the sub-grid's own nodes and
+    # cells, in its row-major order
+    h = build_hierarchy(Domain(), 2.0**-3, 2.0**-4, 2.0**-5)
+    fine = h.fine_grid(h.h_micro)
+    bbox = h.patch_of(h.sampling_grid.cell_id(3, 4), 1).bbox
+    sub = fine.subgrid(bbox)
+    assert sub == h.micro_grid(bbox)
+    assert np.array_equal(fine.node_coords[fine.subgrid_node_ids(bbox)], sub.node_coords)
+    assert np.array_equal(fine.cell_centers[fine.subgrid_cell_ids(bbox)], sub.cell_centers)
+
+
 def test_boundary_marker_split():
     dom = Domain(
         extent=(1.0, 2.0),

@@ -11,7 +11,7 @@ from dwropt.fem import (
     problem_rhs,
     solve,
 )
-from dwropt.field import CoefficientField, gen_gaussian_raster
+from dwropt.field import CellAveragedAdvection, CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.optim import (
     OptimizerConfig,
@@ -107,8 +107,7 @@ def _advection_case():
     # the transport fluctuation read from element matrices is checked against
     # the per-Gauss-point quadrature of _eta_independent
     problem = advection_problem(h_micro=2.0**-5)
-    b_delta = problem.average_advection()
-    model0 = constant_model(problem.hierarchy, 0.1, advection=b_delta)
+    model0 = constant_model(problem.hierarchy, 0.1)
     return problem, model0, ("full", "enhanced", "effective")
 
 
@@ -332,8 +331,7 @@ def test_full_gateaux_rejects_advection():
     from conftest import advection_problem
 
     problem = advection_problem(h_micro=2.0**-5)
-    b_delta = problem.average_advection()
-    model = constant_model(problem.hierarchy, 0.1, advection=b_delta)
+    model = constant_model(problem.hierarchy, 0.1)
     with pytest.raises(ConfigurationError):
         full_gateaux(problem, model, model, np.zeros(problem.hierarchy.n_sampling),
                      gateaux_direction(problem.hierarchy), full_config())
@@ -470,19 +468,29 @@ def test_invalid_config_rejected():
 
 @pytest.mark.parametrize("dual_mode", ["enhanced", "effective"])
 def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
-    # b_eps is fixed data: two cycles of patch sweeps read it from one
-    # sampling on the global micro grid
+    # b_eps and b_delta are fixed data: two cycles of patch sweeps read both
+    # from one sampling on the global micro grid
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
     sample = problem.advection.values_at
-    calls = []
+    sample_delta = CellAveragedAdvection.values_at
+    calls, delta_calls = [], []
 
     def counted(points):
         calls.append(len(points))
         return sample(points)
 
+    def counted_delta(self, points):
+        delta_calls.append(len(points))
+        return sample_delta(self, points)
+
     monkeypatch.setattr(problem.advection, "values_at", counted)
-    model = constant_model(hierarchy, 0.1, advection=problem.average_advection())
+    monkeypatch.setattr(CellAveragedAdvection, "values_at", counted_delta)
+    model = constant_model(hierarchy, 0.1)
     state = run_optimization(problem, model, OptimizerConfig(max_cycles=2, dual_mode=dual_mode))
     assert state.cycles == 2
-    assert calls == [4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells]
+    n_micro = 4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells
+    assert calls == [n_micro]
+    # the micro-grid E_delta once, then per cycle the macro operator of the
+    # primal/dual solve and the one of theta_H
+    assert delta_calls == [n_micro] + [4 * hierarchy.macro_grid.n_cells] * (2 * state.cycles)
