@@ -32,6 +32,9 @@ TRACED = (
     "field.coefficient.points",
     "field.advection.s",
     "field.advection.points",
+    "fem.assemble.diffusion.calls",
+    "fem.assemble.advection.calls",
+    "fem.evaluate.points",
     "fem.factor.patch.count",
     "fem.factor.macro.count",
     "fem.factor.fine.count",

@@ -372,30 +372,28 @@ def _run_environment():
 @dataclass
 class RunReport:
     """Everything a run leaves behind: config echo, phase timings, reference
-    value, final metrics, the per-cycle cost and indefinite-cell counts, the
-    run environment and the output-file manifest."""
+    value, the optimization state (stop reason and per-cycle rows, of which
+    the cost and indefinite-cell count are listed), the run environment and
+    the output-file manifest."""
 
     config_echo: str
     phases: dict
     manifest: list
+    state: object
     j_reference: float = None
-    stop_reason: str = None
-    cycles: int = 0
-    per_cycle: list = dc_field(default_factory=list)  # (cycle, cost, indefinite cells)
     environment: dict = dc_field(default_factory=_run_environment)
 
     def to_text(self):
         lines = ["dwropt run report", "=" * 40, ""]
         if self.j_reference is not None:
             lines.append(f"reference QoI: {self.j_reference:.17g}")
-        if self.stop_reason is not None:
-            lines.append(f"stop reason: {self.stop_reason}")
-            lines.append(f"cycles: {self.cycles}")
-        if self.per_cycle:
+        lines.append(f"stop reason: {self.state.stop_reason}")
+        lines.append(f"cycles: {self.state.cycles}")
+        if self.state.history:
             lines.append("")
             lines.append("per cycle (cycle, cost, indefinite cells):")
-            for cycle, cost, indefinite in self.per_cycle:
-                lines.append(f"  {cycle}, {cost:.17g}, {indefinite}")
+            for row in self.state.history:
+                lines.append(f"  {row['cycle']}, {row['cost']:.17g}, {row['indefinite']}")
         lines.append("")
         lines.append("wall-clock per phase (s):")
         for name, dt in self.phases.items():
@@ -536,13 +534,8 @@ def run_scenario(cfg, outdir, seed_override=None):
         config_echo=cfg.to_ini_text(),
         phases=phases.times,
         manifest=manifest + ["report.txt"],
+        state=state,
         j_reference=None if oracle is None else oracle[1],
-        stop_reason=state.stop_reason,
-        cycles=state.cycles,
-        per_cycle=[
-            (row["cycle"], row["cost"], indefinite)
-            for row, indefinite in zip(state.history, state.indefinite_history)
-        ],
     )
     (out / "report.txt").write_text(report.to_text(), newline="\n")
     for name in report.manifest:
@@ -557,9 +550,9 @@ def estimate_once(cfg, outdir, seed_override=None):
     out.mkdir(parents=True, exist_ok=True)
     sc = build_scenario(cfg, seed_override)
     oracle = sc.oracle()
-    _, U, dual = primal_dual(sc.problem, sc.model0, sc.config)
+    operator, U, dual = primal_dual(sc.problem, sc.model0, sc.config)
     err = error_identity(
-        sc.problem, sc.model0, U, dual, j_reference=None if oracle is None else oracle[1]
+        sc.problem, sc.model0, operator, U, dual, None if oracle is None else oracle[1]
     )
     err.to_csv(out / "breakdown.csv", sc.problem.hierarchy)
     return err
@@ -645,14 +638,20 @@ def _cmd_estimate(cfg, outdir, seed):
     return 0
 
 
-def _cmd_optimize(cfg, outdir, seed):
-    report, state = run_scenario(cfg, outdir, seed)
-    theta = state.history[-1]["theta_tilde"] if state.history else float("nan")
-    print(f"stop: {state.stop_reason} after {state.cycles} cycles; theta={theta:.6e}")
+def _exit_rule(state):
+    """Exit of a finished optimization, once its files are written: a
+    stored failure is raised again, and a divergence is a NumericalError."""
     if state.failure is not None:
         raise state.failure
     if state.stop_reason == "diverged":
         raise NumericalError("optimization diverged (estimator grew past the guard)")
+
+
+def _cmd_optimize(cfg, outdir, seed):
+    report, state = run_scenario(cfg, outdir, seed)
+    theta = state.history[-1]["theta_tilde"] if state.history else float("nan")
+    print(f"stop: {state.stop_reason} after {state.cycles} cycles; theta={theta:.6e}")
+    _exit_rule(state)
     return 0
 
 
@@ -660,8 +659,8 @@ def _cmd_compare_duals(cfg, outdir, seed):
     states = compare_duals(cfg, outdir, seed)
     for mode, state in states.items():
         print(f"{mode}: {state.cycles} cycles, stop={state.stop_reason}")
-        if state.failure is not None:
-            raise state.failure
+    for state in states.values():
+        _exit_rule(state)
     return 0
 
 

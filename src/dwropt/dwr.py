@@ -66,7 +66,8 @@ def local_enhancement(problem, z_eff, k, depth):
     (homogeneous Neumann) conditions where the patch touches Neumann
     boundaries of the primal problem.  The patch operator is the fine
     diffusion plus the transport fluctuation.  Returns (patch, patch_space,
-    z_k, fine data of the patch grid).
+    z_eff at the patch nodes, z_k, fine data of the patch grid); the
+    enhanced dual on the patch is the sum of the middle two.
     """
     hierarchy = problem.hierarchy
     patch = hierarchy.patch_of(k, depth)
@@ -81,7 +82,7 @@ def local_enhancement(problem, z_eff, k, depth):
     zi = evaluate(z_eff, grid.node_coords)
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)
-    return patch, space, DiscreteField(space, values), data
+    return patch, space, zi, DiscreteField(space, values), data
 
 
 @dataclass
@@ -140,13 +141,18 @@ class ErrorBreakdown:
             )
 
 
-def _theta_macro(problem, model, U, z):
+def _theta_H(problem, model, operator, U, z):
     """Residual of the effective problem, rhs(z) - (A_eff U, z), on the space
-    of z: the macro space of U or any nested refinement of it."""
+    of z.  On the macro space (effective and enhanced duals) A_eff is
+    ``operator``, the one U was solved with; the full dual lives on a nested
+    refinement, where A_eff is assembled."""
     space = z.space
-    u = U.values if space is U.space else interpolate(U, space).values
-    operator = effective_operator(problem, model, space)
-    return float(problem_rhs(problem, space) @ z.values - z.values @ (operator.matrix @ u))
+    if space is operator.space:
+        matrix, u = operator.matrix, U.values
+    else:
+        matrix = effective_operator(problem, model, space).matrix
+        u = interpolate(U, space).values
+    return float(problem_rhs(problem, space) @ z.values - z.values @ (matrix @ u))
 
 
 class _PatchContext:
@@ -206,9 +212,9 @@ def _patch_context(problem, model, U, dual, k):
     hierarchy = problem.hierarchy
     z = dual.z_global
     if dual.mode == "enhanced":
-        patch, patch_space, z_k, data = local_enhancement(problem, z, k, dual.depth)
+        patch, patch_space, zi, z_k, data = local_enhancement(problem, z, k, dual.depth)
         grid = patch_space.grid
-        zstar = evaluate(z, grid.node_coords) + z_k.values
+        zstar = zi + z_k.values
         return _PatchContext(problem, model, U, k, patch, grid, zstar, data)
     patch = hierarchy.patch_of(k, 1)
     if dual.mode == "full":
@@ -232,16 +238,23 @@ def indicator_sweep(problem, model, U, dual):
         yield ctx, eta_k, stack
 
 
-def error_identity(problem, model, U, dual, j_reference=None):
-    """Macro residual theta_H, local indicators eta_K and their sum.
+def error_breakdown(problem, model, operator, U, dual, eta, j_reference=None):
+    """Breakdown of one primal/dual solve: ``operator`` is the effective
+    operator U was solved with and ``eta`` the indicators of its sweep."""
+    return ErrorBreakdown(
+        theta_H=_theta_H(problem, model, operator, U, dual.z_global),
+        eta=eta,
+        j_of_U=apply_functional(problem.functional, U),
+        j_reference=j_reference,
+    )
+
+
+def error_identity(problem, model, operator, U, dual, j_reference=None):
+    """Macro residual theta_H, local indicators eta_K and their sum, for U
+    solved with the effective ``operator``.
 
     The indicators substitute the computable U for the exact effective
     solution; the sign convention estimates <j, u_fine> - <j, U>.
     """
     eta = np.array([eta_k for _, eta_k, _ in indicator_sweep(problem, model, U, dual)])
-    return ErrorBreakdown(
-        theta_H=_theta_macro(problem, model, U, dual.z_global),
-        eta=eta,
-        j_of_U=apply_functional(problem.functional, U),
-        j_reference=j_reference,
-    )
+    return error_breakdown(problem, model, operator, U, dual, eta, j_reference)

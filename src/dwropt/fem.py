@@ -534,9 +534,7 @@ class Problem:
 
     @property
     def is_advective(self):
-        if self.advection is None:
-            return False
-        return getattr(self.advection, "kind", None) != "zero"
+        return self.advection is not None
 
     def space(self, grid):
         return FeSpace(grid, self.hierarchy.domain, self.dirichlet)

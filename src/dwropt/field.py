@@ -268,9 +268,9 @@ def _max_magnitude(b, raster):
 class AdvectionField:
     """Divergence-free advection field.
 
-    The ``stream`` variant takes the curl of a continuous stream function
-    (bilinear interpolation of a raster, tapered to zero near the boundary)
-    by centered differences at spacing ``fd_step``.  The matching-stencil
+    The curl of a continuous stream function (bilinear interpolation of a
+    raster, tapered to zero near the boundary), taken by centered
+    differences at spacing ``fd_step``.  The matching-stencil
     discrete divergence then vanishes identically, and the field is exactly
     zero on the boundary because the taper is flat within ``fd_step`` of it.
 
@@ -285,13 +285,8 @@ class AdvectionField:
 
     prefers_skew = True
 
-    def __init__(self, kind, **params):
-        self.kind = kind
+    def __init__(self, **params):
         self.params = params
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
 
     @classmethod
     def stream(cls, raster, scale, taper_width, fd_step=None, cell_size=None):
@@ -307,7 +302,6 @@ class AdvectionField:
         if cell_size is not None and 2.0 * (fd_step + _CELL_RISE * cell_size) >= cell_size:
             raise ConfigurationError("cell confinement bands must fit inside a cell")
         return cls(
-            "stream",
             raster=raster,
             scale=float(scale),
             taper_width=float(taper_width),
@@ -347,8 +341,6 @@ class AdvectionField:
 
     def values_at(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "zero":
-            return np.zeros((len(p), 2))
         d = self.params["fd_step"]
         scale = self.params["scale"]
         up = self._stream_values(p + [0.0, d])
@@ -361,8 +353,6 @@ class AdvectionField:
 
     def max_magnitude(self):
         """Max |b| over a probe grid (used to scale to a target)."""
-        if self.kind == "zero":
-            return 0.0
         return _max_magnitude(self, self.params["raster"])
 
 
@@ -375,7 +365,6 @@ class SumAdvection:
     """Superposition of advection fields (e.g. weak drift plus strong
     cell-confined eddies); stays divergence-free by linearity."""
 
-    kind = "sum"
     prefers_skew = True
 
     def __init__(self, *components):
@@ -402,7 +391,6 @@ class CellAveragedAdvection:
     size of the normal jumps).
     """
 
-    kind = "cellwise"
     prefers_skew = False
 
     def __init__(self, hierarchy, vectors):

@@ -19,18 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .dwr import (
-    DualApproximation,
-    ErrorBreakdown,
-    _theta_macro,
-    error_identity,
-    indicator_sweep,
-)
+from .dwr import DualApproximation, error_breakdown, error_identity, indicator_sweep
 from .errors import ConfigurationError, NumericalError
 from .fem import (
     DiscreteField,
     advection_form_percell,
-    apply_functional,
     diffusion_element_matrices,
     diffusion_form_percell,
     effective_operator,
@@ -48,6 +41,12 @@ from .fem import (
 from .field import CellAveragedAdvection
 
 _IJ = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# The columns of history.csv, which are also the keys of a history row.
+HISTORY_COLUMNS = (
+    "cycle", "l2_error", "j_of_U", "abs_error", "rel_error_pct", "theta_tilde",
+    "I_eff", "I_loc", "lambda", "step_norm",
+)
 
 
 @dataclass
@@ -83,6 +82,17 @@ class OptimizerConfig:
             raise ConfigurationError("lambda_factor must be nonnegative")
         if self.depth not in (0, 1):
             raise ConfigurationError("enhancement depth must be 0 or 1")
+        if not np.isfinite(self.alpha_scale) or self.alpha_scale < 0.0:
+            raise ConfigurationError("alpha_scale must be finite and nonnegative")
+        if not self.auto_alpha:
+            alpha = np.asarray(self.alpha, dtype=float)
+            if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0):
+                raise ConfigurationError("alpha must be finite and nonnegative")
+
+    @property
+    def auto_alpha(self):
+        """Whether alpha is scaled with the first-cycle estimator."""
+        return self.alpha is None or (isinstance(self.alpha, str) and self.alpha == "auto")
 
 
 @dataclass
@@ -108,9 +118,9 @@ def regularization_residual(model, model0, alpha):
     return (np.sqrt(alpha)[:, None] * diff).ravel()
 
 
-def assemble_residual(problem, model, model0, alpha, U, dual):
-    """Residual vector from a consistent (model, U, dual) triple."""
-    err = error_identity(problem, model, U, dual)
+def assemble_residual(problem, model, model0, alpha, operator, U, dual):
+    """Residual vector from a consistent (model, operator, U, dual) set."""
+    err = error_identity(problem, model, operator, U, dual)
     return ResidualVector(eta=err.eta, g=regularization_residual(model, model0, alpha))
 
 
@@ -226,7 +236,7 @@ def apply_update(model, delta, cycle):
 def resolve_alpha(config, theta_abs, model0):
     """Per-cell regularization weights; auto mode scales with the estimator."""
     n = model0.hierarchy.n_sampling
-    if config.alpha is None or (isinstance(config.alpha, str) and config.alpha == "auto"):
+    if config.auto_alpha:
         mean_norm = float(np.mean(np.sum(model0.tensors**2, axis=(1, 2))))
         if mean_norm == 0.0 or theta_abs == 0.0:
             return np.zeros(n)
@@ -241,16 +251,18 @@ def resolve_alpha(config, theta_abs, model0):
 
 @dataclass
 class GaussNewtonState:
-    """Outcome of the optimization loop: final model, per-cycle metrics, the
-    resolved regularization and the ``NumericalError`` that stopped it, if any."""
+    """Outcome of the optimization loop: final model, one row per cycle, the
+    resolved regularization and the ``NumericalError`` that stopped it, if any.
+
+    A row maps every name of ``HISTORY_COLUMNS`` (None where not computed)
+    plus ``cost``, the squared residual norm, and ``indefinite``, the number
+    of cells whose model tensor has a negative eigenvalue."""
 
     model: object
     initial_model: object
     alpha: np.ndarray = None
     history: list = dc_field(default_factory=list)
-    initial_estimator: float = None
     stop_reason: str = "max_cycles"
-    indefinite_history: list = dc_field(default_factory=list)
     failure: Exception = None
 
     @property
@@ -258,30 +270,11 @@ class GaussNewtonState:
         return len(self.history)
 
     def history_csv_text(self):
-        columns = (  # (history.csv column, history row key)
-            ("cycle", "cycle"),
-            ("l2_error", "l2_error"),
-            ("j_of_U", "j_of_U"),
-            ("abs_error", "abs_error"),
-            ("rel_error_pct", "rel_error_pct"),
-            ("theta_tilde", "theta_tilde"),
-            ("I_eff", "i_eff"),
-            ("I_loc", "i_loc"),
-            ("lambda", "lam"),
-            ("step_norm", "step_norm"),
-        )
-        lines = [",".join(col for col, _ in columns)]
+        lines = [",".join(HISTORY_COLUMNS)]
         for row in self.history:
-            parts = []
-            for _, key in columns:
-                v = row.get(key)
-                if v is None:
-                    parts.append("")
-                elif key == "cycle":
-                    parts.append(str(v))
-                else:
-                    parts.append(f"{v:.17g}")
-            lines.append(",".join(parts))
+            lines.append(",".join(
+                "" if row[c] is None else f"{row[c]:.17g}" for c in HISTORY_COLUMNS
+            ))
         return "\n".join(lines) + "\n"
 
     def write_history(self, path):
@@ -321,25 +314,24 @@ def run_optimization(problem, initial_model, config, oracle=None):
             eta, triplets = assemble_system(
                 problem, model, U, operator, dual, config.jacobian_mode, want_jacobian=want_jac
             )
-            err = ErrorBreakdown(
-                theta_H=_theta_macro(problem, model, U, dual.z_global),
-                eta=eta,
-                j_of_U=apply_functional(problem.functional, U),
-                j_reference=None if oracle is None else oracle[1],
+            err = error_breakdown(
+                problem, model, operator, U, dual, eta, None if oracle is None else oracle[1]
             )
             theta = err.theta_delta
-            row = {
-                "cycle": cycle,
-                "j_of_U": err.j_of_U,
-                "theta_tilde": theta,
-                "i_loc": err.i_loc,
-                "l2_error": None,
-                "abs_error": None,
-                "rel_error_pct": None,
-                "i_eff": err.i_eff,
-                "lam": None,
-                "step_norm": None,
-            }
+            if cycle == 1:
+                theta1 = abs(theta)
+                state.alpha = resolve_alpha(config, theta1, initial_model)
+            residual = ResidualVector(eta, regularization_residual(model, initial_model, state.alpha))
+            row = dict.fromkeys(HISTORY_COLUMNS)
+            row.update(
+                cycle=cycle,
+                j_of_U=err.j_of_U,
+                theta_tilde=theta,
+                I_eff=err.i_eff,
+                I_loc=err.i_loc,
+                cost=residual.squared_norm,
+                indefinite=int(np.sum(model.min_eigenvalues() < 0.0)),
+            )
             if oracle is not None:
                 u_ref, j_ref = oracle
                 row["l2_error"] = l2_error_against(u_ref, U)
@@ -348,14 +340,7 @@ def run_optimization(problem, initial_model, config, oracle=None):
                 row["rel_error_pct"] = 100.0 * abs_err / abs(j_ref) if j_ref != 0.0 else None
             state.history.append(row)
             state.model = model
-            state.indefinite_history.append(int(np.sum(model.min_eigenvalues() < 0.0)))
 
-            if cycle == 1:
-                theta1 = abs(theta)
-                state.initial_estimator = theta1
-                state.alpha = resolve_alpha(config, theta1, initial_model)
-            g_block = regularization_residual(model, initial_model, state.alpha)
-            row["cost"] = float(eta @ eta + g_block @ g_block)
             if cycle == 1 and theta1 == 0.0:
                 state.stop_reason = "initial estimator zero"
                 break
@@ -370,13 +355,12 @@ def run_optimization(problem, initial_model, config, oracle=None):
                 break
 
             jac = build_jacobian(problem.hierarchy.n_sampling, triplets, state.alpha)
-            residual = ResidualVector(eta=eta, g=g_block)
             delta, lam, _ = lm_step(jac, residual.flat, config.lambda_factor)
             if not np.all(np.isfinite(delta)):
                 state.stop_reason = "diverged"
                 break
             model, step_norm = apply_update(model, delta, cycle)
-            row["lam"] = lam
+            row["lambda"] = lam
             row["step_norm"] = step_norm
     except NumericalError as exc:  # a singular macro, patch or normal-equation solve
         state.stop_reason = f"numerical failure: {exc}"

@@ -60,7 +60,7 @@ def identity_setup():
     fop = fine_operator(problem, fine)
     u_fine = solve(fop, problem_rhs(problem, fine))
     z_fine = solve_dual(fop, problem.functional)
-    return problem, model, U, z_eff, u_fine, z_fine
+    return problem, model, op, U, z_eff, u_fine, z_fine
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,8 @@ def scenario3(tmp_path_factory):
 
 def test_criterion_1_discrete_error_identity(identity_setup):
     t0 = time.perf_counter()
-    problem, model, U, _, u_fine, z_fine = identity_setup
-    err = error_identity(problem, model, U, DualApproximation("full", z_fine))
+    problem, model, op, U, _, u_fine, z_fine = identity_setup
+    err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
         problem.functional, U
     )
@@ -93,8 +93,8 @@ def test_criterion_1_discrete_error_identity(identity_setup):
 
 def test_criterion_2_galerkin_vanishing(identity_setup):
     t0 = time.perf_counter()
-    problem, model, U, z_eff, _, _ = identity_setup
-    err = error_identity(problem, model, U, DualApproximation("effective", z_eff))
+    problem, model, op, U, z_eff, _, _ = identity_setup
+    err = error_identity(problem, model, op, U, DualApproximation("effective", z_eff))
     runtime = time.perf_counter() - t0
     report(
         2,
@@ -152,7 +152,7 @@ def test_criterion_5_advection_diffusion_reduction(tmp_path):
 
 
 def test_criterion_6_full_dual_effectivity(identity_setup):
-    problem, model, _, _, u_fine, _ = identity_setup
+    problem, model, _, _, _, u_fine, _ = identity_setup
     j_ref = apply_functional(problem.functional, u_fine)
     detuned = model.with_tensors(1.2 * model.tensors, "detuned geometric")
     config = OptimizerConfig(
@@ -161,7 +161,7 @@ def test_criterion_6_full_dual_effectivity(identity_setup):
     )
     fine = problem.fine_space(2.0**-7)
     state = run_optimization(problem, detuned, config, oracle=(u_fine, j_ref))
-    i_effs = [r["i_eff"] for r in state.history]
+    i_effs = [r["I_eff"] for r in state.history]
     ok = all(e is not None and abs(e - 1.0) <= 0.02 for e in i_effs)
     report(6, ok, "I_eff per cycle: " + " ".join(f"{e:.4f}" for e in i_effs))
 

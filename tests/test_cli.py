@@ -368,8 +368,8 @@ def test_report_records_cost_indefinite_cells_and_environment(tmp_path, monkeypa
     assert "stop reason: max_cycles" in report
     start = report.index("per cycle (cycle, cost, indefinite cells):")
     assert state.cycles == 2
-    for c, (row, indefinite) in enumerate(zip(state.history, state.indefinite_history), 1):
-        assert report[start + c] == f"  {c}, {row['cost']:.17g}, {indefinite}"
+    for c, row in enumerate(state.history, 1):
+        assert report[start + c] == f"  {c}, {row['cost']:.17g}, {row['indefinite']}"
     for line in (
         f"  numpy: {np.__version__}",
         f"  scipy: {scipy.__version__}",
@@ -403,6 +403,38 @@ def test_nan_indicator_stops_as_diverged(tmp_path, monkeypatch):
     cfg_path.write_text(TINY)
     assert main(["optimize", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
     assert (tmp_path / "o" / "history.csv").exists()
+
+
+def test_compare_duals_divergence_exit_code(tmp_path, monkeypatch):
+    # a NaN indicator in every sweep stops both modes as diverged; the table
+    # is still written and the command exits 3, as optimize does
+    from dwropt import optim
+
+    sweep = optim.assemble_system
+
+    def nan_sweep(*args, **kwargs):
+        eta, triplets = sweep(*args, **kwargs)
+        eta[:] = np.nan
+        return eta, triplets
+
+    monkeypatch.setattr(optim, "assemble_system", nan_sweep)
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY)
+    out = tmp_path / "o"
+    assert main(["compare-duals", str(cfg_path), "--out", str(out)]) == 3
+    table = (out / "compare_duals.csv").read_text().splitlines()
+    assert len(table) == 2 and table[1].startswith("1,nan,")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("alpha = auto", "alpha = -1e-6"), ("alpha_scale = 1e-4", "alpha_scale = -1e-4")],
+    ids=["alpha", "alpha_scale"],
+)
+def test_negative_regularization_exits_as_configuration_error(tmp_path, old, new):
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY.replace(old, new))
+    assert main(["optimize", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_nan_step_stops_as_diverged(tmp_path, monkeypatch):

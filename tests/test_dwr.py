@@ -17,7 +17,6 @@ from dwropt.fem import (
     assemble_diffusion,
     assemble_rhs,
     effective_operator,
-    evaluate,
     fine_operator,
     gather,
     interpolate,
@@ -96,7 +95,7 @@ def test_enhancement_vanishes_for_exact_model():
     model = constant_model(hierarchy, 2.0)
     fine = problem.fine_space(hierarchy.h_micro)
     z_micro = solve_dual(fine_operator(problem, fine), problem.functional)
-    _, _, z_k, _ = local_enhancement(problem, z_micro, 0, depth=1)
+    _, _, _, z_k, _ = local_enhancement(problem, z_micro, 0, depth=1)
     assert np.abs(z_k.values).max() <= 1e-12 * max(np.abs(z_micro.values).max(), 1.0)
 
 
@@ -108,8 +107,7 @@ def test_enhancement_on_whole_domain_recovers_fine_dual():
     z_eff = solve_dual(op, problem.functional)
     fine = problem.fine_space(2.0**-5)
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
-    patch, patch_space, z_k, _ = local_enhancement(problem, z_eff, 0, depth=1)
-    zi = evaluate(z_eff, patch_space.grid.node_coords)
+    _, _, zi, z_k, _ = local_enhancement(problem, z_eff, 0, depth=1)
     assert np.allclose(zi + z_k.values, z_fine.values, atol=1e-10 * np.abs(z_fine.values).max())
 
 
@@ -126,10 +124,9 @@ def test_enhancement_depth_improves_most_cells():
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
 
     def cell_error(k, depth):
-        patch, patch_space, z_k, _ = local_enhancement(problem, z_eff, k, depth)
+        _, patch_space, zi, z_k, _ = local_enhancement(problem, z_eff, k, depth)
         bbox = hierarchy.sampling_bbox(k)
         ids = patch_space.grid.subgrid_node_ids(bbox)
-        zi = evaluate(z_eff, patch_space.grid.node_coords)
         approx = zi[ids] + z_k.values[ids]
         exact = z_fine.values[z_fine.space.grid.subgrid_node_ids(bbox)]
         cell_grid = hierarchy.micro_grid(bbox)
@@ -154,8 +151,8 @@ def test_indicators_vanish_for_constant_coefficient():
         source=1.0,
     )
     model = constant_model(hierarchy, 3.0)
-    U, u_fine, z_fine, _ = solve_states(problem, model, hierarchy.h_micro)
-    err = error_identity(problem, model, U, DualApproximation("full", z_fine))
+    U, u_fine, z_fine, op = solve_states(problem, model, hierarchy.h_micro)
+    err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     assert np.abs(err.eta).max() <= 1e-14
     assert abs(err.theta_delta) <= 1e-14
 
@@ -165,8 +162,8 @@ def test_exact_discrete_error_identity_diffusion():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32, seed=11
     )
     model = geometric_mean_model(problem.coefficient, problem.hierarchy)
-    U, u_fine, z_fine, _ = solve_states(problem, model, problem.hierarchy.h_micro)
-    err = error_identity(problem, model, U, DualApproximation("full", z_fine))
+    U, u_fine, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro)
+    err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
         problem.functional, U
     )
@@ -178,8 +175,8 @@ def test_exact_discrete_error_identity_advection():
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
     model = constant_model(hierarchy, 0.1)
-    U, u_fine, z_fine, _ = solve_states(problem, model, hierarchy.h_micro)
-    err = error_identity(problem, model, U, DualApproximation("full", z_fine))
+    U, u_fine, z_fine, op = solve_states(problem, model, hierarchy.h_micro)
+    err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
         problem.functional, U
     )
@@ -194,15 +191,15 @@ def test_theta_macro_vanishes_with_galerkin_dual():
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
     z_eff = solve_dual(op, problem.functional)
-    err = error_identity(problem, model, U, DualApproximation("effective", z_eff))
+    err = error_identity(problem, model, op, U, DualApproximation("effective", z_eff))
     assert abs(err.theta_H) <= 1e-10
 
 
 def test_indicator_additivity():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
     model = geometric_mean_model(problem.coefficient, problem.hierarchy)
-    U, _, z_fine, _ = solve_states(problem, model, problem.hierarchy.h_micro)
-    err = error_identity(problem, model, U, DualApproximation("full", z_fine))
+    U, _, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro)
+    err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     assert np.isclose(err.theta_delta, err.eta.sum(), rtol=1e-12)
 
 
@@ -219,8 +216,8 @@ def test_indicators_linear_in_functional():
     jvec = functional_vector(fine, problem.functional)
     z1 = solve_dual(fop, jvec)
     z3 = solve_dual(fop, 3.0 * jvec)
-    e1 = error_identity(problem, model, U, DualApproximation("full", z1))
-    e3 = error_identity(problem, model, U, DualApproximation("full", z3))
+    e1 = error_identity(problem, model, op, U, DualApproximation("full", z1))
+    e3 = error_identity(problem, model, op, U, DualApproximation("full", z3))
     assert np.allclose(3.0 * e1.eta, e3.eta, rtol=1e-12, atol=1e-16)
     assert np.isclose(3.0 * e1.theta_H, e3.theta_H, rtol=1e-10)
 
@@ -230,9 +227,11 @@ def test_full_dual_effectivity_is_one(fine_ratio):
     # the two fine spacings a full dual may use: h_micro and h_micro / 2
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5, seed=23)
     model = geometric_mean_model(problem.coefficient, problem.hierarchy)
-    U, u_fine, z_fine, _ = solve_states(problem, model, problem.hierarchy.h_micro / fine_ratio)
+    U, u_fine, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro / fine_ratio)
     j_ref = apply_functional(problem.functional, u_fine)
-    err = error_identity(problem, model, U, DualApproximation("full", z_fine), j_reference=j_ref)
+    err = error_identity(
+        problem, model, op, U, DualApproximation("full", z_fine), j_reference=j_ref
+    )
     assert err.i_eff is not None
     assert abs(err.i_eff - 1.0) <= 1e-9
 
@@ -260,8 +259,8 @@ def test_enhanced_single_patch_degenerates_to_full():
     z_eff = solve_dual(op, problem.functional)
     fine = problem.fine_space(2.0**-5)
     z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
-    full = error_identity(problem, model, U, DualApproximation("full", z_fine))
-    enh = error_identity(problem, model, U, DualApproximation("enhanced", z_eff, depth=1))
+    full = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
+    enh = error_identity(problem, model, op, U, DualApproximation("enhanced", z_eff, depth=1))
     assert np.isclose(full.eta[0], enh.eta[0], rtol=1e-9)
 
 
@@ -273,7 +272,7 @@ def test_enhanced_identity_runs_on_advection(tmp_path):
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
     z_eff = solve_dual(op, problem.functional)
-    err = error_identity(problem, model, U, DualApproximation("enhanced", z_eff, depth=1))
+    err = error_identity(problem, model, op, U, DualApproximation("enhanced", z_eff, depth=1))
     assert np.isfinite(err.theta_delta)
     assert abs(err.theta_H) <= 1e-10
     path = tmp_path / "breakdown.csv"

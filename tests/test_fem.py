@@ -73,14 +73,6 @@ def test_stiffness_symmetry():
     assert diff <= 1e-12 * np.abs(op.matrix.toarray()).max()
 
 
-def test_zero_advection_matrix():
-    from dwropt.field import AdvectionField
-
-    space = unit_space(4)
-    op = assemble_advection(space, AdvectionField.zero())
-    assert op.matrix.nnz == 0 or np.abs(op.matrix.toarray()).max() == 0.0
-
-
 class _ConstantB:
     def __init__(self, vec):
         self.vec = np.asarray(vec, dtype=float)

@@ -75,9 +75,9 @@ def test_residual_zero_for_exact_constant_model():
         source=1.0,
     )
     model = constant_model(hierarchy, 2.0)
-    _, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode="enhanced"))
+    op, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode="enhanced"))
     alpha = np.zeros(hierarchy.n_sampling)
-    res = assemble_residual(problem, model, model, alpha, U, dual)
+    res = assemble_residual(problem, model, model, alpha, op, U, dual)
     assert res.squared_norm <= 1e-24
 
 
@@ -117,9 +117,9 @@ def test_residual_squared_norm_matches_independent_cost(case):
     model = model0.with_tensors(1.3 * model0.tensors, "off")
     for mode in modes:
         config = full_config(alpha=1e-6, dual_mode=mode)
-        _, U, dual = primal_dual(problem, model, config)
+        op, U, dual = primal_dual(problem, model, config)
         alpha = resolve_alpha(config, 1.0, model0)
-        res = assemble_residual(problem, model, model0, alpha, U, dual)
+        res = assemble_residual(problem, model, model0, alpha, op, U, dual)
         cost = cost_value(problem, model, model0, alpha, config)
         assert np.isclose(res.squared_norm, cost, rtol=1e-12)
 
@@ -457,6 +457,14 @@ def test_max_cycles_zero_gives_single_estimate():
     assert np.array_equal(state.model.tensors, model0.tensors)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_per_cell_alpha_must_be_finite_and_nonnegative(alpha):
+    values = np.full(16, 1e-6)
+    values[3] = alpha
+    with pytest.raises(ConfigurationError):
+        OptimizerConfig(alpha=values).validate()
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
         OptimizerConfig(jacobian_mode="dense").validate()
@@ -492,5 +500,5 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
     n_micro = 4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells
     assert calls == [n_micro]
     # the micro-grid E_delta once, then per cycle the macro operator of the
-    # primal/dual solve and the one of theta_H
-    assert delta_calls == [n_micro] + [4 * hierarchy.macro_grid.n_cells] * (2 * state.cycles)
+    # primal/dual solve, which theta_H reuses
+    assert delta_calls == [n_micro] + [4 * hierarchy.macro_grid.n_cells] * state.cycles
