@@ -28,6 +28,8 @@ from pathlib import Path
 PAIRS = 10
 WORKLOADS = ("diffusion_small:1", "advdiff_small:21", "estimate_small:1")
 TRACED = (
+    "mesh.micro_grid.calls",
+    "mesh.micro_grid.nodes",
     "field.coefficient.s",
     "field.coefficient.points",
     "field.advection.s",

@@ -1,0 +1,116 @@
+"""Byte comparison of the outputs of two dwropt checkouts.
+
+    python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Runs the fixed command set ``RUNS`` once per checkout, one process at a time,
+with that checkout's ``src`` on ``PYTHONPATH``, in a temporary directory.
+Both sides read the shipped configs of CHANGE_DIR, with the overrides of each
+run written into a copy.  Every file a run leaves in its output directory is
+compared byte for byte; of ``report.txt`` only the lines above the phase
+timings are compared (reference value, stop reason, cycle count and the
+per-cycle block), since the rest holds wall times.  One line per file reads
+``same`` or ``DIFF``.  The exit code is 1 on any difference, any file present
+on one side only, or a command whose exit codes differ; else 0.
+"""
+
+import configparser
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+UPSCALERS = ("arithmetic", "geometric", "homogenized")
+SMALL_CONFIGS = ("diffusion_tiny", "diffusion_small", "advdiff_small")
+
+# (name, command, config, seed or None for the config's own, overrides)
+RUNS = (
+    ("optimize-diffusion_tiny", "optimize", "diffusion_tiny", 7, {}),
+    ("optimize-diffusion_small", "optimize", "diffusion_small", 1,
+     {("optimizer", "max_cycles"): "3"}),
+    ("optimize-advdiff_small", "optimize", "advdiff_small", 21,
+     {("optimizer", "max_cycles"): "2"}),
+    ("optimize-diffusion_tiny-full", "optimize", "diffusion_tiny", None,
+     {("optimizer", "dual"): "full"}),
+    ("optimize-advdiff_small-full-fine", "optimize", "advdiff_small", None,
+     {("optimizer", "dual"): "full", ("mesh", "fine"): "2^-8",
+      ("optimizer", "max_cycles"): "2"}),
+    ("estimate-diffusion_small", "estimate", "diffusion_small", None, {}),
+    ("estimate-advdiff_small", "estimate", "advdiff_small", None, {}),
+    ("estimate-advdiff_small-full", "estimate", "advdiff_small", None,
+     {("optimizer", "dual"): "full"}),
+    ("compare-duals-diffusion_tiny", "compare-duals", "diffusion_tiny", None, {}),
+) + tuple(
+    (f"upscale-{config}-{upscaler}", "upscale", config, None,
+     {("initial_model", "upscaler"): upscaler})
+    for config in SMALL_CONFIGS
+    for upscaler in UPSCALERS
+)
+
+
+def write_config(source, overrides, path):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read(source)
+    for (section, key), value in overrides.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+    with open(path, "w") as fh:
+        parser.write(fh)
+
+
+def run_side(root, command, config, seed, out):
+    cmd = [sys.executable, "-m", "dwropt.cli", command, str(config), "--out", str(out)]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+    return subprocess.run(cmd, env=env, capture_output=True, text=True).returncode
+
+
+def comparable_bytes(path):
+    data = path.read_bytes()
+    if path.name == "report.txt":
+        data = data.split(b"wall-clock per phase", 1)[0]
+    return data
+
+
+def compare_dirs(name, left, right):
+    """Print one line per file; return whether every file matched."""
+    names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
+    ok = True
+    for file_name in names:
+        a, b = left / file_name, right / file_name
+        same = a.exists() and b.exists() and comparable_bytes(a) == comparable_bytes(b)
+        ok &= same
+        print(f"{'same' if same else 'DIFF'} {name}/{file_name}")
+    return ok
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python3 scripts/compare_outputs.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
+        return 2
+    parent, change = argv
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, command, config, seed, overrides in RUNS:
+            cfg = tmp / f"{name}.ini"
+            write_config(Path(change) / "configs" / f"{config}.ini", overrides, cfg)
+            outs, codes = [], []
+            for side, root in (("parent", parent), ("change", change)):
+                out = tmp / side / name
+                out.mkdir(parents=True)
+                codes.append(run_side(root, command, cfg, seed, out))
+                outs.append(out)
+            if codes[0] != codes[1]:
+                ok = False
+                print(f"DIFF {name}: exit {codes[0]} (parent) != {codes[1]} (change)")
+            ok &= compare_dirs(name, *outs)
+    print("all outputs byte-identical" if ok else "outputs differ")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

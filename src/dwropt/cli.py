@@ -71,6 +71,14 @@ def parse_quantity(text):
     return value
 
 
+def parse_integer(text):
+    """Parse an integer like '3' or '-2'."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse integer '{text}'") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Sectioned key-value configuration; the raw strings round-trip exactly
@@ -149,13 +157,13 @@ def build_domain(cfg):
 
 def build_field(cfg, domain, seed_override=None):
     kind = cfg.get("field", "kind", "constant")
-    seed = int(cfg.get("field", "seed", "0")) if seed_override is None else seed_override
+    seed = parse_integer(cfg.get("field", "seed", "0")) if seed_override is None else seed_override
     if kind == "constant":
         return CoefficientField.constant(parse_quantity(cfg.get("field", "gamma", "1.0"))), None
     if kind == "laminate":
         return (
             CoefficientField.laminate(
-                axis=int(cfg.get("field", "axis", "0")),
+                axis=parse_integer(cfg.get("field", "axis", "0")),
                 a=parse_quantity(cfg.require("field", "a")),
                 b=parse_quantity(cfg.require("field", "b")),
                 layer_width=parse_quantity(cfg.require("field", "layer_width")),
@@ -173,8 +181,8 @@ def build_field(cfg, domain, seed_override=None):
         )
     if kind == "lognormal":
         raster = gen_gaussian_raster(
-            int(cfg.require("field", "nx")),
-            int(cfg.require("field", "ny")),
+            parse_integer(cfg.require("field", "nx")),
+            parse_integer(cfg.require("field", "ny")),
             parse_quantity(cfg.require("field", "corr_len")),
             seed=seed,
             origin=domain.origin,
@@ -197,7 +205,7 @@ def build_advection(cfg, domain, hierarchy, seed_override=None):
     adv = cfg.sections["advection"]
     if adv.get("enabled", "yes").lower() in ("no", "false", "0"):
         return None
-    seed = int(adv.get("seed", "0")) if seed_override is None else seed_override
+    seed = parse_integer(adv.get("seed", "0")) if seed_override is None else seed_override
     fd_step = 0.5 * hierarchy.h_micro
     taper = parse_quantity(adv.get("taper_width", "0.125"))
     confine = adv.get("confine_to_sampling_cells", "yes").lower() not in ("no", "false", "0")
@@ -205,8 +213,8 @@ def build_advection(cfg, domain, hierarchy, seed_override=None):
 
     psi = RasterField(
         values=correlated_noise(
-            int(adv.get("eddy_nx", "17")),
-            int(adv.get("eddy_ny", "33")),
+            parse_integer(adv.get("eddy_nx", "17")),
+            parse_integer(adv.get("eddy_ny", "33")),
             parse_quantity(adv.get("eddy_corr_px", "2.0")),
             seed=seed,
         ),
@@ -223,8 +231,8 @@ def build_advection(cfg, domain, hierarchy, seed_override=None):
         return eddies
     psi_lo = RasterField(
         values=correlated_noise(
-            int(adv.get("drift_nx", "9")),
-            int(adv.get("drift_ny", "17")),
+            parse_integer(adv.get("drift_nx", "9")),
+            parse_integer(adv.get("drift_ny", "17")),
             parse_quantity(adv.get("drift_corr_px", "1.0")),
             seed=seed + 1,
         ),
@@ -262,7 +270,9 @@ def build_problem(cfg, seed_override=None):
     for item in cfg.get("problem", "neumann", "").split(","):
         item = item.strip()
         if item:
-            marker, value = item.split(":")
+            marker, colon, value = item.partition(":")
+            if not colon:
+                raise ConfigurationError(f"[problem] neumann item '{item}' is not marker:flux")
             neumann.append((marker.strip(), parse_quantity(value)))
     dirichlet = tuple(cfg.get("problem", "dirichlet", "left right bottom top").split())
     problem = Problem(
@@ -321,8 +331,8 @@ def build_optimizer_config(cfg):
         lambda_factor=parse_quantity(cfg.get("optimizer", "lambda_factor", "1.0")),
         jacobian_mode=cfg.get("optimizer", "jacobian", "patch"),
         dual_mode=cfg.get("optimizer", "dual", "enhanced"),
-        depth=int(cfg.get("optimizer", "depth", "1")),
-        max_cycles=int(cfg.get("optimizer", "max_cycles", "15")),
+        depth=parse_integer(cfg.get("optimizer", "depth", "1")),
+        max_cycles=parse_integer(cfg.get("optimizer", "max_cycles", "15")),
         stop_fraction=parse_quantity(cfg.get("optimizer", "stop_fraction", "0.05")),
         h_fine=_fine_h(cfg),
     )
@@ -428,7 +438,7 @@ class _Phases:
 
 
 def _dof_cap(cfg):
-    return int(cfg.get("mesh", "dof_cap", "500000"))
+    return parse_integer(cfg.get("mesh", "dof_cap", "500000"))
 
 
 def _write_b_delta(path, hierarchy, b_delta):

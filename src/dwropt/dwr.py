@@ -167,9 +167,8 @@ class _PatchContext:
         self.grid = grid
         self.zstar = zstar
         hierarchy = problem.hierarchy
-        parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
         self.a_eps, self.fluct = data
-        self.d_tensors = model.tensors[parents] - self.a_eps
+        self.d_tensors = model.tensors[hierarchy.parents(grid)] - self.a_eps
         self.u4 = self.nodal4(U)
         self.z4 = gather(grid, zstar)
         self.cell_slices = {

@@ -7,10 +7,14 @@ Gauss points.  Every bilinear form in the package is evaluated through the
 element machinery in this module, which is what makes the discrete error
 identity hold to solver precision.
 
-The advection form is assembled in cellwise skew-symmetrized fashion,
-0.5 * [(b . grad u, v) - (b . grad v, u)].  For divergence-free fields that
-vanish on the boundary the two variants coincide; the skew form realizes the
-adjoint structure of the transport operator exactly at the discrete level.
+The fine-scale advection form is assembled in cellwise skew-symmetrized
+fashion, 0.5 * [(b . grad u, v) - (b . grad v, u)].  For divergence-free
+fields that vanish on the boundary the two variants coincide; the skew form
+realizes the adjoint structure of the transport operator exactly at the
+discrete level.  The effective transport b_delta, one vector per sampling
+cell, is not divergence-free across cell interfaces and takes the plain
+Galerkin form (the skew form would inject artificial interface terms of the
+size of the normal jumps).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, OutOfDomainError, SingularOperatorError
-from .field import CellAveragedAdvection
 from .mesh import SIDES, _exact_ratio
 
 # 1-d exact integrals of the hat functions N0 = 1 - t, N1 = t on [0, 1]
@@ -339,21 +342,10 @@ def advection_elements(grid, b_values, skew=True):
     return raw
 
 
-def advection_element_matrices(grid, b):
-    """Element matrices of (b . grad u, v) with ``b`` sampled at the 2x2
-    Gauss points of every cell.
-
-    The form follows the field's ``prefers_skew`` attribute: skew-symmetrized
-    for divergence-free fine-scale fields, plain Galerkin for cellwise-constant
-    effective transport.
-    """
-    return advection_elements(grid, gauss_values(grid, b), getattr(b, "prefers_skew", True))
-
-
-def assemble_advection(space, b):
-    """Advection operator for a vector field ``b`` (see
-    :func:`advection_element_matrices`)."""
-    return element_operator(space, advection_element_matrices(space.grid, b))
+def assemble_advection(space, b_values, skew=True):
+    """Advection operator from the Gauss-point values of b on the grid of
+    ``space`` (see :func:`advection_elements`)."""
+    return element_operator(space, advection_elements(space.grid, b_values, skew))
 
 
 def assemble_rhs(space, f, neumann=()):
@@ -517,8 +509,8 @@ class Problem:
     Dirichlet conditions.
 
     The problem is the one place that keeps what every cycle reads: the
-    macro and global fine spaces, and the fine data per grid spacing.  Patch
-    spaces are built on demand and never cached.
+    macro and global fine spaces, the fine data and the full dual per grid
+    spacing, and b_delta.  Patch spaces are built on demand and never cached.
     """
 
     hierarchy: object
@@ -530,6 +522,7 @@ class Problem:
     dirichlet: tuple = SIDES
     _spaces: dict = dc_field(default_factory=dict, repr=False)
     _fine: dict = dc_field(default_factory=dict, repr=False)
+    _full_duals: dict = dc_field(default_factory=dict, repr=False)
     _b_delta: object = dc_field(default=None, repr=False)
 
     @property
@@ -564,7 +557,8 @@ class Problem:
         spacing.  On the micro grid the Gauss-point values of b_eps behind
         E_eps are also reduced to b_delta (:meth:`average_advection`) and not
         kept; other spacings build the micro data first for F.  The arrays
-        are shared by every caller and read-only."""
+        are shared by every caller and read-only.  The initial models of
+        :mod:`dwropt.upscale` still sample a_eps themselves."""
         if h not in self._fine:
             _exact_ratio(self.hierarchy.h_micro, h, "[mesh] h / fine")
             grid = self.hierarchy.fine_grid(h)
@@ -573,29 +567,16 @@ class Problem:
             e_eps = fluct = None
             if self.is_advective:
                 b_eps = gauss_values(grid, self.advection)
-                skew = getattr(self.advection, "prefers_skew", True)
-                e_eps = advection_elements(grid, b_eps, skew)
+                e_eps = advection_elements(grid, b_eps)
                 e_eps.flags.writeable = False
                 if h == self.hierarchy.h_micro:
-                    self._b_delta = self._sampling_cell_means(grid, b_eps)
-                b_delta = CellAveragedAdvection(self.hierarchy, self.average_advection())
-                fluct = e_eps - advection_element_matrices(grid, b_delta)
+                    per_cell = 0.25 * (b_eps[:, 0] + b_eps[:, 1] + b_eps[:, 2] + b_eps[:, 3])
+                    self._b_delta = self.hierarchy.sampling_mean(per_cell)
+                    self._b_delta.flags.writeable = False
+                fluct = e_eps - advection_elements(grid, self.delta_values(grid), skew=False)
                 fluct.flags.writeable = False
             self._fine[h] = (grid, a_eps, e_eps, fluct)
         return self._fine[h]
-
-    def _sampling_cell_means(self, grid, b_eps):
-        """Per-sampling-cell arithmetic mean of the Gauss-point values
-        ``b_eps`` on the micro ``grid``: (n, 2)."""
-        hierarchy = self.hierarchy
-        per_cell = 0.25 * (b_eps[:, 0] + b_eps[:, 1] + b_eps[:, 2] + b_eps[:, 3])
-        parents = hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
-        sums = np.zeros((hierarchy.n_sampling, 2))
-        np.add.at(sums, parents, per_cell)
-        counts = np.bincount(parents, minlength=hierarchy.n_sampling).astype(float)
-        means = sums / counts[:, None]
-        means.flags.writeable = False
-        return means
 
     def average_advection(self):
         """b_delta, the effective transport: the mean of b_eps over every
@@ -608,14 +589,28 @@ class Problem:
             self.fine_data(self.hierarchy.h_micro)
         return self._b_delta
 
+    def delta_values(self, grid):
+        """b_delta at the 2x2 Gauss points of every cell of ``grid``, a grid
+        nested in the sampling grid: (ncells, 4, 2)."""
+        b_delta = self.average_advection()[self.hierarchy.parents(grid)]
+        return np.repeat(b_delta[:, None, :], 4, axis=1)
+
+    def full_dual(self, h):
+        """The fully resolved discrete dual on ``fine_space(h)``.  It does
+        not depend on the model: it is solved once per spacing, and only z
+        is kept, not the fine factorization."""
+        if h not in self._full_duals:
+            space = self.fine_space(h)
+            self._full_duals[h] = solve_dual(fine_operator(self, space), self.functional)
+        return self._full_duals[h]
+
 
 def effective_operator(problem, model, space):
     """Operator of the effective problem: diffusion with the per-cell model
     tensor plus, for advective problems, advection with b_delta."""
     op = assemble_diffusion(space, model)
     if problem.is_advective:
-        b = CellAveragedAdvection(problem.hierarchy, problem.average_advection())
-        adv = assemble_advection(space, b)
+        adv = assemble_advection(space, problem.delta_values(space.grid), skew=False)
         return SparseOperator(op.matrix + adv.matrix, space)
     return op
 

@@ -278,12 +278,7 @@ class AdvectionField:
     bands around the lattice lines of that spacing, which confines the eddies
     to cells and makes their average over every lattice cell vanish: the
     field then carries no spurious macroscopic transport.
-
-    ``prefers_skew`` marks the field as safe for the skew-symmetrized
-    advection form (divergence-free with vanishing boundary trace).
     """
-
-    prefers_skew = True
 
     def __init__(self, **params):
         self.params = params
@@ -365,8 +360,6 @@ class SumAdvection:
     """Superposition of advection fields (e.g. weak drift plus strong
     cell-confined eddies); stays divergence-free by linearity."""
 
-    prefers_skew = True
-
     def __init__(self, *components):
         if not components:
             raise ConfigurationError("sum of advection fields needs at least one component")
@@ -381,22 +374,3 @@ class SumAdvection:
     def max_magnitude(self):
         """Max |b| over a probe grid of the first component's raster."""
         return _max_magnitude(self, self.components[0].params["raster"])
-
-
-class CellAveragedAdvection:
-    """Piecewise constant advection: one vector per sampling cell.
-
-    Not divergence-free across cell interfaces, so the plain Galerkin form is
-    used for it (the skew form would inject artificial interface terms of the
-    size of the normal jumps).
-    """
-
-    prefers_skew = False
-
-    def __init__(self, hierarchy, vectors):
-        self.hierarchy = hierarchy
-        self.vectors = np.asarray(vectors, dtype=float)
-
-    def values_at(self, points):
-        cells = self.hierarchy.sampling_grid.locate(points, clip=True)
-        return self.vectors[cells]

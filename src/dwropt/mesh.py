@@ -291,7 +291,22 @@ class MeshHierarchy:
     @cached_property
     def macro_parent(self):
         """Sampling cell id containing each macro cell."""
-        return self.sampling_grid.locate(self.macro_grid.cell_centers)
+        return self.parents(self.macro_grid)
+
+    def parents(self, grid):
+        """Sampling cell id containing each cell of ``grid``, a grid nested
+        in the sampling grid (macro, micro, patch or fine)."""
+        return self.sampling_grid.locate(grid.cell_centers, clip=True)
+
+    def sampling_mean(self, values):
+        """Mean over each sampling cell of ``values`` given per cell of the
+        global micro grid (``fine_grid(h_micro)``), for any trailing shape:
+        (n_micro, ...) -> (n_sampling, ...)."""
+        parents = self.parents(self.fine_grid(self.h_micro))
+        sums = np.zeros((self.n_sampling,) + values.shape[1:])
+        np.add.at(sums, parents, values)
+        counts = np.bincount(parents, minlength=self.n_sampling).astype(float)
+        return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
 
     def macro_cells_of(self, k):
         """Macro cell ids inside sampling cell ``k`` (row-major)."""

@@ -29,7 +29,6 @@ from .fem import (
     effective_operator,
     element_operator,
     evaluate,
-    fine_operator,
     gather,
     gauss_point_coords,
     problem_rhs,
@@ -38,7 +37,6 @@ from .fem import (
     solve_dual,
     value_sq_percell,
 )
-from .field import CellAveragedAdvection
 
 _IJ = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -82,6 +80,8 @@ class OptimizerConfig:
             raise ConfigurationError("lambda_factor must be nonnegative")
         if self.depth not in (0, 1):
             raise ConfigurationError("enhancement depth must be 0 or 1")
+        if self.max_cycles < 0:
+            raise ConfigurationError("max_cycles must be nonnegative")
         if not np.isfinite(self.alpha_scale) or self.alpha_scale < 0.0:
             raise ConfigurationError("alpha_scale must be finite and nonnegative")
         if not self.auto_alpha:
@@ -143,21 +143,18 @@ def response_U(problem, operator, U, k, i, j):
     return solve(operator, response_rhs(problem, operator.space, U, k, i, j))
 
 
-def primal_dual(problem, model, config, previous=None):
+def primal_dual(problem, model, config):
     """Effective operator, primal solution U and dual approximation of
     ``model`` on the macro space.  The full dual does not depend on the
-    model: the one of ``previous`` (an earlier result's dual) is reused."""
+    model and is problem data (:meth:`dwropt.fem.Problem.full_dual`)."""
     macro_space = problem.macro_space()
     operator = effective_operator(problem, model, macro_space)
     U = solve(operator, problem_rhs(problem, macro_space))
-    if config.dual_mode != "full":
-        z = solve_dual(operator, problem.functional)
-    elif previous is not None:
-        z = previous.z_global
-    else:
+    if config.dual_mode == "full":
         h = config.h_fine if config.h_fine is not None else problem.hierarchy.h_micro
-        fine_space = problem.fine_space(h)
-        z = solve_dual(fine_operator(problem, fine_space), problem.functional)
+        z = problem.full_dual(h)
+    else:
+        z = solve_dual(operator, problem.functional)
     return operator, U, DualApproximation(config.dual_mode, z, config.depth)
 
 
@@ -305,11 +302,10 @@ def run_optimization(problem, initial_model, config, oracle=None):
     state = GaussNewtonState(model=model, initial_model=initial_model)
     theta1 = None
     n_rows = max(config.max_cycles, 1)
-    dual = None
 
     try:
         for cycle in range(1, n_rows + 1):
-            operator, U, dual = primal_dual(problem, model, config, previous=dual)
+            operator, U, dual = primal_dual(problem, model, config)
             want_jac = cycle < n_rows
             eta, triplets = assemble_system(
                 problem, model, U, operator, dual, config.jacobian_mode, want_jacobian=want_jac
@@ -406,8 +402,8 @@ def _eta_independent(problem, model, k, grid, u_values, zstar_values):
     if problem.is_advective:
         pts = gauss_point_coords(grid).reshape(-1, 2)
         b_eps = problem.advection.values_at(pts).reshape(grid.n_cells, 4, 2)
-        b = CellAveragedAdvection(problem.hierarchy, problem.average_advection())
-        b_delta = b.values_at(pts).reshape(grid.n_cells, 4, 2)
+        cells = problem.hierarchy.sampling_grid.locate(pts, clip=True)
+        b_delta = problem.average_advection()[cells].reshape(grid.n_cells, 4, 2)
         fluct = advection_form_percell(grid, b_eps, u4, z4, skew=True)
         fluct = fluct - advection_form_percell(grid, b_delta, u4, z4, skew=False)
         total -= float(np.sum(fluct))

@@ -90,30 +90,11 @@ def constant_model(hierarchy, tensor, provenance="constant"):
     return EffectiveModel(hierarchy, tensors, provenance=provenance)
 
 
-def _micro_samples(field, hierarchy):
-    """Tensor samples at micro subcell midpoints, grouped by sampling cell:
-    returns (tensors (ncells, 2, 2) mean-ready samples, parents, counts)."""
-    micro = hierarchy.micro_grid(
-        (
-            hierarchy.domain.xmin,
-            hierarchy.domain.ymin,
-            hierarchy.domain.xmax,
-            hierarchy.domain.ymax,
-        )
-    )
-    centers = micro.cell_centers
-    samples = field.tensors_at(centers)
-    parents = hierarchy.sampling_grid.locate(centers, clip=True)
-    counts = np.bincount(parents, minlength=hierarchy.n_sampling).astype(float)
-    return samples, parents, counts, centers
-
-
 def arithmetic_mean_model(field, hierarchy):
-    """Entrywise arithmetic cell average of the fine-scale tensor."""
-    samples, parents, counts, _ = _micro_samples(field, hierarchy)
-    sums = np.zeros((hierarchy.n_sampling, 2, 2))
-    np.add.at(sums, parents, samples)
-    return EffectiveModel(hierarchy, sums / counts[:, None, None], provenance="arithmetic")
+    """Entrywise arithmetic cell average of the fine-scale tensor, sampled
+    at the centres of the global micro cells."""
+    samples = field.tensors_at(hierarchy.fine_grid(hierarchy.h_micro).cell_centers)
+    return EffectiveModel(hierarchy, hierarchy.sampling_mean(samples), provenance="arithmetic")
 
 
 def geometric_mean_model(field, hierarchy):
@@ -122,21 +103,18 @@ def geometric_mean_model(field, hierarchy):
     The entrywise log is ill-defined for vanishing off-diagonal entries, so
     only the (strictly positive) diagonal is averaged geometrically.
     """
-    samples, parents, counts, centers = _micro_samples(field, hierarchy)
+    centers = hierarchy.fine_grid(hierarchy.h_micro).cell_centers
+    samples = field.tensors_at(centers)
     diag = samples[:, (0, 1), (0, 1)]
     bad = diag <= 0.0
     if np.any(bad):
         k = int(np.argmax(np.any(bad, axis=1)))
         raise NumericalError(
             f"geometric mean undefined: nonpositive diagonal sample at {tuple(centers[k])} "
-            f"in sampling cell {int(parents[k])}"
+            f"in sampling cell {int(hierarchy.sampling_grid.locate(centers[k])[0])}"
         )
-    sums = np.zeros((hierarchy.n_sampling, 2, 2))
-    np.add.at(sums, parents, samples)
-    mean = sums / counts[:, None, None]
-    log_sums = np.zeros((hierarchy.n_sampling, 2))
-    np.add.at(log_sums, parents, np.log(diag))
-    geo = np.exp(log_sums / counts[:, None])
+    mean = hierarchy.sampling_mean(samples)
+    geo = np.exp(hierarchy.sampling_mean(np.log(diag)))
     mean[:, 0, 0] = geo[:, 0]
     mean[:, 1, 1] = geo[:, 1]
     return EffectiveModel(hierarchy, mean, provenance="geometric")

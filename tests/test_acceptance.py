@@ -217,7 +217,7 @@ def test_criterion_8_derivative_verification():
     rows, cols, vals = triplets
 
     def eta_of(model):
-        op_m, u_m, _ = primal_dual(problem, model, config, previous=dual)
+        op_m, u_m, _ = primal_dual(problem, model, config)
         e, _ = assemble_system(problem, model, u_m, op_m, dual, config.jacobian_mode,
                                want_jacobian=False)
         return e

@@ -307,6 +307,27 @@ def test_compare_duals_lognormal_same_order(tmp_path):
     assert ratio <= 2.0
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("max_cycles = 6", "max_cycles = three"),
+        ("max_cycles = 6", "max_cycles = -2"),
+        ("depth = 1", "depth = one"),
+        ("depth = 1", "depth = 1.5"),
+        ("dof_cap = 500000", "dof_cap = lots"),
+        ("seed = 7", "seed = x"),
+        ("source = 1.0", "source = 1.0\nneumann = bottom"),
+    ],
+    ids=["max_cycles", "max_cycles_negative", "depth", "depth_fraction", "dof_cap", "seed",
+         "neumann_without_flux"],
+)
+def test_malformed_entry_exits_as_configuration_error(tmp_path, old, new):
+    assert TINY.count(old) == 1
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY.replace(old, new))
+    assert main(["estimate", str(cfg_path), "--out", str(tmp_path / "e")]) == 2
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[mesh]\ndelta = 1/3\nH = 1/4\nh = 1/8\n")

@@ -12,19 +12,21 @@ from dwropt.dwr import (
 from dwropt.fem import (
     Functional,
     _gauss_points_physical,
-    advection_element_matrices,
+    advection_elements,
     apply_functional,
     assemble_diffusion,
     assemble_rhs,
     effective_operator,
     fine_operator,
     gather,
+    gauss_point_coords,
+    gauss_values,
     interpolate,
     problem_rhs,
     solve,
     solve_dual,
 )
-from dwropt.field import CellAveragedAdvection, CoefficientField
+from dwropt.field import CoefficientField
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.upscale import constant_model, geometric_mean_model
 
@@ -285,9 +287,11 @@ def test_enhanced_identity_runs_on_advection(tmp_path):
 def _sampled_directly(problem, grid):
     """Fine data of ``grid`` sampled on the grid itself."""
     a_eps = problem.coefficient.tensors_at(grid.cell_centers)
-    b_delta = CellAveragedAdvection(problem.hierarchy, problem.average_advection())
-    fluct = advection_element_matrices(grid, problem.advection)
-    return a_eps, fluct - advection_element_matrices(grid, b_delta)
+    fluct = advection_elements(grid, gauss_values(grid, problem.advection))
+    points = gauss_point_coords(grid).reshape(-1, 2)
+    cells = problem.hierarchy.sampling_grid.locate(points, clip=True)
+    b_delta = problem.average_advection()[cells].reshape(grid.n_cells, 4, 2)
+    return a_eps, fluct - advection_elements(grid, b_delta, skew=False)
 
 
 @pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "full_dual_half_h"])

@@ -16,6 +16,7 @@ from dwropt.fem import (
     evaluate,
     fine_operator,
     functional_vector,
+    gauss_values,
     interpolate,
     problem_rhs,
     q1_blocks,
@@ -84,7 +85,7 @@ class _ConstantB:
 def test_constant_advection_applied_to_linear_field():
     n = 8
     space = unit_space(n)
-    op = assemble_advection(space, _ConstantB((2.0, 0.0)))
+    op = assemble_advection(space, gauss_values(space.grid, _ConstantB((2.0, 0.0))))
     u = space.grid.node_coords[:, 0]
     result = op.matrix @ u
     jvec = functional_vector(space, Functional.domain_integral())
@@ -95,7 +96,7 @@ def test_constant_advection_applied_to_linear_field():
 def test_divergence_free_skew_symmetry():
     problem = advection_problem(h_micro=2.0**-5)
     space = problem.fine_space(2.0**-5)
-    op = assemble_advection(space, problem.advection)
+    op = assemble_advection(space, gauss_values(space.grid, problem.advection))
     rng = np.random.default_rng(3)
     scale = np.abs(op.matrix).sum()
     for _ in range(5):

@@ -117,6 +117,24 @@ def test_macro_parent_contains_macro_cell():
         assert bb_s[1] <= bb_m[1] and bb_m[3] <= bb_s[3]
 
 
+def test_parents_of_macro_grid_is_macro_parent():
+    h = build_hierarchy(Domain(extent=(1.0, 2.0)), 2.0**-2, 2.0**-4, 2.0**-5)
+    assert np.array_equal(h.parents(h.macro_grid), h.macro_parent)
+
+
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 2)])
+def test_sampling_mean_of_per_cell_constant(trailing):
+    # per-sampling-cell constants, spread over the global micro grid, average
+    # back to themselves in every trailing shape
+    h = build_hierarchy(Domain(extent=(1.0, 2.0)), 2.0**-2, 2.0**-3, 2.0**-5)
+    micro = h.fine_grid(h.h_micro)
+    consts = np.arange(h.n_sampling * int(np.prod(trailing)), dtype=float)
+    consts = consts.reshape((h.n_sampling,) + trailing) + 0.5
+    mean = h.sampling_mean(consts[h.parents(micro)])
+    assert mean.shape == (h.n_sampling,) + trailing
+    assert np.array_equal(mean, consts)
+
+
 def test_macro_cells_of_partition():
     h = build_hierarchy(Domain(), 2.0**-2, 2.0**-4, 2.0**-5)
     seen = np.concatenate([h.macro_cells_of(k) for k in range(h.n_sampling)])

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import advection_problem, lognormal_problem
+from dwropt import fem
 from dwropt.errors import ConfigurationError, NumericalError
 from dwropt.fem import (
     Functional,
@@ -11,7 +12,7 @@ from dwropt.fem import (
     problem_rhs,
     solve,
 )
-from dwropt.field import CellAveragedAdvection, CoefficientField, gen_gaussian_raster
+from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.optim import (
     OptimizerConfig,
@@ -182,7 +183,7 @@ def test_response_linear_in_symmetrized_perturbation():
 
 
 def eta_of(problem, model, config, dual):
-    op, U, _ = primal_dual(problem, model, config, previous=dual)
+    op, U, _ = primal_dual(problem, model, config)
     eta, _ = assemble_system(problem, model, U, op, dual, config.jacobian_mode,
                              want_jacobian=False)
     return eta
@@ -472,6 +473,28 @@ def test_invalid_config_rejected():
         OptimizerConfig(stop_fraction=0.0).validate()
     with pytest.raises(ConfigurationError):
         OptimizerConfig(depth=2).validate()
+    with pytest.raises(ConfigurationError):
+        OptimizerConfig(max_cycles=-2).validate()
+    OptimizerConfig(max_cycles=0).validate()
+
+
+def test_full_dual_is_solved_once_per_problem(monkeypatch):
+    # the full dual does not depend on the model: the problem solves it on
+    # the first request and every later primal/dual set-up reads it
+    problem = cellwise_constant_problem()
+    built = []
+    build = fem.fine_operator
+
+    def counted(problem, space):
+        built.append(space.n_dofs)
+        return build(problem, space)
+
+    monkeypatch.setattr(fem, "fine_operator", counted)
+    config = full_config()
+    _, _, first = primal_dual(problem, constant_model(problem.hierarchy, 1.0), config)
+    _, _, second = primal_dual(problem, constant_model(problem.hierarchy, 2.0), config)
+    assert len(built) == 1
+    assert second.z_global is first.z_global
 
 
 @pytest.mark.parametrize("dual_mode", ["enhanced", "effective"])
@@ -481,24 +504,25 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
     sample = problem.advection.values_at
-    sample_delta = CellAveragedAdvection.values_at
+    sample_delta = problem.delta_values
     calls, delta_calls = [], []
 
     def counted(points):
         calls.append(len(points))
         return sample(points)
 
-    def counted_delta(self, points):
-        delta_calls.append(len(points))
-        return sample_delta(self, points)
+    def counted_delta(grid):
+        delta_calls.append(grid.n_cells)
+        return sample_delta(grid)
 
     monkeypatch.setattr(problem.advection, "values_at", counted)
-    monkeypatch.setattr(CellAveragedAdvection, "values_at", counted_delta)
+    monkeypatch.setattr(problem, "delta_values", counted_delta)
     model = constant_model(hierarchy, 0.1)
     state = run_optimization(problem, model, OptimizerConfig(max_cycles=2, dual_mode=dual_mode))
     assert state.cycles == 2
-    n_micro = 4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells
-    assert calls == [n_micro]
+    n_micro = hierarchy.fine_grid(hierarchy.h_micro).n_cells
+    assert calls == [4 * n_micro]
     # the micro-grid E_delta once, then per cycle the macro operator of the
-    # primal/dual solve, which theta_H reuses
-    assert delta_calls == [n_micro] + [4 * hierarchy.macro_grid.n_cells] * state.cycles
+    # primal/dual solve, which theta_H reuses; the first macro operator asks
+    # for b_delta before the micro fine data that holds it is built
+    assert sorted(delta_calls) == sorted([n_micro] + [hierarchy.macro_grid.n_cells] * state.cycles)
