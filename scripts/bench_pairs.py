@@ -40,6 +40,7 @@ TRACED = (
     "fem.factor.patch.count",
     "fem.factor.macro.count",
     "fem.factor.fine.count",
+    "fem.solve.count",
     "dwr.local_enhancement.s",
     "dwr.local_enhancement.self_s",
     "dwr.error_identity.s",

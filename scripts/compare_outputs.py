@@ -40,6 +40,8 @@ RUNS = (
     ("estimate-advdiff_small-full", "estimate", "advdiff_small", None,
      {("optimizer", "dual"): "full"}),
     ("compare-duals-diffusion_tiny", "compare-duals", "diffusion_tiny", None, {}),
+    ("reference-diffusion_tiny", "reference", "diffusion_tiny", None, {}),
+    ("reference-advdiff_small", "reference", "advdiff_small", None, {}),
 ) + tuple(
     (f"upscale-{config}-{upscaler}", "upscale", config, None,
      {("initial_model", "upscaler"): upscaler})

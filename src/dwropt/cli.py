@@ -30,7 +30,6 @@ from .fem import (
     Problem,
     apply_functional,
     effective_operator,
-    fine_operator,
     problem_rhs,
     solve,
 )
@@ -53,12 +52,14 @@ from .upscale import (
 
 
 def parse_quantity(text):
-    """Parse a finite quantity like '0.125', '1/8' or '2^-3'."""
+    """Parse a finite quantity like '0.125', '1/8' or '2^-3'.  A leading
+    sign applies to the whole power: '-2^-2' is -0.25, as in Python."""
     t = text.strip()
     try:
         if "^" in t:
             base, expo = t.split("^")
-            value = float(base) ** float(expo)
+            sign = -1.0 if base.startswith("-") else 1.0
+            value = sign * abs(float(base)) ** float(expo)
         elif "/" in t:
             num, den = t.split("/")
             value = float(num) / float(den)
@@ -69,6 +70,22 @@ def parse_quantity(text):
     if not np.isfinite(value):
         raise ConfigurationError(f"quantity '{text}' is not finite")
     return value
+
+
+def parse_positive(text, what):
+    """Parse a quantity that must be positive."""
+    value = parse_quantity(text)
+    if not value > 0.0:
+        raise ConfigurationError(f"{what} must be positive, got '{text}'")
+    return value
+
+
+def parse_pair(text, what):
+    """Parse two quantities 'X Y', such as a point or an extent."""
+    values = tuple(parse_quantity(t) for t in text.split())
+    if len(values) != 2:
+        raise ConfigurationError(f"{what} must be two numbers 'X Y', got '{text}'")
+    return values
 
 
 def parse_integer(text):
@@ -146,8 +163,8 @@ def _parse_side_spec(text):
 
 
 def build_domain(cfg):
-    origin = tuple(parse_quantity(t) for t in cfg.get("domain", "origin", "0 0").split())
-    extent = tuple(parse_quantity(t) for t in cfg.get("domain", "extent", "1 1").split())
+    origin = parse_pair(cfg.get("domain", "origin", "0 0"), "[domain] origin")
+    extent = parse_pair(cfg.get("domain", "extent", "1 1"), "[domain] extent")
     boundary = {}
     for side in SIDES:
         spec = cfg.get("domain", side)
@@ -249,7 +266,7 @@ def build_functional(cfg):
     if kind == "domain_integral":
         return Functional.domain_integral()
     if kind == "point_value":
-        x0 = tuple(parse_quantity(t) for t in cfg.require("functional", "x0").split())
+        x0 = parse_pair(cfg.require("functional", "x0"), "[functional] x0")
         return Functional.point_value(x0)
     if kind == "boundary_integral":
         return Functional.boundary_integral(cfg.require("functional", "marker"))
@@ -289,20 +306,19 @@ def build_problem(cfg, seed_override=None):
 
 def build_initial_model(cfg, problem):
     upscaler = cfg.get("initial_model", "upscaler", "geometric")
+    scale = parse_positive(cfg.get("initial_model", "scale", "1.0"), "[initial_model] scale")
     hierarchy = problem.hierarchy
     if upscaler == "geometric":
-        model = geometric_mean_model(problem.coefficient, hierarchy)
+        model = geometric_mean_model(problem)
     elif upscaler == "arithmetic":
-        model = arithmetic_mean_model(problem.coefficient, hierarchy)
+        model = arithmetic_mean_model(problem)
     elif upscaler == "homogenized":
-        model = homogenized_effective_model(problem.coefficient, hierarchy)
+        model = homogenized_effective_model(problem)
     elif upscaler == "constant":
-        model = constant_model(
-            hierarchy, parse_quantity(cfg.require("initial_model", "value"))
-        )
+        value = parse_positive(cfg.require("initial_model", "value"), "[initial_model] value")
+        model = constant_model(hierarchy, value)
     else:
         raise ConfigurationError(f"unknown upscaler '{upscaler}'")
-    scale = parse_quantity(cfg.get("initial_model", "scale", "1.0"))
     if scale != 1.0:
         with np.errstate(over="ignore"):
             tensors = scale * model.tensors
@@ -358,9 +374,7 @@ def oracle_reference(problem, h_fine, dof_cap=500_000, raster=None):
             f"reference mesh size {h_fine} is coarser than the raster pixel "
             f"{min(raster.pixel_size)}"
         )
-    space = problem.fine_space(h_fine)
-    op = fine_operator(problem, space)
-    u_ref = solve(op, problem_rhs(problem, space))
+    u_ref, _ = problem.fine_solution(h_fine)
     return u_ref, apply_functional(problem.functional, u_ref)
 
 

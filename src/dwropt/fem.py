@@ -509,8 +509,8 @@ class Problem:
     Dirichlet conditions.
 
     The problem is the one place that keeps what every cycle reads: the
-    macro and global fine spaces, the fine data and the full dual per grid
-    spacing, and b_delta.  Patch spaces are built on demand and never cached.
+    macro and global fine spaces, the fine data and the fine solution per
+    grid spacing, and b_delta.  Patch spaces are built on demand, not cached.
     """
 
     hierarchy: object
@@ -522,7 +522,7 @@ class Problem:
     dirichlet: tuple = SIDES
     _spaces: dict = dc_field(default_factory=dict, repr=False)
     _fine: dict = dc_field(default_factory=dict, repr=False)
-    _full_duals: dict = dc_field(default_factory=dict, repr=False)
+    _fine_solutions: dict = dc_field(default_factory=dict, repr=False)
     _b_delta: object = dc_field(default=None, repr=False)
 
     @property
@@ -553,12 +553,12 @@ class Problem:
         spacings raise ``ConfigurationError``.
 
         This is the one fine-scale sampler, shared by the indicator sweep,
-        the reference, the full dual and b_delta; it samples once per
-        spacing.  On the micro grid the Gauss-point values of b_eps behind
-        E_eps are also reduced to b_delta (:meth:`average_advection`) and not
-        kept; other spacings build the micro data first for F.  The arrays
-        are shared by every caller and read-only.  The initial models of
-        :mod:`dwropt.upscale` still sample a_eps themselves."""
+        the fine solution, the initial models of :mod:`dwropt.upscale` and
+        b_delta; it samples once per spacing.  On the micro grid the
+        Gauss-point values of b_eps behind E_eps are also reduced to b_delta
+        (:meth:`average_advection`) and not kept; other spacings build the
+        micro data first for F.  The arrays are shared by every caller and
+        read-only."""
         if h not in self._fine:
             _exact_ratio(self.hierarchy.h_micro, h, "[mesh] h / fine")
             grid = self.hierarchy.fine_grid(h)
@@ -595,14 +595,15 @@ class Problem:
         b_delta = self.average_advection()[self.hierarchy.parents(grid)]
         return np.repeat(b_delta[:, None, :], 4, axis=1)
 
-    def full_dual(self, h):
-        """The fully resolved discrete dual on ``fine_space(h)``.  It does
-        not depend on the model: it is solved once per spacing, and only z
-        is kept, not the fine factorization."""
-        if h not in self._full_duals:
-            space = self.fine_space(h)
-            self._full_duals[h] = solve_dual(fine_operator(self, space), self.functional)
-        return self._full_duals[h]
+    def fine_solution(self, h):
+        """(u, z) on ``fine_space(h)``: the fine-scale solution (the reference)
+        and the full dual.  Neither depends on the model: one factorization of
+        :func:`fine_operator` solves both once per spacing; only u, z are kept."""
+        if h not in self._fine_solutions:
+            op = fine_operator(self, self.fine_space(h))
+            u = solve(op, problem_rhs(self, op.space))
+            self._fine_solutions[h] = (u, solve_dual(op, self.functional))
+        return self._fine_solutions[h]
 
 
 def effective_operator(problem, model, space):

@@ -259,6 +259,8 @@ class Patch:
 
 
 def _exact_ratio(numerator, denominator, what):
+    if not denominator > 0.0:
+        raise ConfigurationError(f"{what}: spacing {denominator} must be positive")
     r = numerator / denominator
     ri = int(round(r))
     if ri < 1 or abs(r - ri) > 1e-9 * max(1.0, abs(r)):

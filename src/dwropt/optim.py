@@ -46,6 +46,10 @@ HISTORY_COLUMNS = (
     "I_eff", "I_loc", "lambda", "step_norm",
 )
 
+# The loop stops as diverged once |theta| exceeds this multiple of its
+# first-cycle value.
+DIVERGENCE_FACTOR = 10.0
+
 
 @dataclass
 class OptimizerConfig:
@@ -66,7 +70,6 @@ class OptimizerConfig:
     depth: int = 1
     max_cycles: int = 15
     stop_fraction: float = 0.05
-    divergence_factor: float = 10.0
     h_fine: float = None
 
     def validate(self):
@@ -84,15 +87,10 @@ class OptimizerConfig:
             raise ConfigurationError("max_cycles must be nonnegative")
         if not np.isfinite(self.alpha_scale) or self.alpha_scale < 0.0:
             raise ConfigurationError("alpha_scale must be finite and nonnegative")
-        if not self.auto_alpha:
+        if self.alpha is not None:
             alpha = np.asarray(self.alpha, dtype=float)
             if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0):
                 raise ConfigurationError("alpha must be finite and nonnegative")
-
-    @property
-    def auto_alpha(self):
-        """Whether alpha is scaled with the first-cycle estimator."""
-        return self.alpha is None or (isinstance(self.alpha, str) and self.alpha == "auto")
 
 
 @dataclass
@@ -146,13 +144,13 @@ def response_U(problem, operator, U, k, i, j):
 def primal_dual(problem, model, config):
     """Effective operator, primal solution U and dual approximation of
     ``model`` on the macro space.  The full dual does not depend on the
-    model and is problem data (:meth:`dwropt.fem.Problem.full_dual`)."""
+    model and is problem data (:meth:`dwropt.fem.Problem.fine_solution`)."""
     macro_space = problem.macro_space()
     operator = effective_operator(problem, model, macro_space)
     U = solve(operator, problem_rhs(problem, macro_space))
     if config.dual_mode == "full":
         h = config.h_fine if config.h_fine is not None else problem.hierarchy.h_micro
-        z = problem.full_dual(h)
+        z = problem.fine_solution(h)[1]
     else:
         z = solve_dual(operator, problem.functional)
     return operator, U, DualApproximation(config.dual_mode, z, config.depth)
@@ -233,7 +231,7 @@ def apply_update(model, delta, cycle):
 def resolve_alpha(config, theta_abs, model0):
     """Per-cell regularization weights; auto mode scales with the estimator."""
     n = model0.hierarchy.n_sampling
-    if config.auto_alpha:
+    if config.alpha is None:
         mean_norm = float(np.mean(np.sum(model0.tensors**2, axis=(1, 2))))
         if mean_norm == 0.0 or theta_abs == 0.0:
             return np.zeros(n)
@@ -292,7 +290,7 @@ def run_optimization(problem, initial_model, config, oracle=None):
     Per cycle: solve the effective primal and dual, sweep the sampling cells
     for indicators, patch reconstructions and Jacobian entries, then take one
     damped step.  Stops when |theta| falls below ``stop_fraction`` of its
-    first-cycle value, diverges past ``divergence_factor`` times it, theta or
+    first-cycle value, diverges past ``DIVERGENCE_FACTOR`` times it, theta or
     the step turns non-finite, a solve raises a ``NumericalError`` (stop
     reason "numerical failure: <message>"), or the cycle budget is exhausted.
     ``oracle`` is an optional (u_ref, j_ref) pair used only for reporting.
@@ -343,7 +341,7 @@ def run_optimization(problem, initial_model, config, oracle=None):
             if abs(theta) <= config.stop_fraction * theta1:
                 state.stop_reason = "converged"
                 break
-            if not np.isfinite(theta) or abs(theta) > config.divergence_factor * theta1:
+            if not np.isfinite(theta) or abs(theta) > DIVERGENCE_FACTOR * theta1:
                 state.stop_reason = "diverged"
                 break
             if not want_jac:

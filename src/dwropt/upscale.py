@@ -1,5 +1,5 @@
-"""Initial effective models: arithmetic mean, geometric mean, and
-periodic-cell-problem homogenization, one tensor per sampling cell."""
+"""Initial effective models from the micro-cell a_eps of a problem's fine
+data: arithmetic mean, geometric mean and periodic-cell homogenization."""
 
 from __future__ import annotations
 
@@ -90,21 +90,22 @@ def constant_model(hierarchy, tensor, provenance="constant"):
     return EffectiveModel(hierarchy, tensors, provenance=provenance)
 
 
-def arithmetic_mean_model(field, hierarchy):
-    """Entrywise arithmetic cell average of the fine-scale tensor, sampled
-    at the centres of the global micro cells."""
-    samples = field.tensors_at(hierarchy.fine_grid(hierarchy.h_micro).cell_centers)
+def arithmetic_mean_model(problem):
+    """Entrywise arithmetic cell average of the fine-scale tensor."""
+    hierarchy = problem.hierarchy
+    _, samples, _, _ = problem.fine_data(hierarchy.h_micro)
     return EffectiveModel(hierarchy, hierarchy.sampling_mean(samples), provenance="arithmetic")
 
 
-def geometric_mean_model(field, hierarchy):
+def geometric_mean_model(problem):
     """Geometric mean on the diagonal entries, arithmetic on off-diagonals.
 
     The entrywise log is ill-defined for vanishing off-diagonal entries, so
     only the (strictly positive) diagonal is averaged geometrically.
     """
-    centers = hierarchy.fine_grid(hierarchy.h_micro).cell_centers
-    samples = field.tensors_at(centers)
+    hierarchy = problem.hierarchy
+    grid, samples, _, _ = problem.fine_data(hierarchy.h_micro)
+    centers = grid.cell_centers
     diag = samples[:, (0, 1), (0, 1)]
     bad = diag <= 0.0
     if np.any(bad):
@@ -128,16 +129,17 @@ def _periodic_dof_map(grid):
     return (iy % grid.ny) * grid.nx + (ix % grid.nx)
 
 
-def homogenized_model(field, hierarchy, k):
+def homogenized_model(problem, k):
     """Homogenized tensor of one sampling cell from periodic cell problems.
 
     Solves the two corrector problems on the cell's micro grid with periodic
     boundary conditions (dof identification of opposite faces), one pinned dof
     and mean subtraction, then evaluates the averaged flux tensor.
     """
-    bbox = hierarchy.sampling_bbox(k)
-    grid = hierarchy.micro_grid(bbox)
-    tensors = field.tensors_at(grid.cell_centers)
+    bbox = problem.hierarchy.sampling_bbox(k)
+    fine_grid, a_eps, _, _ = problem.fine_data(problem.hierarchy.h_micro)
+    grid = fine_grid.subgrid(bbox)
+    tensors = a_eps[fine_grid.subgrid_cell_ids(bbox)]
     pmap = _periodic_dof_map(grid)
     cn = pmap[grid.cell_nodes]
     n_dof = grid.nx * grid.ny
@@ -185,9 +187,8 @@ def homogenized_model(field, hierarchy, k):
     return out
 
 
-def homogenized_effective_model(field, hierarchy):
+def homogenized_effective_model(problem):
     """Homogenized tensors on every sampling cell."""
-    tensors = np.stack(
-        [homogenized_model(field, hierarchy, k) for k in range(hierarchy.n_sampling)]
-    )
-    return EffectiveModel(hierarchy, tensors, provenance="homogenized")
+    n = problem.hierarchy.n_sampling
+    tensors = np.stack([homogenized_model(problem, k) for k in range(n)])
+    return EffectiveModel(problem.hierarchy, tensors, provenance="homogenized")

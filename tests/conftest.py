@@ -39,6 +39,12 @@ def lognormal_problem(
     return problem
 
 
+def coefficient_problem(coefficient, hierarchy):
+    """Diffusion problem with the fine-scale tensor ``coefficient`` on
+    ``hierarchy``: the problem data the upscalers read."""
+    return Problem(hierarchy, coefficient, Functional.domain_integral())
+
+
 def figure5_domain():
     """1 x 2 rectangle with the five-marker boundary: Dirichlet on the lower
     left part, flux data on the bottom, the goal on the top edge."""

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import lognormal_problem
+from conftest import coefficient_problem, lognormal_problem
 from dwropt.cli import ExperimentConfig, run_scenario
 from dwropt.dwr import DualApproximation, error_identity
 from dwropt.fem import (
@@ -51,7 +51,7 @@ def identity_setup():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-7,
         raster_n=64, corr_len=0.02, seed=1, gamma=0.05,
     )
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
@@ -170,7 +170,7 @@ def test_criterion_7_laminate_homogenization():
     t0 = time.perf_counter()
     hierarchy = build_hierarchy(Domain(), 1.0, 0.5, 0.0625)
     field = CoefficientField.laminate(axis=0, a=1.0, b=4.0, layer_width=0.125)
-    tensor = homogenized_model(field, hierarchy, 0)
+    tensor = homogenized_model(coefficient_problem(field, hierarchy), 0)
     expected = np.diag([1.6, 2.5])
     err = np.abs(tensor - expected).max()
     runtime = time.perf_counter() - t0
@@ -248,7 +248,7 @@ def test_criterion_9_regularization_pull():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-6,
         raster_n=64, corr_len=0.02, seed=1, gamma=0.05,
     )
-    geo = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    geo = geometric_mean_model(problem)
     model0 = geo.with_tensors(1.2 * geo.tensors, "detuned geometric")
     # alpha at 1e6 times the |theta|^2 / |A|^2 band unit
     config = OptimizerConfig(

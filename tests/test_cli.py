@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dwropt import cli
+from dwropt import cli, fem
 from dwropt.cli import (
     ExperimentConfig,
     build_domain,
@@ -20,6 +22,8 @@ from dwropt.fem import Functional, Problem, apply_functional, effective_operator
 from dwropt.field import CoefficientField
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.upscale import EffectiveModel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = """
 [domain]
@@ -124,8 +128,15 @@ def test_parse_quantity_forms():
     assert parse_quantity("0.125") == 0.125
     assert parse_quantity("1/8") == 0.125
     assert parse_quantity("2^-3") == 0.125
+    # a leading sign applies to the whole power, as in Python's -2**-2
+    assert parse_quantity("-2^-2") == -0.25
+    assert parse_quantity("-2^2") == -4.0
+    assert parse_quantity("-2^0.5") == -(2.0**0.5)
+    assert parse_quantity("+2^2") == 4.0
     with pytest.raises(ConfigurationError):
         parse_quantity("eight")
+    with pytest.raises(ConfigurationError):
+        parse_quantity("--2^2")
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
@@ -317,9 +328,24 @@ def test_compare_duals_lognormal_same_order(tmp_path):
         ("dof_cap = 500000", "dof_cap = lots"),
         ("seed = 7", "seed = x"),
         ("source = 1.0", "source = 1.0\nneumann = bottom"),
+        ("fine = 2^-5", "fine = 0"),
+        ("H = 2^-4", "H = 0"),
+        ("h = 2^-5", "h = 0"),
+        ("delta = 2^-2", "delta = 0"),
+        ("extent = 1 1", "extent = 1"),
+        ("extent = 1 1", "extent = 1 1 1"),
+        ("origin = 0 0", "origin = 0"),
+        ("kind = domain_integral", "kind = point_value\nx0 = 0.5"),
+        ("kind = domain_integral", "kind = point_value\nx0 = 0.5 0.5 0.9"),
+        ("scale = 1.35", "scale = 0"),
+        ("scale = 1.35", "scale = -1"),
+        ("upscaler = geometric", "upscaler = constant\nvalue = 0"),
+        ("upscaler = geometric", "upscaler = constant\nvalue = -1"),
     ],
     ids=["max_cycles", "max_cycles_negative", "depth", "depth_fraction", "dof_cap", "seed",
-         "neumann_without_flux"],
+         "neumann_without_flux", "fine_zero", "H_zero", "h_zero", "delta_zero", "extent_one",
+         "extent_three", "origin_one", "x0_one", "x0_three", "scale_zero", "scale_negative",
+         "value_zero", "value_negative"],
 )
 def test_malformed_entry_exits_as_configuration_error(tmp_path, old, new):
     assert TINY.count(old) == 1
@@ -558,6 +584,35 @@ def test_run_samples_fine_advection_once(tmp_path, monkeypatch):
     assert report.j_reference is not None and state.cycles == 1
     hierarchy = built[0].hierarchy
     assert sum(calls) == 4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells
+
+
+def test_full_dual_run_factors_and_samples_the_fine_problem_once(tmp_path, monkeypatch):
+    # with the full dual and a reference, one fine solve serves both u_ref
+    # and z, and a_eps is sampled once per micro cell: by Problem.fine_data,
+    # which the geometric upscaler, the fine operator and the sweep all read
+    cfg = ExperimentConfig.from_ini(CONFIGS / "diffusion_tiny.ini")
+    cfg.set("optimizer", "dual", "full")
+    cfg.set("optimizer", "max_cycles", 1)
+    assert cfg.get("problem", "reference") == "yes"
+    factored, points = [], []
+    factor, sample = fem.splu, CoefficientField.tensors_at
+
+    def counted_factor(matrix, **kw):
+        factored.append(matrix.shape[0])
+        return factor(matrix, **kw)
+
+    def counted_sample(self, pts):
+        points.append(len(pts))
+        return sample(self, pts)
+
+    monkeypatch.setattr(fem, "splu", counted_factor)
+    monkeypatch.setattr(CoefficientField, "tensors_at", counted_sample)
+    report, state = run_scenario(cfg, tmp_path)
+    assert report.j_reference is not None and state.cycles == 1
+    # free dofs: 63 x 63 interior nodes of the fine grid, 15 x 15 of the macro
+    # grid, whose operator the cycle and the final solution each factor
+    assert sorted(factored) == [15 * 15, 15 * 15, 63 * 63]
+    assert sum(points) == 64 * 64
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

@@ -103,7 +103,7 @@ def test_enhancement_vanishes_for_exact_model():
 
 def test_enhancement_on_whole_domain_recovers_fine_dual():
     problem = lognormal_problem(delta=1.0, h_macro=0.25, h_micro=2.0**-5, raster_n=32)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     z_eff = solve_dual(op, problem.functional)
@@ -118,7 +118,7 @@ def test_enhancement_depth_improves_most_cells():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32, seed=19
     )
     hierarchy = problem.hierarchy
-    model = geometric_mean_model(problem.coefficient, hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     z_eff = solve_dual(op, problem.functional)
@@ -163,7 +163,7 @@ def test_exact_discrete_error_identity_diffusion():
     problem = lognormal_problem(
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32, seed=11
     )
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     U, u_fine, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro)
     err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
@@ -188,7 +188,7 @@ def test_exact_discrete_error_identity_advection():
 
 def test_theta_macro_vanishes_with_galerkin_dual():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
@@ -199,7 +199,7 @@ def test_theta_macro_vanishes_with_galerkin_dual():
 
 def test_indicator_additivity():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     U, _, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro)
     err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     assert np.isclose(err.theta_delta, err.eta.sum(), rtol=1e-12)
@@ -207,7 +207,7 @@ def test_indicator_additivity():
 
 def test_indicators_linear_in_functional():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
@@ -228,7 +228,7 @@ def test_indicators_linear_in_functional():
 def test_full_dual_effectivity_is_one(fine_ratio):
     # the two fine spacings a full dual may use: h_micro and h_micro / 2
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5, seed=23)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     U, u_fine, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro / fine_ratio)
     j_ref = apply_functional(problem.functional, u_fine)
     err = error_identity(
@@ -254,7 +254,7 @@ def test_effectivity_zero_true_error():
 
 def test_enhanced_single_patch_degenerates_to_full():
     problem = lognormal_problem(delta=1.0, h_macro=0.25, h_micro=2.0**-5, raster_n=32)
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import coefficient_problem
 from dwropt.errors import ConfigurationError, NumericalError, OutOfDomainError
 from dwropt.field import (
     AdvectionField,
@@ -266,4 +267,4 @@ def test_geometric_mean_requires_positive_diagonal():
     h = build_hierarchy(Domain(), 0.5, 0.25, 0.125)
     bad = CoefficientField.constant([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NumericalError, match="sampling cell"):
-        geometric_mean_model(bad, h)
+        geometric_mean_model(coefficient_problem(bad, h))

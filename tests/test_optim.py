@@ -84,7 +84,7 @@ def test_residual_zero_for_exact_constant_model():
 
 def test_alpha_zero_keeps_g_block_zero():
     problem = small_problem()
-    model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model0 = geometric_mean_model(problem)
     drifted = model0.with_tensors(model0.tensors * 1.7, "drifted")
     g = regularization_residual(drifted, model0, np.zeros(problem.hierarchy.n_sampling))
     assert not np.any(g)
@@ -100,7 +100,7 @@ def test_residual_layout_and_norm():
 
 def _diffusion_case():
     problem = small_problem()
-    model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model0 = geometric_mean_model(problem)
     return problem, model0, ("full", "enhanced")
 
 
@@ -132,7 +132,7 @@ def test_residual_squared_norm_matches_independent_cost(case):
 def test_response_zero_for_zero_source():
     problem = small_problem()
     problem.source = 0.0
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
@@ -142,7 +142,7 @@ def test_response_zero_for_zero_source():
 
 def test_response_matches_finite_difference():
     problem = small_problem()
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     rhs = problem_rhs(problem, macro)
     op = effective_operator(problem, model, macro)
@@ -161,7 +161,7 @@ def test_response_matches_finite_difference():
 
 def test_response_linear_in_symmetrized_perturbation():
     problem = small_problem()
-    model = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model = geometric_mean_model(problem)
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
@@ -218,7 +218,7 @@ def test_jacobian_diagonal_matches_eta_finite_difference():
 def test_jacobian_band_limited_to_patch(mode):
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    model = geometric_mean_model(problem.coefficient, hierarchy)
+    model = geometric_mean_model(problem)
     config = OptimizerConfig(dual_mode=mode, jacobian_mode="patch", depth=1)
     op, U, dual = primal_dual(problem, model, config)
     eta, triplets = assemble_system(problem, model, U, op, dual, config.jacobian_mode)
@@ -309,7 +309,7 @@ def gateaux_direction(hierarchy, seed=3):
 @pytest.mark.parametrize("mode", ["full", "enhanced"])
 def test_full_gateaux_matches_central_differences(mode):
     problem = small_problem()
-    model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model0 = geometric_mean_model(problem)
     model = model0.with_tensors(1.2 * model0.tensors, "off")
     config = full_config(dual_mode=mode)
     alpha = np.full(problem.hierarchy.n_sampling, 1e-7)
@@ -362,7 +362,7 @@ def test_estimator_reduction_on_small_lognormal():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32,
         corr_len=0.02, seed=7,
     )
-    geo = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    geo = geometric_mean_model(problem)
     model0 = geo.with_tensors(1.35 * geo.tensors, "detuned geometric")
     config = OptimizerConfig(dual_mode="enhanced", depth=1, max_cycles=15,
                              lambda_factor=1.0, stop_fraction=0.05, alpha_scale=1e-4)
@@ -377,7 +377,7 @@ def test_cost_nonincreasing_over_first_cycles():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32,
         corr_len=0.02, seed=7,
     )
-    geo = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    geo = geometric_mean_model(problem)
     model0 = geo.with_tensors(1.35 * geo.tensors, "detuned geometric")
     config = OptimizerConfig(dual_mode="enhanced", depth=1, max_cycles=4,
                              lambda_factor=1.0, stop_fraction=0.001, alpha_scale=1e-4)
@@ -391,7 +391,7 @@ def test_regularization_pull_with_huge_alpha():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32,
         corr_len=0.02, seed=7,
     )
-    geo = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    geo = geometric_mean_model(problem)
     model0 = geo.with_tensors(1.35 * geo.tensors, "detuned geometric")
     base = resolve_alpha(
         OptimizerConfig(alpha_scale=1e-4), 1.0, model0
@@ -408,7 +408,7 @@ def test_model_symmetry_preserved_every_cycle():
     problem = lognormal_problem(
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32, seed=5,
     )
-    geo = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    geo = geometric_mean_model(problem)
     model0 = geo.with_tensors(1.3 * geo.tensors, "detuned")
     config = OptimizerConfig(dual_mode="enhanced", max_cycles=4, stop_fraction=0.01,
                              alpha_scale=1e-4)
@@ -422,7 +422,7 @@ def test_determinism_bit_exact_history():
     runs = []
     for _ in range(2):
         problem = lognormal_problem(**kwargs)
-        geo = geometric_mean_model(problem.coefficient, problem.hierarchy)
+        geo = geometric_mean_model(problem)
         model0 = geo.with_tensors(1.3 * geo.tensors, "detuned")
         config = OptimizerConfig(dual_mode="enhanced", max_cycles=4, stop_fraction=0.01,
                                  alpha_scale=1e-4)
@@ -433,7 +433,7 @@ def test_determinism_bit_exact_history():
 
 def test_history_csv_columns(tmp_path):
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
-    model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model0 = geometric_mean_model(problem)
     config = OptimizerConfig(dual_mode="enhanced", max_cycles=2, alpha_scale=1e-4)
     state = run_optimization(problem, model0, config)
     path = tmp_path / "history.csv"
@@ -450,7 +450,7 @@ def test_history_csv_columns(tmp_path):
 
 def test_max_cycles_zero_gives_single_estimate():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
-    model0 = geometric_mean_model(problem.coefficient, problem.hierarchy)
+    model0 = geometric_mean_model(problem)
     config = OptimizerConfig(dual_mode="enhanced", max_cycles=0, alpha_scale=1e-4)
     state = run_optimization(problem, model0, config)
     assert state.cycles == 1
@@ -495,6 +495,7 @@ def test_full_dual_is_solved_once_per_problem(monkeypatch):
     _, _, second = primal_dual(problem, constant_model(problem.hierarchy, 2.0), config)
     assert len(built) == 1
     assert second.z_global is first.z_global
+    assert first.z_global is problem.fine_solution(config.h_fine)[1]
 
 
 @pytest.mark.parametrize("dual_mode", ["enhanced", "effective"])

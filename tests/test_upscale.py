@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import coefficient_problem
 from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.upscale import (
@@ -19,7 +20,7 @@ def hierarchy(delta=0.5, h_macro=0.25, h_micro=0.0625):
 
 def test_arithmetic_constant():
     h = hierarchy()
-    model = arithmetic_mean_model(CoefficientField.constant(2.5), h)
+    model = arithmetic_mean_model(coefficient_problem(CoefficientField.constant(2.5), h))
     assert np.allclose(model.tensors, 2.5 * np.eye(2))
     assert model.provenance == "arithmetic"
 
@@ -27,27 +28,27 @@ def test_arithmetic_constant():
 def test_arithmetic_checkerboard_equal_areas():
     h = hierarchy(h_micro=0.125)
     field = CoefficientField.checkerboard(a=1.0, b=3.0, tile=0.125)
-    model = arithmetic_mean_model(field, h)
+    model = arithmetic_mean_model(coefficient_problem(field, h))
     assert np.allclose(model.tensors, 2.0 * np.eye(2))
 
 
 def test_arithmetic_laminate_equal_layers():
     h = hierarchy(h_micro=0.0625)
     field = CoefficientField.laminate(axis=0, a=1.0, b=4.0, layer_width=0.0625)
-    model = arithmetic_mean_model(field, h)
+    model = arithmetic_mean_model(coefficient_problem(field, h))
     assert np.allclose(model.tensors, 2.5 * np.eye(2))
 
 
 def test_geometric_constant():
     h = hierarchy()
-    model = geometric_mean_model(CoefficientField.constant(2.5), h)
+    model = geometric_mean_model(coefficient_problem(CoefficientField.constant(2.5), h))
     assert np.allclose(model.tensors, 2.5 * np.eye(2))
 
 
 def test_geometric_checkerboard_sqrt():
     h = hierarchy(h_micro=0.125)
     field = CoefficientField.checkerboard(a=1.0, b=4.0, tile=0.125)
-    model = geometric_mean_model(field, h)
+    model = geometric_mean_model(coefficient_problem(field, h))
     assert np.allclose(model.tensors, 2.0 * np.eye(2))
 
 
@@ -58,7 +59,7 @@ def test_geometric_lognormal_equals_pixel_mean():
     raster = gen_gaussian_raster(64, 64, 0.05, seed=13)
     gamma = 0.1
     field = CoefficientField.lognormal(raster, gamma)
-    model = geometric_mean_model(field, h)
+    model = geometric_mean_model(coefficient_problem(field, h))
     values = raster.values.astype(float)
     for k in range(h.n_sampling):
         i, j = h.sampling_grid.cell_ij(k)
@@ -72,15 +73,15 @@ def test_geometric_below_arithmetic_on_diagonal():
     h = build_hierarchy(Domain(), 0.25, 0.125, 2.0**-6)
     raster = gen_gaussian_raster(64, 64, 0.02, seed=3)
     field = CoefficientField.lognormal(raster, 0.5)
-    geo = geometric_mean_model(field, h)
-    ari = arithmetic_mean_model(field, h)
+    geo = geometric_mean_model(coefficient_problem(field, h))
+    ari = arithmetic_mean_model(coefficient_problem(field, h))
     assert np.all(geo.tensors[:, 0, 0] <= ari.tensors[:, 0, 0] * (1 + 1e-12))
     assert np.all(geo.tensors[:, 1, 1] <= ari.tensors[:, 1, 1] * (1 + 1e-12))
 
 
 def test_homogenized_constant_field():
     h = hierarchy()
-    t = homogenized_model(CoefficientField.constant(3.0), h, 0)
+    t = homogenized_model(coefficient_problem(CoefficientField.constant(3.0), h), 0)
     assert np.allclose(t, 3.0 * np.eye(2), atol=1e-12)
 
 
@@ -89,7 +90,7 @@ def test_homogenized_laminate_matches_classical_formula():
     # arithmetic along: diag(1.6, 2.5) to 1e-10
     h = build_hierarchy(Domain(), 1.0, 0.5, 0.0625)
     field = CoefficientField.laminate(axis=0, a=1.0, b=4.0, layer_width=0.125)
-    t = homogenized_model(field, h, 0)
+    t = homogenized_model(coefficient_problem(field, h), 0)
     assert np.allclose(t, np.diag([1.6, 2.5]), atol=1e-10)
 
 
@@ -97,8 +98,8 @@ def test_homogenized_bounds_for_random_field():
     h = build_hierarchy(Domain(), 0.5, 0.25, 2.0**-5)
     raster = gen_gaussian_raster(32, 32, 0.05, seed=4)
     field = CoefficientField.lognormal(raster, 1.0)
-    hom = homogenized_effective_model(field, h)
-    ari = arithmetic_mean_model(field, h)
+    hom = homogenized_effective_model(coefficient_problem(field, h))
+    ari = arithmetic_mean_model(coefficient_problem(field, h))
     centers = h.micro_grid((0, 0, 1, 1)).cell_centers
     samples = field.tensors_at(centers)[:, 0, 0]
     parents = h.sampling_grid.locate(centers, clip=True)
@@ -112,7 +113,7 @@ def test_homogenized_symmetric():
     h = build_hierarchy(Domain(), 0.5, 0.25, 2.0**-5)
     raster = gen_gaussian_raster(32, 32, 0.03, seed=6)
     field = CoefficientField.lognormal(raster, 1.0)
-    t = homogenized_model(field, h, 2)
+    t = homogenized_model(coefficient_problem(field, h), 2)
     assert abs(t[0, 1] - t[1, 0]) <= 1e-10 * np.abs(t).max()
 
 
@@ -121,13 +122,13 @@ def test_upscalers_rotation_swap():
     h = build_hierarchy(Domain(), 1.0, 0.5, 0.125)
     fx = CoefficientField.laminate(axis=0, a=1.0, b=4.0, layer_width=0.25)
     fy = CoefficientField.laminate(axis=1, a=1.0, b=4.0, layer_width=0.25)
-    tx = homogenized_model(fx, h, 0)
-    ty = homogenized_model(fy, h, 0)
+    tx = homogenized_model(coefficient_problem(fx, h), 0)
+    ty = homogenized_model(coefficient_problem(fy, h), 0)
     assert np.allclose(tx[0, 0], ty[1, 1], atol=1e-10)
     assert np.allclose(tx[1, 1], ty[0, 0], atol=1e-10)
     for builder in (arithmetic_mean_model, geometric_mean_model):
-        mx = builder(fx, h).tensors[0]
-        my = builder(fy, h).tensors[0]
+        mx = builder(coefficient_problem(fx, h)).tensors[0]
+        my = builder(coefficient_problem(fy, h)).tensors[0]
         assert np.isclose(mx[0, 0], my[1, 1])
         assert np.isclose(mx[1, 1], my[0, 0])
 
@@ -135,7 +136,7 @@ def test_upscalers_rotation_swap():
 def test_homogenized_cellwise_constant_field_is_identity_map():
     h = build_hierarchy(Domain(), 0.5, 0.25, 0.125)
     field = CoefficientField.checkerboard(a=2.0, b=7.0, tile=0.5)
-    hom = homogenized_effective_model(field, h)
+    hom = homogenized_effective_model(coefficient_problem(field, h))
     expect = [2.0, 7.0, 7.0, 2.0]
     for k in range(4):
         assert np.allclose(hom.tensors[k], expect[k] * np.eye(2), atol=1e-10)
