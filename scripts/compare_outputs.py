@@ -42,6 +42,19 @@ RUNS = (
     ("compare-duals-diffusion_tiny", "compare-duals", "diffusion_tiny", None, {}),
     ("reference-diffusion_tiny", "reference", "diffusion_tiny", None, {}),
     ("reference-advdiff_small", "reference", "advdiff_small", None, {}),
+    ("generate-field-diffusion_small", "generate-field", "diffusion_small", None, {}),
+    ("upscale-diffusion_tiny-laminate", "upscale", "diffusion_tiny", None,
+     {("field", "kind"): "laminate", ("field", "axis"): "1", ("field", "a"): "1",
+      ("field", "b"): "4", ("field", "layer_width"): "2^-5"}),
+    ("upscale-diffusion_tiny-checkerboard", "upscale", "diffusion_tiny", None,
+     {("field", "kind"): "checkerboard", ("field", "a"): "1", ("field", "b"): "4",
+      ("field", "tile"): "2^-3"}),
+    ("estimate-diffusion_tiny-point_value", "estimate", "diffusion_tiny", None,
+     {("functional", "kind"): "point_value", ("functional", "x0"): "0.3 0.6"}),
+    ("estimate-advdiff_small-unconfined", "estimate", "advdiff_small", None,
+     {("advection", "confine_to_sampling_cells"): "no"}),
+    ("estimate-advdiff_small-advection_off", "estimate", "advdiff_small", None,
+     {("advection", "enabled"): "no"}),
 ) + tuple(
     (f"upscale-{config}-{upscaler}", "upscale", config, None,
      {("initial_model", "upscaler"): upscaler})

@@ -72,34 +72,48 @@ def parse_quantity(text):
     return value
 
 
-def parse_positive(text, what):
+def parse_positive(text):
     """Parse a quantity that must be positive."""
     value = parse_quantity(text)
     if not value > 0.0:
-        raise ConfigurationError(f"{what} must be positive, got '{text}'")
+        raise ConfigurationError(f"'{text}' is not positive")
     return value
 
 
-def parse_pair(text, what):
+def parse_pair(text):
     """Parse two quantities 'X Y', such as a point or an extent."""
     values = tuple(parse_quantity(t) for t in text.split())
     if len(values) != 2:
-        raise ConfigurationError(f"{what} must be two numbers 'X Y', got '{text}'")
+        raise ConfigurationError(f"'{text}' is not two numbers 'X Y'")
     return values
 
 
-def parse_integer(text):
-    """Parse an integer like '3' or '-2'."""
+def parse_integer(text, minimum=None):
+    """Parse an integer like '3' or '-2', at least ``minimum`` if given."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse integer '{text}'") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"integer '{text}' is below {minimum}")
+    return value
+
+
+def parse_seed(text):
+    """Parse a random seed: an integer >= 0."""
+    return parse_integer(text, 0)
+
+
+def parse_count(text):
+    """Parse a size: an integer >= 1."""
+    return parse_integer(text, 1)
 
 
 @dataclass
 class ExperimentConfig:
     """Sectioned key-value configuration; the raw strings round-trip exactly
-    through :meth:`to_ini_text` / :meth:`from_ini_text`."""
+    through :meth:`to_ini_text` / :meth:`from_ini_text`; :func:`read_config`
+    parses them."""
 
     sections: dict = dc_field(default_factory=dict)
 
@@ -129,196 +143,257 @@ class ExperimentConfig:
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def require(self, section, key):
-        value = self.get(section, key)
-        if value is None:
-            raise ConfigurationError(f"missing config entry [{section}] {key}")
-        return value
-
     def set(self, section, key, value):
         self.sections.setdefault(section, {})[key] = str(value)
 
-    def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and self.sections == other.sections
+
+# ---------------------------------------------------------------------------
+# the key table
+
+
+_BOOLEANS = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+
+
+def parse_bool(text):
+    """Parse yes/no, true/false or 1/0, in any case."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ConfigurationError(f"'{text}' is not yes/no, true/false or 1/0") from None
+
+
+def _choice(*names):
+    """A parser that accepts exactly one of ``names``."""
+
+    def parse_name(text):
+        if text not in names:
+            raise ConfigurationError(f"'{text}' is not one of {' | '.join(names)}")
+        return text
+
+    return parse_name
+
+
+def parse_side(text):
+    """'gamma_d split 1.0 gamma_c' -> ((gamma_d, 1.0), (gamma_c, None))."""
+    tokens = text.split()
+    if len(tokens) % 3 != 1 or any(word != "split" for word in tokens[1::3]):
+        raise ConfigurationError(f"'{text}' is not 'marker [split COORD marker]...'")
+    return tuple(zip(tokens[::3], [parse_quantity(t) for t in tokens[2::3]] + [None]))
+
+
+def parse_neumann(text):
+    """'marker:flux, marker:flux' -> ((marker, flux), ...)."""
+    items = [item.split(":") for item in text.split(",") if item.strip()]
+    if any(len(item) != 2 for item in items):
+        raise ConfigurationError(f"'{text}' is not 'marker:flux, marker:flux...'")
+    return tuple((marker.strip(), parse_quantity(flux)) for marker, flux in items)
+
+
+def parse_alpha(text):
+    """'auto' (None) or a quantity."""
+    return None if text == "auto" else parse_quantity(text)
+
+
+_UPSCALERS = {
+    "geometric": geometric_mean_model,
+    "arithmetic": arithmetic_mean_model,
+    "homogenized": homogenized_effective_model,
+}
+REQUIRED = object()
+_REQUIRED_QUANTITY = (parse_quantity, REQUIRED)
+
+# Every config entry: section -> key -> (parser, default or REQUIRED).  A
+# default is a parsed value; None means `h` for `fine` and the side's own
+# name for a side.  A range that a library constructor checks is checked
+# there, not here: the spacing ratios, OptimizerConfig.validate, the field
+# constructors and the boundary markers.
+KEYS = {
+    "domain": {
+        "origin": (parse_pair, (0.0, 0.0)),
+        "extent": (parse_pair, (1.0, 1.0)),
+        **dict.fromkeys(SIDES, (parse_side, None)),
+    },
+    "mesh": {
+        **dict.fromkeys(("delta", "H", "h"), _REQUIRED_QUANTITY),
+        "fine": (parse_quantity, None),
+        "dof_cap": (parse_count, 500_000),
+    },
+    "field": {
+        "kind": (_choice("constant", "laminate", "checkerboard", "lognormal", "raster"),
+                 "constant"),
+        "seed": (parse_seed, 0),
+        "gamma": (parse_quantity, 1.0),
+        "axis": (parse_integer, 0),
+        **dict.fromkeys(("a", "b", "layer_width", "tile", "corr_len"), _REQUIRED_QUANTITY),
+        **dict.fromkeys(("nx", "ny"), (parse_integer, REQUIRED)),
+        "path": (str, REQUIRED),
+    },
+    "advection": {
+        **dict.fromkeys(("enabled", "confine_to_sampling_cells"), (parse_bool, True)),
+        "seed": (parse_seed, 0),
+        "taper_width": (parse_quantity, 0.125),
+        "eddy_nx": (parse_count, 17),
+        "eddy_ny": (parse_count, 33),
+        "eddy_corr_px": (parse_quantity, 2.0),
+        "eddy_max": (parse_quantity, 100.0),
+        "drift_nx": (parse_count, 9),
+        "drift_ny": (parse_count, 17),
+        "drift_corr_px": (parse_quantity, 1.0),
+        "drift_max": (parse_quantity, 0.0),
+    },
+    "functional": {
+        "kind": (_choice("domain_integral", "point_value", "boundary_integral"),
+                 "domain_integral"),
+        "x0": (parse_pair, REQUIRED),
+        "marker": (str, REQUIRED),
+    },
+    "problem": {
+        "source": (parse_quantity, 0.0),
+        "dirichlet": (lambda text: tuple(text.split()), SIDES),
+        "neumann": (parse_neumann, ()),
+        "reference": (parse_bool, False),
+    },
+    "initial_model": {
+        "upscaler": (_choice(*_UPSCALERS, "constant"), "geometric"),
+        "scale": (parse_positive, 1.0),
+        "value": (parse_positive, REQUIRED),
+    },
+    "optimizer": {
+        "alpha": (parse_alpha, None),
+        "alpha_scale": (parse_quantity, 1e-4),
+        "lambda_factor": (parse_quantity, 1.0),
+        "jacobian": (str, "patch"),
+        "dual": (str, "enhanced"),
+        "depth": (parse_integer, 1),
+        "max_cycles": (parse_integer, 15),
+        "stop_fraction": (parse_quantity, 0.05),
+    },
+}
+
+
+class Entries(dict):
+    """The parsed entries of one section.  ``given`` tells whether the
+    config has the section.  Reading an entry the config lacks gives its
+    default, or raises ConfigurationError for a required one."""
+
+    def __init__(self, section, given):
+        super().__init__()
+        self.section, self.given = section, given
+
+    def __missing__(self, key):
+        default = KEYS[self.section][key][1]
+        if default is REQUIRED:
+            raise ConfigurationError(f"missing config entry [{self.section}] {key}")
+        return default
+
+
+def read_config(cfg):
+    """Every entry of ``cfg`` parsed through :data:`KEYS`, as
+    ``{section: Entries}``.  An unknown section or key, or a value its
+    parser rejects, raises ConfigurationError naming ``[section] key``."""
+    settings = {section: Entries(section, section in cfg.sections) for section in KEYS}
+    for section, given in cfg.sections.items():
+        if section not in KEYS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        for key, text in given.items():
+            if key not in KEYS[section]:
+                raise ConfigurationError(f"unknown config entry [{section}] {key}")
+            try:
+                settings[section][key] = KEYS[section][key][0](text)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
+    return settings
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each reads the parsed settings of :func:`read_config`
 
 
-def _parse_side_spec(text):
-    """'gamma_d split 1.0 gamma_c' -> ((gamma_d, 1.0), (gamma_c, None))."""
-    tokens = text.split()
-    segments = []
-    idx = 0
-    while idx < len(tokens):
-        marker = tokens[idx]
-        if idx + 2 < len(tokens) and tokens[idx + 1] == "split":
-            segments.append((marker, parse_quantity(tokens[idx + 2])))
-            idx += 3
-        else:
-            segments.append((marker, None))
-            idx += 1
-    return tuple(segments)
+def build_domain(settings):
+    d = settings["domain"]
+    boundary = {side: d[side] or ((side, None),) for side in SIDES}
+    return Domain(origin=d["origin"], extent=d["extent"], boundary=boundary)
 
 
-def build_domain(cfg):
-    origin = parse_pair(cfg.get("domain", "origin", "0 0"), "[domain] origin")
-    extent = parse_pair(cfg.get("domain", "extent", "1 1"), "[domain] extent")
-    boundary = {}
-    for side in SIDES:
-        spec = cfg.get("domain", side)
-        boundary[side] = _parse_side_spec(spec) if spec else ((side, None),)
-    return Domain(origin=origin, extent=extent, boundary=boundary)
+def build_field(settings, domain, seed_override=None):
+    f = settings["field"]
+    box = dict(origin=domain.origin, size=domain.extent)
+    if f["kind"] == "constant":
+        return CoefficientField.constant(f["gamma"]), None
+    if f["kind"] == "laminate":
+        return CoefficientField.laminate(f["axis"], f["a"], f["b"], f["layer_width"]), None
+    if f["kind"] == "checkerboard":
+        return CoefficientField.checkerboard(f["a"], f["b"], f["tile"]), None
+    if f["kind"] == "lognormal":
+        seed = f["seed"] if seed_override is None else seed_override
+        raster = gen_gaussian_raster(f["nx"], f["ny"], f["corr_len"], seed, **box)
+    else:
+        raster = RasterField.from_pgm(f["path"], **box)
+    return CoefficientField.lognormal(raster, f["gamma"]), raster
 
 
-def build_field(cfg, domain, seed_override=None):
-    kind = cfg.get("field", "kind", "constant")
-    seed = parse_integer(cfg.get("field", "seed", "0")) if seed_override is None else seed_override
-    if kind == "constant":
-        return CoefficientField.constant(parse_quantity(cfg.get("field", "gamma", "1.0"))), None
-    if kind == "laminate":
-        return (
-            CoefficientField.laminate(
-                axis=parse_integer(cfg.get("field", "axis", "0")),
-                a=parse_quantity(cfg.require("field", "a")),
-                b=parse_quantity(cfg.require("field", "b")),
-                layer_width=parse_quantity(cfg.require("field", "layer_width")),
-            ),
-            None,
-        )
-    if kind == "checkerboard":
-        return (
-            CoefficientField.checkerboard(
-                a=parse_quantity(cfg.require("field", "a")),
-                b=parse_quantity(cfg.require("field", "b")),
-                tile=parse_quantity(cfg.require("field", "tile")),
-            ),
-            None,
-        )
-    if kind == "lognormal":
-        raster = gen_gaussian_raster(
-            parse_integer(cfg.require("field", "nx")),
-            parse_integer(cfg.require("field", "ny")),
-            parse_quantity(cfg.require("field", "corr_len")),
-            seed=seed,
-            origin=domain.origin,
-            size=domain.extent,
-        )
-        gamma = parse_quantity(cfg.get("field", "gamma", "1.0"))
-        return CoefficientField.lognormal(raster, gamma), raster
-    if kind == "raster":
-        raster = RasterField.from_pgm(
-            cfg.require("field", "path"), origin=domain.origin, size=domain.extent
-        )
-        gamma = parse_quantity(cfg.get("field", "gamma", "1.0"))
-        return CoefficientField.lognormal(raster, gamma), raster
-    raise ConfigurationError(f"unknown field kind '{kind}'")
+def _stream_field(adv, part, seed, domain, fd_step, cell_size):
+    """The stream field of ``part`` ('eddy' or 'drift'), scaled to the max
+    |b| of ``[advection] <part>_max``."""
+    noise = correlated_noise(adv[f"{part}_nx"], adv[f"{part}_ny"], adv[f"{part}_corr_px"], seed)
+    psi = RasterField(noise, origin=domain.origin, size=domain.extent)
+    taper = adv["taper_width"]
+    raw = stream_advection(psi, 1.0, taper, fd_step=fd_step, cell_size=cell_size)
+    scale = adv[f"{part}_max"] / raw.max_magnitude()
+    return stream_advection(psi, scale, taper, fd_step=fd_step, cell_size=cell_size)
 
 
-def build_advection(cfg, domain, hierarchy, seed_override=None):
-    if "advection" not in cfg.sections:
+def build_advection(settings, domain, hierarchy, seed_override=None):
+    adv = settings["advection"]
+    if not adv.given or not adv["enabled"]:
         return None
-    adv = cfg.sections["advection"]
-    if adv.get("enabled", "yes").lower() in ("no", "false", "0"):
-        return None
-    seed = parse_integer(adv.get("seed", "0")) if seed_override is None else seed_override
+    seed = adv["seed"] if seed_override is None else seed_override
     fd_step = 0.5 * hierarchy.h_micro
-    taper = parse_quantity(adv.get("taper_width", "0.125"))
-    confine = adv.get("confine_to_sampling_cells", "yes").lower() not in ("no", "false", "0")
-    cell = hierarchy.delta if confine else None
-
-    psi = RasterField(
-        values=correlated_noise(
-            parse_integer(adv.get("eddy_nx", "17")),
-            parse_integer(adv.get("eddy_ny", "33")),
-            parse_quantity(adv.get("eddy_corr_px", "2.0")),
-            seed=seed,
-        ),
-        origin=domain.origin,
-        size=domain.extent,
-    )
-    target = parse_quantity(adv.get("eddy_max", "100.0"))
-    raw = stream_advection(psi, 1.0, taper, fd_step=fd_step, cell_size=cell)
-    scale = target / raw.max_magnitude()
-    eddies = stream_advection(psi, scale, taper, fd_step=fd_step, cell_size=cell)
-
-    drift_max = parse_quantity(adv.get("drift_max", "0.0"))
-    if drift_max <= 0.0:
+    cell = hierarchy.delta if adv["confine_to_sampling_cells"] else None
+    eddies = _stream_field(adv, "eddy", seed, domain, fd_step, cell)
+    if adv["drift_max"] <= 0.0:
         return eddies
-    psi_lo = RasterField(
-        values=correlated_noise(
-            parse_integer(adv.get("drift_nx", "9")),
-            parse_integer(adv.get("drift_ny", "17")),
-            parse_quantity(adv.get("drift_corr_px", "1.0")),
-            seed=seed + 1,
-        ),
-        origin=domain.origin,
-        size=domain.extent,
-    )
-    raw_drift = stream_advection(psi_lo, 1.0, taper, fd_step=fd_step)
-    dscale = drift_max / raw_drift.max_magnitude()
-    return SumAdvection(stream_advection(psi_lo, dscale, taper, fd_step=fd_step), eddies)
+    return SumAdvection(_stream_field(adv, "drift", seed + 1, domain, fd_step, None), eddies)
 
 
-def build_functional(cfg):
-    kind = cfg.get("functional", "kind", "domain_integral")
-    if kind == "domain_integral":
-        return Functional.domain_integral()
-    if kind == "point_value":
-        x0 = parse_pair(cfg.require("functional", "x0"), "[functional] x0")
-        return Functional.point_value(x0)
-    if kind == "boundary_integral":
-        return Functional.boundary_integral(cfg.require("functional", "marker"))
-    raise ConfigurationError(f"unknown functional kind '{kind}'")
+def build_functional(settings):
+    fn = settings["functional"]
+    if fn["kind"] == "point_value":
+        return Functional.point_value(fn["x0"])
+    if fn["kind"] == "boundary_integral":
+        return Functional.boundary_integral(fn["marker"])
+    return Functional.domain_integral()
 
 
-def build_problem(cfg, seed_override=None):
-    domain = build_domain(cfg)
-    hierarchy = build_hierarchy(
-        domain,
-        parse_quantity(cfg.require("mesh", "delta")),
-        parse_quantity(cfg.require("mesh", "H")),
-        parse_quantity(cfg.require("mesh", "h")),
-    )
-    coeff, raster = build_field(cfg, domain, seed_override)
-    b_eps = build_advection(cfg, domain, hierarchy, seed_override)
-    neumann = []
-    for item in cfg.get("problem", "neumann", "").split(","):
-        item = item.strip()
-        if item:
-            marker, colon, value = item.partition(":")
-            if not colon:
-                raise ConfigurationError(f"[problem] neumann item '{item}' is not marker:flux")
-            neumann.append((marker.strip(), parse_quantity(value)))
-    dirichlet = tuple(cfg.get("problem", "dirichlet", "left right bottom top").split())
+def build_problem(settings, seed_override=None):
+    domain = build_domain(settings)
+    mesh, p = settings["mesh"], settings["problem"]
+    hierarchy = build_hierarchy(domain, mesh["delta"], mesh["H"], mesh["h"])
+    coeff, raster = build_field(settings, domain, seed_override)
     problem = Problem(
         hierarchy=hierarchy,
         coefficient=coeff,
-        functional=build_functional(cfg),
-        advection=b_eps,
-        source=parse_quantity(cfg.get("problem", "source", "0.0")),
-        neumann=tuple(neumann),
-        dirichlet=dirichlet,
+        functional=build_functional(settings),
+        advection=build_advection(settings, domain, hierarchy, seed_override),
+        source=p["source"],
+        neumann=p["neumann"],
+        dirichlet=p["dirichlet"],
     )
     return problem, raster
 
 
 def build_initial_model(cfg, problem):
-    upscaler = cfg.get("initial_model", "upscaler", "geometric")
-    scale = parse_positive(cfg.get("initial_model", "scale", "1.0"), "[initial_model] scale")
-    hierarchy = problem.hierarchy
-    if upscaler == "geometric":
-        model = geometric_mean_model(problem)
-    elif upscaler == "arithmetic":
-        model = arithmetic_mean_model(problem)
-    elif upscaler == "homogenized":
-        model = homogenized_effective_model(problem)
-    elif upscaler == "constant":
-        value = parse_positive(cfg.require("initial_model", "value"), "[initial_model] value")
-        model = constant_model(hierarchy, value)
+    """The initial model of the ``[initial_model]`` entries of ``cfg``.  An
+    upscaler that reads the micro fine data checks its grid against
+    ``[mesh] dof_cap`` first."""
+    settings = read_config(cfg)
+    m, hierarchy = settings["initial_model"], problem.hierarchy
+    if m["upscaler"] == "constant":
+        model = constant_model(hierarchy, m["value"])
     else:
-        raise ConfigurationError(f"unknown upscaler '{upscaler}'")
+        check_fine_grid(hierarchy, hierarchy.h_micro, settings["mesh"]["dof_cap"], "the upscaler")
+        model = _UPSCALERS[m["upscaler"]](problem)
+    scale = m["scale"]
     if scale != 1.0:
         with np.errstate(over="ignore"):
             tensors = scale * model.tensors
@@ -328,30 +403,18 @@ def build_initial_model(cfg, problem):
     return model
 
 
-def _fine_h(cfg):
-    """Reference and full-dual mesh size: ``[mesh] fine``, else ``h``.  It
-    must divide ``h``, which is checked here, before anything is sampled or
-    written."""
-    h = cfg.require("mesh", "h")
-    fine = parse_quantity(cfg.get("mesh", "fine", h))
-    _exact_ratio(parse_quantity(h), fine, "[mesh] h / fine")
-    return fine
+_OPTIMIZER_FIELDS = {"jacobian": "jacobian_mode", "dual": "dual_mode"}
 
 
-def build_optimizer_config(cfg):
-    alpha_raw = cfg.get("optimizer", "alpha", "auto")
-    alpha = None if alpha_raw == "auto" else parse_quantity(alpha_raw)
-    config = OptimizerConfig(
-        alpha=alpha,
-        alpha_scale=parse_quantity(cfg.get("optimizer", "alpha_scale", "1e-4")),
-        lambda_factor=parse_quantity(cfg.get("optimizer", "lambda_factor", "1.0")),
-        jacobian_mode=cfg.get("optimizer", "jacobian", "patch"),
-        dual_mode=cfg.get("optimizer", "dual", "enhanced"),
-        depth=parse_integer(cfg.get("optimizer", "depth", "1")),
-        max_cycles=parse_integer(cfg.get("optimizer", "max_cycles", "15")),
-        stop_fraction=parse_quantity(cfg.get("optimizer", "stop_fraction", "0.05")),
-        h_fine=_fine_h(cfg),
-    )
+def build_optimizer_config(settings):
+    """Optimizer settings; ``h_fine`` is ``[mesh] fine``, else ``h``, and must
+    divide ``h``, which is checked before anything is sampled or written."""
+    mesh = settings["mesh"]
+    h_fine = mesh["h"] if mesh["fine"] is None else mesh["fine"]
+    _exact_ratio(mesh["h"], h_fine, "[mesh] h / fine")
+    o = settings["optimizer"]
+    fields = {_OPTIMIZER_FIELDS.get(key, key): o[key] for key in KEYS["optimizer"]}
+    config = OptimizerConfig(h_fine=h_fine, **fields)
     config.validate()
     return config
 
@@ -360,15 +423,21 @@ def build_optimizer_config(cfg):
 # reference solve
 
 
+def check_fine_grid(hierarchy, h, dof_cap, what):
+    """Refuse ``what`` before it samples or solves anything on the global
+    grid of spacing ``h`` when that grid has more than ``dof_cap`` nodes."""
+    n_fine = hierarchy.fine_grid(h).n_nodes
+    if n_fine > dof_cap:
+        raise ResourceCapError(
+            f"{what} needs {n_fine} fine-grid nodes, above the cap of {dof_cap}; "
+            "raise [mesh] dof_cap to allow it"
+        )
+
+
 def oracle_reference(problem, h_fine, dof_cap=500_000, raster=None):
     """Single global fine-scale solve: the brute-force oracle behind every
     effectivity and error column."""
-    grid = problem.hierarchy.fine_grid(h_fine)
-    if grid.n_nodes > dof_cap:
-        raise ResourceCapError(
-            f"reference mesh with {grid.n_nodes} dofs exceeds the cap of {dof_cap}; "
-            "raise [mesh] dof_cap to allow it"
-        )
+    check_fine_grid(problem.hierarchy, h_fine, dof_cap, "the reference solve")
     if raster is not None and h_fine > min(raster.pixel_size) * (1 + 1e-12):
         raise ConfigurationError(
             f"reference mesh size {h_fine} is coarser than the raster pixel "
@@ -451,10 +520,6 @@ class _Phases:
         self.times[self._name] = time.perf_counter() - self._t0
 
 
-def _dof_cap(cfg):
-    return parse_integer(cfg.get("mesh", "dof_cap", "500000"))
-
-
 def _write_b_delta(path, hierarchy, b_delta):
     grid = hierarchy.sampling_grid
     with open(path, "w", newline="\n") as fh:
@@ -490,20 +555,16 @@ def build_scenario(cfg, seed_override=None, dual_modes=None):
     data the indicator sweep slices (the micro grid; for the full dual the
     ``h_fine`` grid of its solve) is checked against ``[mesh] dof_cap``
     before any fine data is sampled or fine space built."""
-    problem, raster = build_problem(cfg, seed_override)
-    config = build_optimizer_config(cfg)
-    dof_cap = _dof_cap(cfg)
+    settings = read_config(cfg)
+    problem, raster = build_problem(settings, seed_override)
+    config = build_optimizer_config(settings)
+    dof_cap = settings["mesh"]["dof_cap"]
     hierarchy = problem.hierarchy
     for mode in dual_modes or (config.dual_mode,):
         h = config.h_fine if mode == "full" else hierarchy.h_micro
-        n_fine = hierarchy.fine_grid(h).n_nodes
-        if n_fine > dof_cap:
-            raise ResourceCapError(
-                f"{mode} dual needs fine data on {n_fine} nodes, above the cap {dof_cap}"
-            )
+        check_fine_grid(hierarchy, h, dof_cap, f"the {mode} dual")
     model0 = build_initial_model(cfg, problem)
-    reference = cfg.get("problem", "reference", "no").lower() in ("yes", "true", "1")
-    return Scenario(problem, raster, model0, config, dof_cap, reference)
+    return Scenario(problem, raster, model0, config, dof_cap, settings["problem"]["reference"])
 
 
 def run_scenario(cfg, outdir, seed_override=None):
@@ -622,8 +683,8 @@ def compare_duals(cfg, outdir, seed_override=None):
 def _cmd_generate_field(cfg, outdir, seed):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    domain = build_domain(cfg)
-    _, raster = build_field(cfg, domain, seed)
+    settings = read_config(cfg)
+    _, raster = build_field(settings, build_domain(settings), seed)
     if raster is None:
         raise ConfigurationError("the configured field kind has no raster to export")
     raster.to_pgm(out / "field.pgm")
@@ -634,7 +695,7 @@ def _cmd_generate_field(cfg, outdir, seed):
 def _cmd_upscale(cfg, outdir, seed):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, _ = build_problem(cfg, seed)
+    problem, _ = build_problem(read_config(cfg), seed)
     model = build_initial_model(cfg, problem)
     model.to_csv(out / "model_initial.csv")
     print(f"wrote {out / 'model_initial.csv'} ({model.provenance})")
@@ -644,8 +705,10 @@ def _cmd_upscale(cfg, outdir, seed):
 def _cmd_reference(cfg, outdir, seed):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    problem, raster = build_problem(cfg, seed)
-    u_ref, j_ref = oracle_reference(problem, _fine_h(cfg), _dof_cap(cfg), raster)
+    settings = read_config(cfg)
+    problem, raster = build_problem(settings, seed)
+    h_fine = build_optimizer_config(settings).h_fine
+    u_ref, j_ref = oracle_reference(problem, h_fine, settings["mesh"]["dof_cap"], raster)
     u_ref.to_csv(out / "reference.csv")
     u_ref.to_vtk(out / "reference.vtk")
     (out / "reference_qoi.txt").write_text(f"{j_ref:.17g}\n", newline="\n")
@@ -708,7 +771,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("config", help="INI configuration file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=parse_seed, default=None, help="override the config seed")
     args = parser.parse_args(argv)
     try:
         cfg = ExperimentConfig.from_ini(args.config)

@@ -179,8 +179,7 @@ class FeSpace:
         marker that exists on the domain but does not touch this space's grid
         (a patch restriction) yields an empty match.
         """
-        if marker not in self.domain.markers():
-            raise ConfigurationError(f"unknown boundary marker '{marker}'")
+        self.domain.check_marker(marker)
         g = self.grid
         pairs, lengths = [], []
         for side in SIDES:
@@ -506,7 +505,7 @@ class Problem:
     advection-diffusion setting), ``advection`` the optional fine-scale
     divergence-free field.  ``neumann`` lists (marker, flux) pairs entering
     the load functional; ``dirichlet`` the markers carrying (homogeneous)
-    Dirichlet conditions.
+    Dirichlet conditions: at least one, each a marker of the domain.
 
     The problem is the one place that keeps what every cycle reads: the
     macro and global fine spaces, the fine data and the fine solution per
@@ -524,6 +523,12 @@ class Problem:
     _fine: dict = dc_field(default_factory=dict, repr=False)
     _fine_solutions: dict = dc_field(default_factory=dict, repr=False)
     _b_delta: object = dc_field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not self.dirichlet:
+            raise ConfigurationError("the problem needs at least one Dirichlet marker")
+        for marker in self.dirichlet:
+            self.hierarchy.domain.check_marker(marker)
 
     @property
     def is_advective(self):

@@ -110,6 +110,10 @@ class Domain:
                     out.append(marker)
         return tuple(out)
 
+    def check_marker(self, marker):
+        if marker not in self.markers():
+            raise ConfigurationError(f"unknown boundary marker '{marker}'")
+
     def contains(self, points, tol=_TOL):
         p = np.atleast_2d(np.asarray(points, dtype=float))
         sx = tol * max(self.extent)

@@ -15,6 +15,7 @@ from dwropt.cli import (
     main,
     oracle_reference,
     parse_quantity,
+    read_config,
     run_scenario,
 )
 from dwropt.errors import ConfigurationError, ResourceCapError
@@ -66,9 +67,6 @@ dual = enhanced
 depth = 1
 max_cycles = 6
 stop_fraction = 0.05
-
-[output]
-dir = out
 """
 
 
@@ -175,19 +173,19 @@ bottom = gamma_e
 top = gamma_b
 """
     )
-    dom = build_domain(cfg)
+    dom = build_domain(read_config(cfg))
     assert dom.marker_of("left", 0.25) == "gamma_d"
     assert dom.marker_of("left", 1.25) == "gamma_c"
 
 
 def test_build_problem_and_model():
     cfg = tiny_config()
-    problem, raster = build_problem(cfg)
+    problem, raster = build_problem(read_config(cfg))
     assert problem.hierarchy.n_sampling == 16
     assert raster is not None
     model = build_initial_model(cfg, problem)
     assert model.provenance.startswith("geometric")
-    opt = build_optimizer_config(cfg)
+    opt = build_optimizer_config(read_config(cfg))
     assert opt.dual_mode == "enhanced"
     assert opt.h_fine == 2.0**-5
 
@@ -243,15 +241,13 @@ def test_oracle_constant_coefficient_matches_effective():
 
 
 def test_oracle_dof_cap():
-    cfg = tiny_config()
-    problem, raster = build_problem(cfg)
+    problem, raster = build_problem(read_config(tiny_config()))
     with pytest.raises(ResourceCapError):
         oracle_reference(problem, 2.0**-5, dof_cap=100)
 
 
 def test_oracle_refuses_under_resolved_raster():
-    cfg = tiny_config()
-    problem, raster = build_problem(cfg)
+    problem, raster = build_problem(read_config(tiny_config()))
     with pytest.raises(ConfigurationError, match="coarser than the raster"):
         oracle_reference(problem, 2.0**-4, raster=raster)
 
@@ -341,17 +337,105 @@ def test_compare_duals_lognormal_same_order(tmp_path):
         ("scale = 1.35", "scale = -1"),
         ("upscaler = geometric", "upscaler = constant\nvalue = 0"),
         ("upscaler = geometric", "upscaler = constant\nvalue = -1"),
+        ("dirichlet = left right bottom top", "dirichlet = gamma_x"),
+        ("dirichlet = left right bottom top", "dirichlet ="),
     ],
     ids=["max_cycles", "max_cycles_negative", "depth", "depth_fraction", "dof_cap", "seed",
          "neumann_without_flux", "fine_zero", "H_zero", "h_zero", "delta_zero", "extent_one",
          "extent_three", "origin_one", "x0_one", "x0_three", "scale_zero", "scale_negative",
-         "value_zero", "value_negative"],
+         "value_zero", "value_negative", "dirichlet_unknown", "dirichlet_empty"],
 )
 def test_malformed_entry_exits_as_configuration_error(tmp_path, old, new):
     assert TINY.count(old) == 1
     cfg_path = tmp_path / "tiny.ini"
     cfg_path.write_text(TINY.replace(old, new))
     assert main(["estimate", str(cfg_path), "--out", str(tmp_path / "e")]) == 2
+
+
+BASES = {"TINY": TINY, "ADVECTIVE": ADVECTIVE}
+
+
+def _entry_cases():
+    """(base, section, key, value) for every entry of the key table: each
+    junk value, and the entry removed (None) when it is required and the
+    base config has it.  The [advection] entries, and entries that only
+    ADVECTIVE sets (its sides, functional marker, Neumann data and constant
+    upscaler value), vary ADVECTIVE; all others vary TINY."""
+    bases = {name: ExperimentConfig.from_ini_text(text) for name, text in BASES.items()}
+    for section, keys in cli.KEYS.items():
+        for key, (_, default) in keys.items():
+            has = {name: key in cfg.sections.get(section, {}) for name, cfg in bases.items()}
+            only_advective = has["ADVECTIVE"] and not has["TINY"]
+            base = "ADVECTIVE" if section == "advection" or only_advective else "TINY"
+            values = ("", "x", "0", "-1", "nan")
+            if default is cli.REQUIRED and has[base]:
+                values += (None,)
+            for value in values:
+                label = "missing" if value is None else value or "empty"
+                yield pytest.param(base, section, key, value, id=f"{base}-{section}-{key}-{label}")
+
+
+@pytest.mark.parametrize("base, section, key, value", _entry_cases())
+def test_every_config_entry_exits_0_or_2(tmp_path, base, section, key, value):
+    # whatever an entry holds, estimate succeeds or exits as a configuration
+    # error before writing a file; it never ends in an uncaught exception
+    cfg = ExperimentConfig.from_ini_text(BASES[base])
+    cfg.set("problem", "reference", "no")
+    if value is None:
+        del cfg.sections[section][key]
+    else:
+        cfg.set(section, key, value)
+    cfg_path = tmp_path / "entry.ini"
+    cfg_path.write_text(cfg.to_ini_text())
+    out = tmp_path / "o"
+    code = main(["estimate", str(cfg_path), "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "config, old, new",
+    [
+        ("diffusion_tiny", "max_cycles = 15", "max_cycle = 1"),
+        ("diffusion_tiny", "[optimizer]", "[optimiser]"),
+        ("diffusion_tiny", "reference = yes", "reference = on"),
+        ("diffusion_tiny", "seed = 7", "seed = 7\ntile = x"),
+        ("advdiff_small", "dirichlet = gamma_d", "dirichlet = gamma_x"),
+    ],
+    ids=["misspelled_key", "unknown_section", "reference_on", "tile", "dirichlet_unknown"],
+)
+def test_shipped_config_error_exits_before_writing(tmp_path, config, old, new):
+    text = (CONFIGS / f"{config}.ini").read_text()
+    assert text.count(old) == 1
+    cfg_path = tmp_path / "edited.ini"
+    cfg_path.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["optimize", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_negative_seed_option_exits_2(tmp_path):
+    cfg_path = tmp_path / "tiny.ini"
+    cfg_path.write_text(TINY)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", str(cfg_path), "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_readme_grammar_lists_every_table_key():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("## Configuration grammar", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = listed.setdefault(line.strip("[]"), set())
+        elif line:
+            section.add(line.split("=", 1)[0].strip())
+    assert listed == {section: set(keys) for section, keys in cli.KEYS.items()}
 
 
 def test_cli_exit_codes(tmp_path):
@@ -387,7 +471,7 @@ def test_full_dual_dof_cap_exit_code(tmp_path, monkeypatch, command):
     assert main([command, str(capped), "--out", str(tmp_path / "o")]) == 4
 
 
-@pytest.mark.parametrize("command", ["estimate", "optimize"])
+@pytest.mark.parametrize("command", ["estimate", "optimize", "upscale"])
 def test_micro_grid_dof_cap_exit_code(tmp_path, monkeypatch, command):
     # the enhanced dual slices its fine data from the global micro grid: its
     # 1089 nodes exceed the cap of 500 (the 289 macro nodes do not), and the
@@ -550,7 +634,7 @@ def test_advective_model_csv_round_trip(tmp_path):
     # b_delta is problem data: the model_initial.csv of an advective run reads
     # back to the effective problem of the model that was written
     cfg = ExperimentConfig.from_ini_text(ADVECTIVE)
-    problem, _ = build_problem(cfg)
+    problem, _ = build_problem(read_config(cfg))
     model = build_initial_model(cfg, problem)
     path = tmp_path / "model_initial.csv"
     model.to_csv(path)
@@ -567,8 +651,8 @@ def test_run_samples_fine_advection_once(tmp_path, monkeypatch):
     calls, built = [], []
     build = cli.build_problem
 
-    def counting_build(cfg, seed_override=None):
-        problem, raster = build(cfg, seed_override)
+    def counting_build(settings, seed_override=None):
+        problem, raster = build(settings, seed_override)
         built.append(problem)
         sample = problem.advection.values_at
 
@@ -668,5 +752,6 @@ def test_shipped_configs_parse():
         "paper_scale_diffusion.ini",
     ):
         cfg = ExperimentConfig.from_ini(pathlib.Path("configs") / name)
-        build_domain(cfg)
-        build_optimizer_config(cfg)
+        settings = read_config(cfg)
+        build_domain(settings)
+        build_optimizer_config(settings)

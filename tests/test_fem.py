@@ -7,6 +7,7 @@ from dwropt.fem import (
     DiscreteField,
     FeSpace,
     Functional,
+    Problem,
     SparseOperator,
     apply_functional,
     assemble_advection,
@@ -139,6 +140,21 @@ def test_rhs_unknown_marker_rejected():
     space = unit_space(4)
     with pytest.raises(ConfigurationError, match="unknown boundary marker"):
         assemble_rhs(space, 0.0, (("gamma_x", 1.0),))
+
+
+@pytest.mark.parametrize(
+    "dirichlet, message",
+    [(("left", "gamma_x"), "unknown boundary marker 'gamma_x'"), ((), "at least one Dirichlet")],
+)
+def test_problem_rejects_unknown_or_no_dirichlet_marker(dirichlet, message):
+    # without a Dirichlet node the diffusion problem is singular
+    with pytest.raises(ConfigurationError, match=message):
+        Problem(
+            hierarchy=build_hierarchy(Domain(), 0.5, 0.25, 0.125),
+            coefficient=CoefficientField.constant(1.0),
+            functional=Functional.domain_integral(),
+            dirichlet=dirichlet,
+        )
 
 
 def test_solve_identity_operator():
