@@ -36,16 +36,23 @@ TRACED = (
     "field.advection.points",
     "fem.assemble.diffusion.calls",
     "fem.assemble.advection.calls",
+    "fem.evaluate.s",
     "fem.evaluate.points",
+    "fem.forms.s",
+    "fem.forms.calls",
+    "fem.factor.patch.s",
     "fem.factor.patch.count",
+    "fem.factor.patch.lu_nnz",
     "fem.factor.macro.count",
     "fem.factor.fine.count",
     "fem.solve.count",
     "dwr.local_enhancement.s",
     "dwr.local_enhancement.self_s",
+    "dwr.local_enhancement.calls",
     "dwr.error_identity.s",
     "optim.assemble_system.s",
     "optim.assemble_system.self_s",
+    "optim.response_U.calls",
 )
 
 

@@ -9,12 +9,18 @@ run written into a copy.  Every file a run leaves in its output directory is
 compared byte for byte; of ``report.txt`` only the lines above the phase
 timings are compared (reference value, stop reason, cycle count and the
 per-cycle block), since the rest holds wall times.  One line per file reads
-``same`` or ``DIFF``.  The exit code is 1 on any difference, any file present
-on one side only, or a command whose exit codes differ; else 0.
+``same`` or ``DIFF``.  A ``DIFF`` file whose two texts differ only in their
+numbers gets a second line with the largest relative difference
+|a - b| / max(|a|, |b|) over its numbers, per column of a CSV table with a
+header or per key of ``key=value`` fields.  The exit code is 1 on any
+difference, any file present on one side only, or a command whose exit
+codes differ; else 0: a difference of any size counts.
 """
 
 import configparser
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,8 +96,49 @@ def comparable_bytes(path):
     return data
 
 
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def _relative(x, y):
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def numeric_differences(a, b):
+    """{label: largest relative difference} over the numbers of two texts,
+    labelled by the column names of a CSV header, the key of a ``key=value``
+    field, else "values"; None when the texts differ in anything but their
+    numbers."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b) or not lines_a:
+        return None
+    header = lines_a[0].split(",")
+    if lines_a[0] != lines_b[0] or len(header) < 2 or any(NUMBER.fullmatch(h) for h in header):
+        header = None
+    out = {}
+    skip = 0 if header is None else 1
+    for line_a, line_b in zip(lines_a[skip:], lines_b[skip:]):
+        fields_a, fields_b = line_a.split(","), line_b.split(",")
+        if len(fields_a) != len(fields_b):
+            return None
+        columns = header if header is not None and len(fields_a) == len(header) else None
+        for index, (field_a, field_b) in enumerate(zip(fields_a, fields_b)):
+            parts_a, parts_b = NUMBER.split(field_a), NUMBER.split(field_b)
+            if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+                return None
+            if "=" in field_a:
+                label = field_a.split("=", 1)[0]
+            else:
+                label = columns[index] if columns else "values"
+            for x, y in zip(parts_a[1::2], parts_b[1::2]):
+                out[label] = max(out.get(label, 0.0), _relative(float(x), float(y)))
+    return out
+
+
 def compare_dirs(name, left, right):
-    """Print one line per file; return whether every file matched."""
+    """Print one line per file, and the size of a numeric difference; return
+    whether every file matched."""
     names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
     ok = True
     for file_name in names:
@@ -99,6 +146,14 @@ def compare_dirs(name, left, right):
         same = a.exists() and b.exists() and comparable_bytes(a) == comparable_bytes(b)
         ok &= same
         print(f"{'same' if same else 'DIFF'} {name}/{file_name}")
+        if not same and a.exists() and b.exists():
+            diffs = numeric_differences(
+                comparable_bytes(a).decode(errors="replace"),
+                comparable_bytes(b).decode(errors="replace"),
+            )
+            if diffs is not None:
+                shown = ", ".join(f"{k} {v:.2g}" for k, v in diffs.items() if v > 0.0)
+                print(f"     largest relative difference: {shown or 'none'}")
     return ok
 
 

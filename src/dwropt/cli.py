@@ -434,15 +434,21 @@ def check_fine_grid(hierarchy, h, dof_cap, what):
         )
 
 
-def oracle_reference(problem, h_fine, dof_cap=500_000, raster=None):
-    """Single global fine-scale solve: the brute-force oracle behind every
-    effectivity and error column."""
+def check_reference(problem, h_fine, dof_cap, raster=None):
+    """Refuse a reference solve on the grid of spacing ``h_fine`` when that
+    grid exceeds ``dof_cap`` or is coarser than the raster pixel."""
     check_fine_grid(problem.hierarchy, h_fine, dof_cap, "the reference solve")
     if raster is not None and h_fine > min(raster.pixel_size) * (1 + 1e-12):
         raise ConfigurationError(
             f"reference mesh size {h_fine} is coarser than the raster pixel "
             f"{min(raster.pixel_size)}"
         )
+
+
+def oracle_reference(problem, h_fine, dof_cap=500_000, raster=None):
+    """Single global fine-scale solve: the brute-force oracle behind every
+    effectivity and error column."""
+    check_reference(problem, h_fine, dof_cap, raster)
     u_ref, _ = problem.fine_solution(h_fine)
     return u_ref, apply_functional(problem.functional, u_ref)
 
@@ -554,17 +560,22 @@ def build_scenario(cfg, seed_override=None, dual_modes=None):
     ``dual_modes`` (default: the configured one), the global grid whose fine
     data the indicator sweep slices (the micro grid; for the full dual the
     ``h_fine`` grid of its solve) is checked against ``[mesh] dof_cap``
-    before any fine data is sampled or fine space built."""
+    before any fine data is sampled or fine space built; so is the reference
+    grid, and its resolution of the raster, when ``[problem] reference`` is
+    on."""
     settings = read_config(cfg)
     problem, raster = build_problem(settings, seed_override)
     config = build_optimizer_config(settings)
     dof_cap = settings["mesh"]["dof_cap"]
+    reference = settings["problem"]["reference"]
     hierarchy = problem.hierarchy
     for mode in dual_modes or (config.dual_mode,):
         h = config.h_fine if mode == "full" else hierarchy.h_micro
         check_fine_grid(hierarchy, h, dof_cap, f"the {mode} dual")
+    if reference:
+        check_reference(problem, config.h_fine, dof_cap, raster)
     model0 = build_initial_model(cfg, problem)
-    return Scenario(problem, raster, model0, config, dof_cap, settings["problem"]["reference"])
+    return Scenario(problem, raster, model0, config, dof_cap, reference)
 
 
 def run_scenario(cfg, outdir, seed_override=None):

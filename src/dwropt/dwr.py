@@ -20,10 +20,8 @@ from .fem import (
     DiscreteField,
     apply_functional,
     diffusion_element_matrices,
-    diffusion_form_percell,
     diffusion_form_stack,
     effective_operator,
-    element_operator,
     evaluate,
     functional_vector,
     gather,
@@ -78,7 +76,7 @@ def local_enhancement(problem, z_eff, k, depth):
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
         elem = elem + fluct
-    op = element_operator(space, elem)
+    op = problem.patch_plan(grid).operator(space, elem)
     zi = evaluate(z_eff, grid.node_coords)
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)
@@ -158,8 +156,8 @@ def _theta_H(problem, model, operator, U, z):
 class _PatchContext:
     """Per-cell data shared by the indicator eta_K and its Jacobian row: the
     patch micro grid, U and the dual z* on it, the fine tensors A_eps, the
-    differences A_delta - A_eps and the transport fluctuation element
-    matrices."""
+    differences A_delta - A_eps, the transport fluctuation element matrices,
+    and the weights that turn a field on the patch into its response terms."""
 
     def __init__(self, problem, model, U, k, patch, grid, zstar, data):
         self.k = k
@@ -168,39 +166,41 @@ class _PatchContext:
         self.zstar = zstar
         hierarchy = problem.hierarchy
         self.a_eps, self.fluct = data
-        self.d_tensors = model.tensors[hierarchy.parents(grid)] - self.a_eps
-        self.u4 = self.nodal4(U)
+        parents = hierarchy.parents(grid)
+        self.d_tensors = model.tensors[parents] - self.a_eps
+        self.u4 = gather(grid, evaluate(U, grid.node_coords))
         self.z4 = gather(grid, zstar)
-        self.cell_slices = {
-            q: grid.subgrid_cell_ids(hierarchy.sampling_bbox(q)) for q in patch.members
-        }
-
-    def nodal4(self, field):
-        """Per-cell nodal values of a field evaluated on the patch grid."""
-        return gather(self.grid, evaluate(field, self.grid.node_coords))
-
-    def _fluctuation(self, u4, ids):
-        """((b_eps - b_delta) . grad u, z*) over the cells ``ids``."""
-        return float(np.einsum("cp,cpq,cq->", self.z4[ids], self.fluct[ids], u4[ids]))
+        self.center = grid.subgrid_cell_ids(hierarchy.sampling_bbox(k))
+        # member index of every cell: patch members are sorted cell ids
+        self.labels = np.searchsorted(patch.members, parents)
+        elem = diffusion_element_matrices(grid, self.d_tensors)
+        if self.fluct is not None:
+            elem = elem - self.fluct
+        self.weights = np.einsum("cp,cpq->cq", self.z4, elem)
 
     def indicator_and_stack(self):
         """(eta_K, direct-term stack) over the center cell's region."""
-        ids = self.cell_slices[self.k]
+        ids = self.center
         stack = diffusion_form_stack(self.grid, self.u4[ids], self.z4[ids])
         eta = float(np.einsum("cab,cab->", self.d_tensors[ids], stack))
         if self.fluct is not None:
-            eta -= self._fluctuation(self.u4, ids)
+            eta -= float(np.einsum("cp,cpq,cq->", self.z4[ids], self.fluct[ids], self.u4[ids]))
         return eta, stack.sum(axis=0)
 
-    def response_term(self, u4r, q):
-        """int_Q (A_delta - A_eps) grad R . grad z* [- (b_eps - b_delta) . grad R z*]."""
-        ids = self.cell_slices[q]
-        out = float(
-            np.sum(diffusion_form_percell(self.grid, self.d_tensors[ids], u4r[ids], self.z4[ids]))
-        )
-        if self.fluct is not None:
-            out -= self._fluctuation(u4r, ids)
-        return out
+    def response_terms(self, fields):
+        """(members, fields) array of int_Q (A_delta - A_eps) grad R . grad z*
+        [- (b_eps - b_delta) . grad R z*] for every patch member Q and macro
+        field R of ``fields``.  The fields are evaluated on the patch grid
+        together, contracted with the weights in one pass and summed per
+        member."""
+        stacked = DiscreteField(fields[0].space, np.column_stack([f.values for f in fields]))
+        nodal = evaluate(stacked, self.grid.node_coords)[self.grid.cell_nodes]
+        per_cell = np.einsum("cp,cpr->cr", self.weights, nodal)
+        shape = (len(self.patch.members), len(fields))
+        index = self.labels[:, None] * shape[1] + np.arange(shape[1])
+        return np.bincount(
+            index.ravel(), weights=per_cell.ravel(), minlength=shape[0] * shape[1]
+        ).reshape(shape)
 
 
 def _patch_context(problem, model, U, dual, k):

@@ -157,18 +157,14 @@ class FeSpace:
             "top": iy == ny,
         }
         for side, on_side in side_tests.items():
-            if not np.any(on_side):
-                continue
             dom_side = self._domain_side_of(side)
             if dom_side is None:
                 constrained |= on_side  # interior patch cut
                 continue
             axis = 1 if side in ("left", "right") else 0
             idx = np.nonzero(on_side)[0]
-            for node in idx:
-                markers = self.domain.markers_at(dom_side, coords[node, axis])
-                if any(m in self.dirichlet_markers for m in markers):
-                    constrained[node] = True
+            markers = self.dirichlet_markers
+            constrained[idx] |= self.domain.meets(dom_side, coords[idx, axis], markers)
         self.dirichlet_nodes = np.nonzero(constrained)[0]
         self.free_nodes = np.nonzero(~constrained)[0]
 
@@ -208,14 +204,15 @@ class FeSpace:
 
 @dataclass
 class DiscreteField:
-    """Nodal coefficient vector on a finite-element space."""
+    """Nodal coefficient vector on a finite-element space; ``values`` of
+    shape (n_dofs, m) stack m fields that are evaluated together."""
 
     space: FeSpace
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.space.n_dofs,):
+        if self.values.shape[:1] != (self.space.n_dofs,) or self.values.ndim > 2:
             raise ConfigurationError(
                 f"coefficient length {self.values.shape} does not match dof count {self.space.n_dofs}"
             )
@@ -248,20 +245,27 @@ class SparseOperator:
     primal, dual (transposed) and response solve.  Every Q1 operator here has
     a structurally symmetric pattern, so the columns are ordered by minimum
     degree on A^T + A, which fills far less than SuperLU's default COLAMD.
+
+    ``order``, when given, lists the free nodes of ``space`` in an
+    elimination order found for the same pattern before (see
+    :class:`PatchPlan`); the block is then extracted in that order and
+    factored without reordering.  ``free`` holds the free nodes in the order
+    of the factored block.
     """
 
-    def __init__(self, matrix, space):
+    def __init__(self, matrix, space, order=None):
         self.matrix = sp.csr_matrix(matrix)
         self.space = space
+        self.free = space.free_nodes if order is None else order
+        self._permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
         self.factorization_count = 0
         self._lu = None
 
     def _factorize(self):
         if self._lu is None:
-            free = self.space.free_nodes
-            a_ff = self.matrix[free][:, free].tocsc()
+            a_ff = self.matrix[self.free][:, self.free].tocsc()
             try:
-                self._lu = splu(a_ff, permc_spec="MMD_AT_PLUS_A")
+                self._lu = splu(a_ff, permc_spec=self._permc_spec)
             except Exception as exc:  # scipy raises bare RuntimeError
                 raise SingularOperatorError(
                     f"factorization of the {a_ff.shape[0]}-dof constrained system failed: {exc}"
@@ -277,23 +281,69 @@ class SparseOperator:
             raise ConfigurationError(
                 f"rhs length {rhs.shape} does not match dof count {self.space.n_dofs}"
             )
-        free = self.space.free_nodes
         x = np.zeros(self.space.n_dofs)
-        x[free] = self._factorize().solve(rhs[free], trans="T" if transpose else "N")
+        x[self.free] = self._factorize().solve(rhs[self.free], trans="T" if transpose else "N")
         return x
+
+
+class PatchPlan:
+    """What every patch grid of one shape shares: the CSR pattern of its Q1
+    operator, the index that scatters an (ncells, 4, 4) element array
+    straight into the CSR data, and, per set of constrained nodes, the free
+    nodes in the elimination order of the first factorization with that
+    pattern (8 B per free dof).
+
+    Summing the element entries with ``np.bincount`` adds them in the order
+    the COO to CSR conversion of :func:`element_operator` does, so both build
+    the same matrix.
+    """
+
+    def __init__(self, grid):
+        n = grid.n_nodes
+        rows, cols = _element_pairs(grid)
+        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+        self.shape = (n, n)
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        self.scatter = np.searchsorted(keys, rows * n + cols)
+        self.orders = {}
+
+    def matrix(self, elem):
+        """CSR matrix scattered from the (ncells, 4, 4) element array."""
+        data = np.bincount(self.scatter, weights=elem.ravel(), minlength=self.indices.size)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def operator(self, space, elem):
+        """Operator of ``elem`` on ``space``, whose grid has this plan's shape.
+        The first operator of a set of constrained nodes is factored here,
+        ordered by minimum degree, and its elimination order is kept; later
+        ones are factored in that order, so the ordering, which depends on
+        the pattern only, runs once per pattern.  SuperLU's ``NATURAL``
+        ordering runs in its symmetric mode, so the two factors of one
+        matrix agree to rounding, not bit for bit."""
+        key = space.dirichlet_nodes.tobytes()
+        op = SparseOperator(self.matrix(elem), space, self.orders.get(key))
+        if key not in self.orders:
+            self.orders[key] = op.free[np.argsort(op._factorize().perm_c)]
+        return op
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
+def _element_pairs(grid):
+    """(row, column) node of every entry of a raveled (ncells, 4, 4) element
+    array on ``grid``."""
+    cn = grid.cell_nodes
+    return np.repeat(cn, 4, axis=1).ravel(), np.tile(cn, (1, 4)).ravel()
+
+
 def element_operator(space, elem):
     """Operator scattered from (ncells, 4, 4) element matrices on the grid of
     ``space``; ``elem[c, p, q]`` couples test node p with trial node q."""
-    cn = space.grid.cell_nodes
     n = space.n_dofs
-    rows = np.repeat(cn, 4, axis=1).ravel()
-    cols = np.tile(cn, (1, 4)).ravel()
+    rows, cols = _element_pairs(space.grid)
     matrix = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return SparseOperator(matrix, space)
 
@@ -301,7 +351,7 @@ def element_operator(space, elem):
 def diffusion_element_matrices(grid, tensors):
     """(ncells, 4, 4) element stiffness for cellwise-sampled tensors."""
     k, _ = q1_blocks(*grid.spacing)
-    return np.einsum("cab,abpq->cpq", tensors, k)
+    return (tensors.reshape(-1, 4) @ k.reshape(4, 16)).reshape(-1, 4, 4)
 
 
 def assemble_diffusion(space, coeff):
@@ -423,7 +473,9 @@ def solve_dual(op, j):
 
 def evaluate(field, points):
     """Bilinear evaluation of a nodal field at arbitrary points (clamped to
-    the closure of its grid)."""
+    the closure of its grid).  For stacked fields (values of shape
+    (n_dofs, m)) the m columns share the interpolation weights and the
+    result is (npoints, m)."""
     grid = field.space.grid
     p = np.atleast_2d(np.asarray(points, dtype=float))
     tx = np.clip((p[:, 0] - grid.origin[0]) / grid.spacing[0], 0.0, grid.nx)
@@ -434,6 +486,8 @@ def evaluate(field, points):
     fy = ty - iy
     n00 = iy * (grid.nx + 1) + ix
     v = field.values
+    if v.ndim == 2:
+        fx, fy = fx[:, None], fy[:, None]
     return (
         v[n00] * (1 - fx) * (1 - fy)
         + v[n00 + 1] * fx * (1 - fy)
@@ -509,7 +563,8 @@ class Problem:
 
     The problem is the one place that keeps what every cycle reads: the
     macro and global fine spaces, the fine data and the fine solution per
-    grid spacing, and b_delta.  Patch spaces are built on demand, not cached.
+    grid spacing, b_delta, and the :class:`PatchPlan` of each patch grid
+    shape.  Patch spaces and operators are built on demand, not cached.
     """
 
     hierarchy: object
@@ -523,6 +578,7 @@ class Problem:
     _fine: dict = dc_field(default_factory=dict, repr=False)
     _fine_solutions: dict = dc_field(default_factory=dict, repr=False)
     _b_delta: object = dc_field(default=None, repr=False)
+    _plans: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.dirichlet:
@@ -599,6 +655,14 @@ class Problem:
         nested in the sampling grid: (ncells, 4, 2)."""
         b_delta = self.average_advection()[self.hierarchy.parents(grid)]
         return np.repeat(b_delta[:, None, :], 4, axis=1)
+
+    def patch_plan(self, grid):
+        """The :class:`PatchPlan` of ``grid``'s shape, built on first use.
+        Only patch grids get a plan: a patch of depth <= 1 spans one to three
+        sampling cells per axis, so a problem keeps at most 9 plans."""
+        if grid.shape not in self._plans:
+            self._plans[grid.shape] = PatchPlan(grid)
+        return self._plans[grid.shape]
 
     def fine_solution(self, h):
         """(u, z) on ``fine_space(h)``: the fine-scale solution (the reference)

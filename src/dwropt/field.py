@@ -194,7 +194,10 @@ class CoefficientField:
             t = float(t) * _ID
         if t.shape != (2, 2) or not np.allclose(t, t.T):
             raise ConfigurationError("constant coefficient must be a symmetric 2x2 tensor")
-        return cls("constant", tensor=0.5 * (t + t.T))
+        t = 0.5 * (t + t.T)
+        if not np.linalg.eigvalsh(t)[0] > 0.0:
+            raise ConfigurationError("constant coefficient must be positive definite")
+        return cls("constant", tensor=t)
 
     @classmethod
     def laminate(cls, axis, a, b, layer_width):

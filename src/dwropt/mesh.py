@@ -86,8 +86,10 @@ class Domain:
                 return marker
         return self.boundary[side][-1][0]
 
-    def markers_at(self, side, coord):
-        """All markers meeting the boundary point (two at a segment split).
+    def meets(self, side, coords, markers):
+        """Whether each boundary point at position ``coords`` along ``side``
+        meets one of ``markers``; a point at a segment split meets the
+        markers of both segments.
 
         Used for node classification: a node on the interface between a
         Dirichlet and a Neumann segment is constrained, which keeps the
@@ -95,12 +97,13 @@ class Domain:
         """
         tol = 1e-12 * max(self.extent)
         segments = self.boundary[side]
-        out = [self.marker_of(side, coord)]
-        for idx, (_, split) in enumerate(segments[:-1]):
-            if abs(coord - split) <= tol:
-                out = [segments[idx][0], segments[idx + 1][0]]
-                break
-        return tuple(out)
+        hit = np.array([marker in markers for marker, _ in segments])
+        splits = np.array([split for _, split in segments[:-1]], dtype=float)
+        coords = np.asarray(coords, dtype=float)
+        out = hit[np.searchsorted(splits, coords, side="right")]
+        for idx, split in enumerate(splits):
+            out |= (np.abs(coords - split) <= tol) & (hit[idx] | hit[idx + 1])
+        return out
 
     def markers(self):
         out = []

@@ -27,7 +27,6 @@ from .fem import (
     diffusion_element_matrices,
     diffusion_form_percell,
     effective_operator,
-    element_operator,
     evaluate,
     gather,
     gauss_point_coords,
@@ -172,17 +171,15 @@ def assemble_system(problem, model, U, operator, dual, jacobian_mode="patch",
         eta[k] = eta_k
         if not want_jacobian:
             continue
-        band = ctx.patch.members if jacobian_mode == "patch" else (k,)
-        for i, j in _IJ:
-            col = 4 * k + 2 * i + j
-            u4r = ctx.nodal4(response_U(problem, operator, U, k, i, j))
-            for q in band:
-                val = ctx.response_term(u4r, q)
-                if q == k:
-                    val += direct[i, j]
-                rows.append(q)
-                cols.append(col)
-                vals.append(val)
+        members = ctx.patch.members
+        # row m, column 2i + j: the term of member m for parameter (k, i, j)
+        terms = ctx.response_terms([response_U(problem, operator, U, k, i, j) for i, j in _IJ])
+        terms[members.index(k)] += direct.ravel()
+        band = members if jacobian_mode == "patch" else (k,)
+        for q in band:
+            rows.extend([q] * 4)
+            cols.extend(range(4 * k, 4 * k + 4))
+            vals.extend(terms[members.index(q)])
     if not want_jacobian:
         return eta, None
     return eta, (rows, cols, vals)
@@ -466,7 +463,7 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
         k = ctx.k
         cost += eta_k**2
         t_direct = float(np.einsum("ab,ab->", direction[k], stack))
-        t_resp = ctx.response_term(ctx.nodal4(w), k)
+        t_resp = float(ctx.response_terms([w])[ctx.patch.members.index(k), 0])
         t_dual = 0.0
         if dz_eff is not None:
             dzi = evaluate(dz_eff, ctx.grid.node_coords)
@@ -474,9 +471,9 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
                 # patch-reconstruction response: (A_eps grad phi, grad DZ_K) =
                 # -(A_eps grad phi, grad DZ) on the patch
                 elem = diffusion_element_matrices(ctx.grid, ctx.a_eps)
-                patch_op = element_operator(problem.space(ctx.grid), elem)
+                patch_op = problem.patch_plan(ctx.grid).operator(problem.space(ctx.grid), elem)
                 dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
-            ids = ctx.cell_slices[k]
+            ids = ctx.center
             t_dual = float(
                 np.sum(
                     diffusion_form_percell(

@@ -402,8 +402,11 @@ def test_every_config_entry_exits_0_or_2(tmp_path, base, section, key, value):
         ("diffusion_tiny", "reference = yes", "reference = on"),
         ("diffusion_tiny", "seed = 7", "seed = 7\ntile = x"),
         ("advdiff_small", "dirichlet = gamma_d", "dirichlet = gamma_x"),
+        ("advdiff_small", "gamma = 0.1", "gamma = -1"),
+        ("diffusion_tiny", "h = 2^-6\nfine = 2^-6", "h = 2^-4\nfine = 2^-4"),
     ],
-    ids=["misspelled_key", "unknown_section", "reference_on", "tile", "dirichlet_unknown"],
+    ids=["misspelled_key", "unknown_section", "reference_on", "tile", "dirichlet_unknown",
+         "negative_definite_constant_field", "reference_coarser_than_raster"],
 )
 def test_shipped_config_error_exits_before_writing(tmp_path, config, old, new):
     text = (CONFIGS / f"{config}.ini").read_text()
@@ -412,6 +415,18 @@ def test_shipped_config_error_exits_before_writing(tmp_path, config, old, new):
     cfg_path.write_text(text.replace(old, new))
     out = tmp_path / "o"
     assert main(["optimize", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_negative_definite_constant_field_estimate_exits_2(tmp_path):
+    # gamma = -1 used to give an estimate (theta_delta = 28) and exit 0
+    cfg = ExperimentConfig.from_ini_text(ADVECTIVE)
+    cfg.set("field", "gamma", "-1")
+    cfg.set("problem", "reference", "no")
+    cfg_path = tmp_path / "negative.ini"
+    cfg_path.write_text(cfg.to_ini_text())
+    out = tmp_path / "o"
+    assert main(["estimate", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -310,3 +310,25 @@ def test_fine_data_slice_equals_direct_sampling(fine_ratio):
         assert fluct.shape == (grid.n_cells, 4, 4)
         assert np.array_equal(a_eps, a_ref)
         assert np.array_equal(fluct, fluct_ref)
+
+
+def test_sweeps_keep_one_plan_per_patch_shape():
+    # depth-1 and depth-0 sweeps on the 4 x 8 sampling grid meet five patch
+    # shapes, within the bound of nine plans; each plan keeps one
+    # elimination order per set of constrained nodes
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    hierarchy = problem.hierarchy
+    model = constant_model(hierarchy, 0.1)
+    macro = problem.macro_space()
+    op = effective_operator(problem, model, macro)
+    U = solve(op, problem_rhs(problem, macro))
+    z = solve_dual(op, problem.functional)
+    patterns = set()
+    for depth in (1, 0):
+        error_identity(problem, model, op, U, DualApproximation("enhanced", z, depth))
+        for k in range(hierarchy.n_sampling):
+            space = problem.space(hierarchy.micro_grid(hierarchy.patch_of(k, depth).bbox))
+            patterns.add((space.grid.shape, space.dirichlet_nodes.tobytes()))
+    assert set(problem._plans) == {shape for shape, _ in patterns}
+    assert len(problem._plans) == 5
+    assert sum(len(plan.orders) for plan in problem._plans.values()) == len(patterns)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import advection_problem, figure5_domain, lognormal_problem
+from dwropt.dwr import _fine_data
 from dwropt.errors import ConfigurationError, SingularOperatorError
 from dwropt.fem import (
     DiscreteField,
@@ -13,7 +14,9 @@ from dwropt.fem import (
     assemble_advection,
     assemble_diffusion,
     assemble_rhs,
+    diffusion_element_matrices,
     effective_operator,
+    element_operator,
     evaluate,
     fine_operator,
     functional_vector,
@@ -388,6 +391,68 @@ def test_neumann_markers_stay_free():
     assert np.all(np.isin(top, space.free_nodes))
     upper_left = np.nonzero((coords[:, 0] == 0.0) & (coords[:, 1] > 1.0))[0]
     assert np.all(np.isin(upper_left, space.free_nodes))
+
+
+def patch_elements(problem, k):
+    """Patch space around cell ``k`` and its fine element array: diffusion
+    plus, for advective problems, the transport fluctuation."""
+    hierarchy = problem.hierarchy
+    grid = hierarchy.micro_grid(hierarchy.patch_of(k, 1).bbox)
+    a_eps, fluct = _fine_data(problem, grid)
+    elem = diffusion_element_matrices(grid, a_eps)
+    return problem.space(grid), elem if fluct is None else elem + fluct
+
+
+@pytest.mark.parametrize(
+    "case, k",
+    [("interior", 5), ("neumann", 0), ("advective", 13)],
+)
+def test_patch_plan_assembles_the_coo_matrix_entry_for_entry(case, k):
+    # the plan's scatter sums the element entries in the order of the COO to
+    # CSR conversion: the same pattern and the same values, bit for bit.
+    # Cell 0 of the figure-5 domain touches the Neumann side gamma_e.
+    problem = {
+        "interior": lognormal_problem,
+        "neumann": lambda: advection_problem(h_micro=2.0**-5, target_max=0.0),
+        "advective": lambda: advection_problem(h_micro=2.0**-5, drift_max=1.5),
+    }[case]()
+    space, elem = patch_elements(problem, k)
+    coo = element_operator(space, elem).matrix
+    planned = problem.patch_plan(space.grid).matrix(elem)
+    assert np.array_equal(planned.indptr, coo.indptr)
+    assert np.array_equal(planned.indices, coo.indices)
+    assert np.array_equal(planned.data, coo.data)
+
+
+def test_reused_elimination_order_matches_minimum_degree_factor():
+    # the patches of cells 10 and 14 touch only the Neumann side gamma_a:
+    # one shape and one constrained set, so the second is factored in the
+    # elimination order of the first
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    first_space, first_elem = patch_elements(problem, 10)
+    problem.patch_plan(first_space.grid).operator(first_space, first_elem)
+    space, elem = patch_elements(problem, 14)
+    assert np.array_equal(space.dirichlet_nodes, first_space.dirichlet_nodes)
+    ordered = problem.patch_plan(space.grid).operator(space, elem)
+    assert np.array_equal(np.sort(ordered.free), space.free_nodes)
+    assert not np.array_equal(ordered.free, space.free_nodes)
+    mmd = SparseOperator(ordered.matrix, space)
+    assert ordered._factorize().nnz == mmd._factorize().nnz
+    rhs = np.random.default_rng(3).standard_normal(space.n_dofs)
+    for transpose in (False, True):
+        x = ordered.solve_constrained(rhs, transpose=transpose)
+        x_mmd = mmd.solve_constrained(rhs, transpose=transpose)
+        assert np.linalg.norm(x - x_mmd) <= 1e-12 * np.linalg.norm(x_mmd)
+
+
+def test_stacked_fields_evaluate_as_each_field():
+    space = unit_space(5)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((space.n_dofs, 3))
+    pts = rng.uniform(-0.1, 1.1, size=(40, 2))
+    stacked = evaluate(DiscreteField(space, values), pts)
+    for m in range(3):
+        assert np.array_equal(stacked[:, m], evaluate(DiscreteField(space, values[:, m]), pts))
 
 
 def test_concurrent_solves_share_factorization():

@@ -113,6 +113,15 @@ def test_constant_coefficient():
     assert np.allclose(eval_coefficient(f, (0.3, 0.9)), 3.0 * np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "tensor", [-1.0, 0.0, [[0.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+    ids=["negative", "zero", "semidefinite", "indefinite"],
+)
+def test_constant_coefficient_must_be_positive_definite(tensor):
+    with pytest.raises(ConfigurationError, match="positive definite"):
+        CoefficientField.constant(tensor)
+
+
 def test_lognormal_endpoints():
     values = np.zeros((2, 2), dtype=np.uint8)
     values[0, 0] = 0
@@ -265,6 +274,6 @@ def test_geometric_mean_requires_positive_diagonal():
     from dwropt.upscale import geometric_mean_model
 
     h = build_hierarchy(Domain(), 0.5, 0.25, 0.125)
-    bad = CoefficientField.constant([[0.0, 0.0], [0.0, 1.0]])
+    bad = CoefficientField.laminate(0, 0.0, 1.0, 0.125)
     with pytest.raises(NumericalError, match="sampling cell"):
         geometric_mean_model(coefficient_problem(bad, h))

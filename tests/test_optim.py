@@ -4,11 +4,15 @@ import scipy.sparse as sp
 
 from conftest import advection_problem, lognormal_problem
 from dwropt import fem
+from dwropt.dwr import indicator_sweep
 from dwropt.errors import ConfigurationError, NumericalError
 from dwropt.fem import (
     Functional,
     Problem,
+    diffusion_form_percell,
     effective_operator,
+    evaluate,
+    gather,
     problem_rhs,
     solve,
 )
@@ -212,6 +216,53 @@ def test_jacobian_diagonal_matches_eta_finite_difference():
                     - eta_of(problem, model.with_tensors(minus, "m"), config, dual)[k]
                 ) / (2 * s)
                 assert abs(entry[0] - fd) <= 0.05 * abs(fd)
+
+
+@pytest.mark.parametrize("case", ["diffusion", "advection"])
+def test_response_terms_match_per_member_forms(case):
+    # the four responses of a cell, contracted at once, equal a loop over
+    # responses and members of the per-cell diffusion form minus the
+    # transport fluctuation; the Jacobian holds them plus the direct term,
+    # and its diagonal mode keeps the entries of the cell itself
+    if case == "diffusion":
+        problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
+        model = geometric_mean_model(problem)
+    else:
+        problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+        model = constant_model(problem.hierarchy, 0.1)
+    op, U, dual = primal_dual(problem, model, OptimizerConfig())
+    # the first sweep keeps every patch pattern's elimination order, so the
+    # sweeps below factor their patches alike, bit for bit
+    assemble_system(problem, model, U, op, dual, want_jacobian=False)
+    expected = {}
+    for ctx, _, direct in indicator_sweep(problem, model, U, dual):
+        k, grid = ctx.k, ctx.grid
+        responses = [
+            response_U(problem, op, U, k, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
+        ]
+        inline = np.zeros((len(ctx.patch.members), 4))
+        for r, response in enumerate(responses):
+            r4 = gather(grid, evaluate(response, grid.node_coords))
+            for m, q in enumerate(ctx.patch.members):
+                ids = grid.subgrid_cell_ids(problem.hierarchy.sampling_bbox(q))
+                inline[m, r] = np.sum(
+                    diffusion_form_percell(grid, ctx.d_tensors[ids], r4[ids], ctx.z4[ids])
+                )
+                if ctx.fluct is not None:
+                    inline[m, r] -= np.einsum("cp,cpq,cq->", ctx.z4[ids], ctx.fluct[ids], r4[ids])
+        terms = ctx.response_terms(responses)
+        # a member's term sums contributions that cancel: compare on the
+        # scale of the response's largest member term
+        assert np.all(np.abs(terms - inline) <= 1e-12 * np.abs(inline).max(axis=0))
+        terms[ctx.patch.members.index(k)] += direct.ravel()
+        for m, q in enumerate(ctx.patch.members):
+            expected.update({(q, 4 * k + r): terms[m, r] for r in range(4)})
+    for jacobian in ("patch", "diagonal"):
+        _, (rows, cols, vals) = assemble_system(problem, model, U, op, dual, jacobian)
+        got = {(r, c): v for r, c, v in zip(rows, cols, vals)}
+        keys = [key for key in expected if jacobian == "patch" or key[0] == key[1] // 4]
+        assert len(got) == len(rows) and sorted(got) == sorted(keys)
+        assert all(got[key] == expected[key] for key in keys)
 
 
 @pytest.mark.parametrize("mode", ["enhanced", "full", "effective"])
