@@ -43,8 +43,12 @@ TRACED = (
     "fem.factor.patch.s",
     "fem.factor.patch.count",
     "fem.factor.patch.lu_nnz",
+    "fem.factor.macro.s",
     "fem.factor.macro.count",
+    "fem.factor.fine.s",
     "fem.factor.fine.count",
+    "fem.factor.fine.lu_nnz",
+    "fem.factor.lu_bytes",
     "fem.solve.count",
     "dwr.local_enhancement.s",
     "dwr.local_enhancement.self_s",

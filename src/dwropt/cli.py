@@ -570,7 +570,7 @@ def build_scenario(cfg, seed_override=None, dual_modes=None):
     reference = settings["problem"]["reference"]
     hierarchy = problem.hierarchy
     for mode in dual_modes or (config.dual_mode,):
-        h = config.h_fine if mode == "full" else hierarchy.h_micro
+        h = replace(config, dual_mode=mode).sweep_spacing(hierarchy)
         check_fine_grid(hierarchy, h, dof_cap, f"the {mode} dual")
     if reference:
         check_reference(problem, config.h_fine, dof_cap, raster)
@@ -608,6 +608,7 @@ def run_scenario(cfg, outdir, seed_override=None):
         oracle = sc.oracle()
         phases.stop()
 
+    problem.keep_fine_data(sc.config.sweep_spacing(problem.hierarchy))
     phases.start("optimize")
     state = run_optimization(problem, model0, sc.config, oracle=oracle)
     phases.stop()

@@ -18,6 +18,7 @@ import numpy as np
 
 from .fem import (
     DiscreteField,
+    SparseOperator,
     apply_functional,
     diffusion_element_matrices,
     diffusion_form_stack,
@@ -76,7 +77,7 @@ def local_enhancement(problem, z_eff, k, depth):
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
         elem = elem + fluct
-    op = problem.patch_plan(grid).operator(space, elem)
+    op = SparseOperator(problem.patch_plan(grid).matrix(elem), space)
     zi = evaluate(z_eff, grid.node_coords)
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)

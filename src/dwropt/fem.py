@@ -239,25 +239,73 @@ class DiscreteField:
                 fh.write(f"{v:.17g}\n")
 
 
+# The free nodes of every operator are eliminated in a geometric nested-
+# dissection order of its grid's node lattice (A. George, "Nested dissection
+# of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973): a line
+# of nodes splits a block in two, the halves are ordered first, the line
+# last.  ``ND_LEAF`` is the largest block side that is not split further.
+# SuperLU's panel size of 2 factors the patch blocks of the shipped configs
+# 10-20% faster than its default; its ``relax`` option showed no consistent
+# gain and keeps SuperLU's default (scripts/factor_sweep.py measures all
+# three).
+ND_LEAF = 2
+SUPERLU_PANEL_SIZE = 2
+
+
+@lru_cache(maxsize=16)
+def nested_dissection(n_x, n_y, leaf=ND_LEAF):
+    """Every node of an ``n_x`` by ``n_y`` node lattice (node ``(i, j)`` has
+    id ``j * n_x + i``) once, in nested-dissection order: a block with a
+    side longer than ``leaf`` is split by its middle line across the longer
+    side, both halves come first, the line last; smaller blocks are taken
+    row by row.  Read-only, and built once per lattice shape."""
+    order = []  # node ids as Python ints: far cheaper than many tiny arrays
+
+    def dissect(i0, i1, j0, j1):  # the block [i0, i1) x [j0, j1)
+        if i1 <= i0 or j1 <= j0:
+            return
+        if i1 - i0 <= leaf and j1 - j0 <= leaf:
+            for j in range(j0, j1):
+                order.extend(range(j * n_x + i0, j * n_x + i1))
+        elif i1 - i0 >= j1 - j0:
+            m = (i0 + i1) // 2
+            dissect(i0, m, j0, j1)
+            dissect(m + 1, i1, j0, j1)
+            order.extend(range(j0 * n_x + m, j1 * n_x + m, n_x))
+        else:
+            m = (j0 + j1) // 2
+            dissect(i0, i1, j0, m)
+            dissect(i0, i1, m + 1, j1)
+            order.extend(range(m * n_x + i0, m * n_x + i1))
+
+    dissect(0, n_x, 0, n_y)
+    order = np.array(order)
+    order.flags.writeable = False
+    return order
+
+
 class SparseOperator:
     """Square sparse operator with a cached LU factorization of its
     Dirichlet-constrained block, computed on first use and reused by every
-    primal, dual (transposed) and response solve.  Every Q1 operator here has
-    a structurally symmetric pattern, so the columns are ordered by minimum
-    degree on A^T + A, which fills far less than SuperLU's default COLAMD.
+    primal, dual (transposed) and response solve.
 
-    ``order``, when given, lists the free nodes of ``space`` in an
-    elimination order found for the same pattern before (see
-    :class:`PatchPlan`); the block is then extracted in that order and
-    factored without reordering.  ``free`` holds the free nodes in the order
-    of the factored block.
+    The block is extracted with its free nodes in the nested-dissection
+    order of the grid's node lattice (:func:`nested_dissection`, restricted
+    to the free nodes) and factored in that order (``permc_spec="NATURAL"``).
+    The order depends only on the lattice shape and the constrained nodes,
+    so every operator of one pattern, patch, macro or fine, is factored
+    alike on every call.  ``free`` holds the free nodes in the order of the
+    factored block.
     """
 
-    def __init__(self, matrix, space, order=None):
+    def __init__(self, matrix, space):
         self.matrix = sp.csr_matrix(matrix)
         self.space = space
-        self.free = space.free_nodes if order is None else order
-        self._permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
+        grid = space.grid
+        order = nested_dissection(grid.nx + 1, grid.ny + 1)
+        is_free = np.zeros(space.n_dofs, dtype=bool)
+        is_free[space.free_nodes] = True
+        self.free = order[is_free[order]]
         self.factorization_count = 0
         self._lu = None
 
@@ -265,7 +313,7 @@ class SparseOperator:
         if self._lu is None:
             a_ff = self.matrix[self.free][:, self.free].tocsc()
             try:
-                self._lu = splu(a_ff, permc_spec=self._permc_spec)
+                self._lu = splu(a_ff, permc_spec="NATURAL", panel_size=SUPERLU_PANEL_SIZE)
             except Exception as exc:  # scipy raises bare RuntimeError
                 raise SingularOperatorError(
                     f"factorization of the {a_ff.shape[0]}-dof constrained system failed: {exc}"
@@ -281,17 +329,16 @@ class SparseOperator:
             raise ConfigurationError(
                 f"rhs length {rhs.shape} does not match dof count {self.space.n_dofs}"
             )
+        lu = self._factorize()
         x = np.zeros(self.space.n_dofs)
-        x[self.free] = self._factorize().solve(rhs[self.free], trans="T" if transpose else "N")
+        x[self.free] = lu.solve(rhs[self.free], trans="T" if transpose else "N")
         return x
 
 
 class PatchPlan:
     """What every patch grid of one shape shares: the CSR pattern of its Q1
-    operator, the index that scatters an (ncells, 4, 4) element array
-    straight into the CSR data, and, per set of constrained nodes, the free
-    nodes in the elimination order of the first factorization with that
-    pattern (8 B per free dof).
+    operator and the index that scatters an (ncells, 4, 4) element array
+    straight into the CSR data.
 
     Summing the element entries with ``np.bincount`` adds them in the order
     the COO to CSR conversion of :func:`element_operator` does, so both build
@@ -306,26 +353,11 @@ class PatchPlan:
         self.indptr, self.indices = pattern.indptr, pattern.indices
         keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
         self.scatter = np.searchsorted(keys, rows * n + cols)
-        self.orders = {}
 
     def matrix(self, elem):
         """CSR matrix scattered from the (ncells, 4, 4) element array."""
         data = np.bincount(self.scatter, weights=elem.ravel(), minlength=self.indices.size)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    def operator(self, space, elem):
-        """Operator of ``elem`` on ``space``, whose grid has this plan's shape.
-        The first operator of a set of constrained nodes is factored here,
-        ordered by minimum degree, and its elimination order is kept; later
-        ones are factored in that order, so the ordering, which depends on
-        the pattern only, runs once per pattern.  SuperLU's ``NATURAL``
-        ordering runs in its symmetric mode, so the two factors of one
-        matrix agree to rounding, not bit for bit."""
-        key = space.dirichlet_nodes.tobytes()
-        op = SparseOperator(self.matrix(elem), space, self.orders.get(key))
-        if key not in self.orders:
-            self.orders[key] = op.free[np.argsort(op._factorize().perm_c)]
-        return op
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +596,8 @@ class Problem:
     The problem is the one place that keeps what every cycle reads: the
     macro and global fine spaces, the fine data and the fine solution per
     grid spacing, b_delta, and the :class:`PatchPlan` of each patch grid
-    shape.  Patch spaces and operators are built on demand, not cached.
+    shape.  Patch spaces and operators are built on demand, not cached, and
+    :meth:`keep_fine_data` frees the fine data a run no longer reads.
     """
 
     hierarchy: object
@@ -638,6 +671,15 @@ class Problem:
                 fluct.flags.writeable = False
             self._fine[h] = (grid, a_eps, e_eps, fluct)
         return self._fine[h]
+
+    def keep_fine_data(self, h):
+        """Free the fine data of every spacing but ``h``, once nothing else
+        reads it: the initial model is built and the sweep slices the grid
+        of ``h``.  b_delta, reduced from the micro data, is reduced first
+        and stays; freed data would be sampled again on request."""
+        self.average_advection()
+        for spacing in [s for s in self._fine if s != h]:
+            del self._fine[spacing]
 
     def average_advection(self):
         """b_delta, the effective transport: the mean of b_eps over every

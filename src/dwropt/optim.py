@@ -23,6 +23,7 @@ from .dwr import DualApproximation, error_breakdown, error_identity, indicator_s
 from .errors import ConfigurationError, NumericalError
 from .fem import (
     DiscreteField,
+    SparseOperator,
     advection_form_percell,
     diffusion_element_matrices,
     diffusion_form_percell,
@@ -91,6 +92,14 @@ class OptimizerConfig:
             if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0):
                 raise ConfigurationError("alpha must be finite and nonnegative")
 
+    def sweep_spacing(self, hierarchy):
+        """Spacing of the global fine grid whose data the indicator sweep
+        slices: ``h_fine`` (h_micro when unset) for the full dual, else
+        h_micro."""
+        if self.dual_mode == "full" and self.h_fine is not None:
+            return self.h_fine
+        return hierarchy.h_micro
+
 
 @dataclass
 class ResidualVector:
@@ -148,8 +157,7 @@ def primal_dual(problem, model, config):
     operator = effective_operator(problem, model, macro_space)
     U = solve(operator, problem_rhs(problem, macro_space))
     if config.dual_mode == "full":
-        h = config.h_fine if config.h_fine is not None else problem.hierarchy.h_micro
-        z = problem.fine_solution(h)[1]
+        z = problem.fine_solution(config.sweep_spacing(problem.hierarchy))[1]
     else:
         z = solve_dual(operator, problem.functional)
     return operator, U, DualApproximation(config.dual_mode, z, config.depth)
@@ -471,7 +479,8 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
                 # patch-reconstruction response: (A_eps grad phi, grad DZ_K) =
                 # -(A_eps grad phi, grad DZ) on the patch
                 elem = diffusion_element_matrices(ctx.grid, ctx.a_eps)
-                patch_op = problem.patch_plan(ctx.grid).operator(problem.space(ctx.grid), elem)
+                patch_matrix = problem.patch_plan(ctx.grid).matrix(elem)
+                patch_op = SparseOperator(patch_matrix, problem.space(ctx.grid))
                 dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
             ids = ctx.center
             t_dual = float(

@@ -714,6 +714,29 @@ def test_full_dual_run_factors_and_samples_the_fine_problem_once(tmp_path, monke
     assert sum(points) == 64 * 64
 
 
+def test_full_dual_run_keeps_only_the_fine_data_of_its_sweep(tmp_path, monkeypatch):
+    # with dual = full and fine = h / 2 the loop reads the h / 2 fine data
+    # only: the micro data behind b_delta is freed before the first cycle
+    built = []
+    build = cli.build_problem
+
+    def keeping_build(settings, seed_override=None):
+        problem, raster = build(settings, seed_override)
+        built.append(problem)
+        return problem, raster
+
+    monkeypatch.setattr(cli, "build_problem", keeping_build)
+    cfg = ExperimentConfig.from_ini_text(ADVECTIVE)
+    cfg.set("mesh", "fine", "2^-6")
+    cfg.set("optimizer", "dual", "full")
+    report, state = run_scenario(cfg, tmp_path)
+    assert report.j_reference is not None and state.cycles == 1
+    problem = built[0]
+    assert list(problem._fine) == [2.0**-6]
+    b_delta = np.loadtxt(tmp_path / "advection_delta.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(b_delta[:, -2:], problem.average_advection())
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # geometric upscaling of a field with nonpositive diagonal entries is a
     # numerical failure, reported with exit code 3

@@ -314,8 +314,7 @@ def test_fine_data_slice_equals_direct_sampling(fine_ratio):
 
 def test_sweeps_keep_one_plan_per_patch_shape():
     # depth-1 and depth-0 sweeps on the 4 x 8 sampling grid meet five patch
-    # shapes, within the bound of nine plans; each plan keeps one
-    # elimination order per set of constrained nodes
+    # shapes, within the bound of nine plans
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
     hierarchy = problem.hierarchy
     model = constant_model(hierarchy, 0.1)
@@ -331,4 +330,3 @@ def test_sweeps_keep_one_plan_per_patch_shape():
             patterns.add((space.grid.shape, space.dirichlet_nodes.tobytes()))
     assert set(problem._plans) == {shape for shape, _ in patterns}
     assert len(problem._plans) == 5
-    assert sum(len(plan.orders) for plan in problem._plans.values()) == len(patterns)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import advection_problem, figure5_domain, lognormal_problem
 from dwropt.dwr import _fine_data
@@ -22,6 +23,7 @@ from dwropt.fem import (
     functional_vector,
     gauss_values,
     interpolate,
+    nested_dissection,
     problem_rhs,
     q1_blocks,
     solve,
@@ -161,8 +163,6 @@ def test_problem_rejects_unknown_or_no_dirichlet_marker(dirichlet, message):
 
 
 def test_solve_identity_operator():
-    import scipy.sparse as sp
-
     space = unit_space(4)
     op = SparseOperator(sp.identity(space.n_dofs, format="csr"), space)
     rhs = np.arange(space.n_dofs, dtype=float)
@@ -220,8 +220,6 @@ def test_factorization_cached_across_solves():
 
 
 def test_singular_operator_reported():
-    import scipy.sparse as sp
-
     space = unit_space(4)
     op = SparseOperator(sp.csr_matrix((space.n_dofs, space.n_dofs)), space)
     with pytest.raises(SingularOperatorError, match="dof"):
@@ -424,25 +422,49 @@ def test_patch_plan_assembles_the_coo_matrix_entry_for_entry(case, k):
     assert np.array_equal(planned.data, coo.data)
 
 
-def test_reused_elimination_order_matches_minimum_degree_factor():
-    # the patches of cells 10 and 14 touch only the Neumann side gamma_a:
-    # one shape and one constrained set, so the second is factored in the
-    # elimination order of the first
+def test_dissection_ordered_factor_matches_minimum_degree_factor():
+    # the advective patches of cells 10 and 14 touch only the Neumann side
+    # gamma_a; factored in the nested-dissection order, each block solves as
+    # its minimum-degree factor does, plain and transposed, and fills no more
+    from scipy.sparse.linalg import splu
+
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
-    first_space, first_elem = patch_elements(problem, 10)
-    problem.patch_plan(first_space.grid).operator(first_space, first_elem)
-    space, elem = patch_elements(problem, 14)
-    assert np.array_equal(space.dirichlet_nodes, first_space.dirichlet_nodes)
-    ordered = problem.patch_plan(space.grid).operator(space, elem)
-    assert np.array_equal(np.sort(ordered.free), space.free_nodes)
-    assert not np.array_equal(ordered.free, space.free_nodes)
-    mmd = SparseOperator(ordered.matrix, space)
-    assert ordered._factorize().nnz == mmd._factorize().nnz
-    rhs = np.random.default_rng(3).standard_normal(space.n_dofs)
-    for transpose in (False, True):
-        x = ordered.solve_constrained(rhs, transpose=transpose)
-        x_mmd = mmd.solve_constrained(rhs, transpose=transpose)
-        assert np.linalg.norm(x - x_mmd) <= 1e-12 * np.linalg.norm(x_mmd)
+    rng = np.random.default_rng(3)
+    for k in (10, 14):
+        space, elem = patch_elements(problem, k)
+        op = SparseOperator(problem.patch_plan(space.grid).matrix(elem), space)
+        free = space.free_nodes
+        mmd = splu(op.matrix[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert op._factorize().nnz <= mmd.nnz
+        rhs = rng.standard_normal(space.n_dofs)
+        for transpose in (False, True):
+            x = op.solve_constrained(rhs, transpose=transpose)
+            x_mmd = mmd.solve(rhs[free], trans="T" if transpose else "N")
+            assert np.all(x[space.dirichlet_nodes] == 0.0)
+            assert np.linalg.norm(x[free] - x_mmd) <= 1e-12 * np.linalg.norm(x_mmd)
+
+
+@pytest.mark.parametrize("cells", [(1, 6), (4, 8), (5, 7), (6, 3), (32, 64)])
+def test_dissection_order_lists_each_free_node_once(cells):
+    # node lattices of 2 x 7, 5 x 9, 6 x 8, 7 x 4 and 33 x 65 nodes on the
+    # figure-5 domain, whose Dirichlet marker gamma_d covers the lower half
+    # of the left side
+    domain = figure5_domain()
+    grid = Grid((0.0, 0.0), (1.0 / cells[0], 2.0 / cells[1]), cells)
+    n_x, n_y = cells[0] + 1, cells[1] + 1
+    order = nested_dissection(n_x, n_y)
+    assert np.array_equal(np.sort(order), np.arange(n_x * n_y))
+    # the first separator is the middle line across the longer side, last
+    if n_x >= n_y:
+        assert np.array_equal(order[-n_y:], np.arange(n_y) * n_x + n_x // 2)
+    else:
+        assert np.array_equal(order[-n_x:], (n_y // 2) * n_x + np.arange(n_x))
+    space = FeSpace(grid, domain, ("gamma_d",))
+    assert 0 < space.dirichlet_nodes.size < n_y
+    op = SparseOperator(sp.identity(space.n_dofs, format="csr"), space)
+    assert op.free.size == space.free_nodes.size
+    assert np.array_equal(np.sort(op.free), space.free_nodes)
+    assert np.array_equal(op.free, order[np.isin(order, space.free_nodes)])
 
 
 def test_stacked_fields_evaluate_as_each_field():
