@@ -41,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dwropt.cli import ExperimentConfig, build_problem, read_config  # noqa: E402
 from dwropt.dwr import _fine_data  # noqa: E402
-from dwropt.fem import diffusion_element_matrices, nested_dissection  # noqa: E402
+from dwropt.fem import diffusion_element_matrices, element_operator, nested_dissection  # noqa: E402
 
 WORKLOADS = ("diffusion_small", "advdiff_small")
 BASELINE = "mmd_kept_order"
@@ -61,7 +61,8 @@ def patch_blocks(config):
         elem = diffusion_element_matrices(grid, a_eps)
         if fluct is not None:
             elem = elem + fluct
-        blocks.append((problem.patch_plan(grid).matrix(elem), problem.space(grid)))
+        op = element_operator(problem.space(grid), elem)
+        blocks.append((op.matrix, op.space))
     return blocks
 
 
@@ -150,13 +151,13 @@ def sweep(config, rounds):
 
 
 def build_times(shapes, rounds):
-    """Median seconds of one uncached nested-dissection build per shape."""
+    """Median seconds of one nested-dissection build per shape."""
     out = {}
     for n_x, n_y in shapes:
         samples = []
         for _ in range(rounds):
             start = time.perf_counter()
-            nested_dissection.__wrapped__(n_x, n_y)
+            nested_dissection(n_x, n_y)
             samples.append(time.perf_counter() - start)
         out[f"{n_x}x{n_y}"] = round(statistics.median(samples), 5)
     return out

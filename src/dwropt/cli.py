@@ -119,7 +119,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini(cls, path):
-        return cls.from_ini_text(Path(path).read_text())
+        try:
+            return cls.from_ini_text(Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
 
     @classmethod
     def from_ini_text(cls, text):
@@ -445,7 +448,7 @@ def check_reference(problem, h_fine, dof_cap, raster=None):
         )
 
 
-def oracle_reference(problem, h_fine, dof_cap=500_000, raster=None):
+def oracle_reference(problem, h_fine, dof_cap=KEYS["mesh"]["dof_cap"][1], raster=None):
     """Single global fine-scale solve: the brute-force oracle behind every
     effectivity and error column."""
     check_reference(problem, h_fine, dof_cap, raster)

@@ -18,11 +18,11 @@ import numpy as np
 
 from .fem import (
     DiscreteField,
-    SparseOperator,
     apply_functional,
     diffusion_element_matrices,
     diffusion_form_stack,
     effective_operator,
+    element_operator,
     evaluate,
     functional_vector,
     gather,
@@ -72,12 +72,11 @@ def local_enhancement(problem, z_eff, k, depth):
     patch = hierarchy.patch_of(k, depth)
     grid = hierarchy.micro_grid(patch.bbox)
     space = problem.space(grid)
-    data = _fine_data(problem, grid)
-    a_eps, fluct = data
+    a_eps, fluct = data = _fine_data(problem, grid)
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
         elem = elem + fluct
-    op = SparseOperator(problem.patch_plan(grid).matrix(elem), space)
+    op = element_operator(space, elem)
     zi = evaluate(z_eff, grid.node_coords)
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)

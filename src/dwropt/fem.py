@@ -19,6 +19,7 @@ size of the normal jumps).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, OutOfDomainError, SingularOperatorError
-from .mesh import SIDES, _exact_ratio
+from .mesh import SIDES, Grid, _exact_ratio
 
 # 1-d exact integrals of the hat functions N0 = 1 - t, N1 = t on [0, 1]
 _M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0       # int N_i N_j
@@ -252,13 +253,13 @@ ND_LEAF = 2
 SUPERLU_PANEL_SIZE = 2
 
 
-@lru_cache(maxsize=16)
 def nested_dissection(n_x, n_y, leaf=ND_LEAF):
     """Every node of an ``n_x`` by ``n_y`` node lattice (node ``(i, j)`` has
     id ``j * n_x + i``) once, in nested-dissection order: a block with a
     side longer than ``leaf`` is split by its middle line across the longer
     side, both halves come first, the line last; smaller blocks are taken
-    row by row.  Read-only, and built once per lattice shape."""
+    row by row.  Operators read it from their :func:`lattice_plan`, which
+    builds it once per lattice shape."""
     order = []  # node ids as Python ints: far cheaper than many tiny arrays
 
     def dissect(i0, i1, j0, j1):  # the block [i0, i1) x [j0, j1)
@@ -279,9 +280,44 @@ def nested_dissection(n_x, n_y, leaf=ND_LEAF):
             order.extend(range(m * n_x + i0, m * n_x + i1))
 
     dissect(0, n_x, 0, n_y)
-    order = np.array(order)
-    order.flags.writeable = False
-    return order
+    return np.array(order, dtype=np.int32)
+
+
+LatticePlan = namedtuple("LatticePlan", "indptr indices scatter order")
+
+
+@lru_cache(maxsize=12)
+def lattice_plan(shape):
+    """What every Q1 operator on a grid of ``shape`` cells shares, patch,
+    macro or fine: the CSR pattern (``indptr``, ``indices``: each node
+    couples with its 3 x 3 lattice neighbours), ``scatter``, the CSR slot of
+    every entry of a raveled (ncells, 4, 4) element array, and ``order``,
+    the :func:`nested_dissection` order of the node lattice; int32 and
+    read-only.  The scatter is built without sorting: an element entry takes
+    the slot of its column node among the valid neighbour slots of its row
+    node, numbered in column order.  ``np.bincount`` then adds the entries
+    of a slot in cell order, as a COO to CSR conversion sums duplicates, so
+    :func:`element_operator` builds that conversion's matrix bit for bit.
+
+    The one cache of what operators share: a run meets at most 12 shapes (9
+    patch shapes, the macro grid and up to two global fine grids), and a
+    plan takes about 108 bytes per cell (64 for the scatter, 44 per node for
+    the pattern and the order; 7.1 MB for a 256 x 256 grid)."""
+    n_x, n_y = shape[0] + 1, shape[1] + 1
+    ids = np.pad(np.arange(n_x * n_y, dtype=np.int32).reshape(n_y, n_x), 1, constant_values=-1)
+    window = np.lib.stride_tricks.sliding_window_view(ids, (3, 3))  # -1 outside the lattice
+    valid = window >= 0
+    slot = np.cumsum(valid.reshape(-1, 9), axis=1, dtype=np.int32)
+    indptr = np.concatenate([np.int32([0]), np.cumsum(slot[:, -1], dtype=np.int32)])
+    slot += indptr[:-1, None] - 1  # the CSR position of each valid neighbour
+    a, b = np.arange(4) % 2, np.arange(4) // 2  # cell corner p = a + 2b
+    offset = (b - b[:, None] + 1) * 3 + a - a[:, None] + 1  # corner q among p's neighbours
+    corners = Grid((0.0, 0.0), (1.0, 1.0), shape).cell_nodes[:, :, None]
+    indices, scatter = window[valid], slot[corners, offset].ravel()
+    plan = LatticePlan(indptr, indices, scatter, nested_dissection(n_x, n_y))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 class SparseOperator:
@@ -289,20 +325,18 @@ class SparseOperator:
     Dirichlet-constrained block, computed on first use and reused by every
     primal, dual (transposed) and response solve.
 
-    The block is extracted with its free nodes in the nested-dissection
-    order of the grid's node lattice (:func:`nested_dissection`, restricted
-    to the free nodes) and factored in that order (``permc_spec="NATURAL"``).
-    The order depends only on the lattice shape and the constrained nodes,
-    so every operator of one pattern, patch, macro or fine, is factored
-    alike on every call.  ``free`` holds the free nodes in the order of the
-    factored block.
+    The block is extracted with its free nodes in the order of the
+    :func:`lattice_plan` of its grid's shape and factored in that order
+    (``permc_spec="NATURAL"``).  The order depends only on the lattice shape
+    and the constrained nodes, so every operator of one pattern, patch,
+    macro or fine, is factored alike on every call.  ``free`` holds the free
+    nodes in the order of the factored block.
     """
 
     def __init__(self, matrix, space):
         self.matrix = sp.csr_matrix(matrix)
         self.space = space
-        grid = space.grid
-        order = nested_dissection(grid.nx + 1, grid.ny + 1)
+        order = lattice_plan(space.grid.shape).order
         is_free = np.zeros(space.n_dofs, dtype=bool)
         is_free[space.free_nodes] = True
         self.free = order[is_free[order]]
@@ -335,48 +369,17 @@ class SparseOperator:
         return x
 
 
-class PatchPlan:
-    """What every patch grid of one shape shares: the CSR pattern of its Q1
-    operator and the index that scatters an (ncells, 4, 4) element array
-    straight into the CSR data.
-
-    Summing the element entries with ``np.bincount`` adds them in the order
-    the COO to CSR conversion of :func:`element_operator` does, so both build
-    the same matrix.
-    """
-
-    def __init__(self, grid):
-        n = grid.n_nodes
-        rows, cols = _element_pairs(grid)
-        pattern = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-        self.shape = (n, n)
-        self.indptr, self.indices = pattern.indptr, pattern.indices
-        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
-        self.scatter = np.searchsorted(keys, rows * n + cols)
-
-    def matrix(self, elem):
-        """CSR matrix scattered from the (ncells, 4, 4) element array."""
-        data = np.bincount(self.scatter, weights=elem.ravel(), minlength=self.indices.size)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
 
-def _element_pairs(grid):
-    """(row, column) node of every entry of a raveled (ncells, 4, 4) element
-    array on ``grid``."""
-    cn = grid.cell_nodes
-    return np.repeat(cn, 4, axis=1).ravel(), np.tile(cn, (1, 4)).ravel()
-
-
 def element_operator(space, elem):
     """Operator scattered from (ncells, 4, 4) element matrices on the grid of
-    ``space``; ``elem[c, p, q]`` couples test node p with trial node q."""
-    n = space.n_dofs
-    rows, cols = _element_pairs(space.grid)
-    matrix = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    ``space`` through its :func:`lattice_plan`; ``elem[c, p, q]`` couples
+    test node p with trial node q.  Every Q1 operator is assembled here."""
+    plan = lattice_plan(space.grid.shape)
+    data = np.bincount(plan.scatter, weights=elem.ravel(), minlength=plan.indices.size)
+    matrix = sp.csr_matrix((data, plan.indices, plan.indptr), shape=(space.n_dofs,) * 2)
     return SparseOperator(matrix, space)
 
 
@@ -593,11 +596,11 @@ class Problem:
     the load functional; ``dirichlet`` the markers carrying (homogeneous)
     Dirichlet conditions: at least one, each a marker of the domain.
 
-    The problem is the one place that keeps what every cycle reads: the
-    macro and global fine spaces, the fine data and the fine solution per
-    grid spacing, b_delta, and the :class:`PatchPlan` of each patch grid
-    shape.  Patch spaces and operators are built on demand, not cached, and
-    :meth:`keep_fine_data` frees the fine data a run no longer reads.
+    The problem is the one place that keeps the problem data every cycle
+    reads: the macro and global fine spaces, the fine data and the fine
+    solution per grid spacing, and b_delta; what depends on a grid's shape
+    alone is its :func:`lattice_plan`.  Patch spaces and operators are built
+    on demand, and :meth:`keep_fine_data` frees fine data no longer read.
     """
 
     hierarchy: object
@@ -611,7 +614,6 @@ class Problem:
     _fine: dict = dc_field(default_factory=dict, repr=False)
     _fine_solutions: dict = dc_field(default_factory=dict, repr=False)
     _b_delta: object = dc_field(default=None, repr=False)
-    _plans: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.dirichlet:
@@ -697,14 +699,6 @@ class Problem:
         nested in the sampling grid: (ncells, 4, 2)."""
         b_delta = self.average_advection()[self.hierarchy.parents(grid)]
         return np.repeat(b_delta[:, None, :], 4, axis=1)
-
-    def patch_plan(self, grid):
-        """The :class:`PatchPlan` of ``grid``'s shape, built on first use.
-        Only patch grids get a plan: a patch of depth <= 1 spans one to three
-        sampling cells per axis, so a problem keeps at most 9 plans."""
-        if grid.shape not in self._plans:
-            self._plans[grid.shape] = PatchPlan(grid)
-        return self._plans[grid.shape]
 
     def fine_solution(self, h):
         """(u, z) on ``fine_space(h)``: the fine-scale solution (the reference)

@@ -112,19 +112,23 @@ class RasterField:
 
     @classmethod
     def from_pgm(cls, path, origin=(0.0, 0.0), size=(1.0, 1.0)):
-        with open(path, "rb") as fh:
-            magic = fh.readline().strip()
-            if magic != b"P5":
-                raise ConfigurationError(f"not a binary PGM file: {path}")
-            line = fh.readline()
-            while line.startswith(b"#"):
-                line = fh.readline()
-            nx, ny = (int(t) for t in line.split())
-            maxval = int(fh.readline())
-            if maxval != 255:
-                raise ConfigurationError(f"unsupported PGM maxval {maxval}")
-            data = np.frombuffer(fh.read(nx * ny), dtype=np.uint8).reshape(ny, nx)
-        return cls(values=data, origin=origin, size=size)
+        """Read a binary PGM (P5, maxval 255) as :meth:`to_pgm` writes it; a
+        file that cannot be read or is malformed raises ConfigurationError."""
+        try:
+            with open(path, "rb") as fh:
+                magic, line = fh.readline().strip(), fh.readline()
+                while line.startswith(b"#"):
+                    line = fh.readline()
+                nx, ny = (int(t) for t in line.split())
+                maxval, data = int(fh.readline()), fh.read(max(nx * ny, 0))
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read the PGM file {path}: {exc}") from exc
+        if (magic, maxval) != (b"P5", 255) or min(nx, ny) <= 0 or len(data) != nx * ny:
+            raise ConfigurationError(
+                f"{path} is not a complete 8-bit binary PGM: magic {magic!r}, size {nx} x {ny}, "
+                f"maxval {maxval}, {len(data)} pixels"
+            )
+        return cls(values=np.frombuffer(data, np.uint8).reshape(ny, nx), origin=origin, size=size)
 
 
 def _convolve1d_reflect(arr, kernel, axis):

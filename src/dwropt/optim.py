@@ -23,11 +23,11 @@ from .dwr import DualApproximation, error_breakdown, error_identity, indicator_s
 from .errors import ConfigurationError, NumericalError
 from .fem import (
     DiscreteField,
-    SparseOperator,
     advection_form_percell,
     diffusion_element_matrices,
     diffusion_form_percell,
     effective_operator,
+    element_operator,
     evaluate,
     gather,
     gauss_point_coords,
@@ -479,8 +479,7 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
                 # patch-reconstruction response: (A_eps grad phi, grad DZ_K) =
                 # -(A_eps grad phi, grad DZ) on the patch
                 elem = diffusion_element_matrices(ctx.grid, ctx.a_eps)
-                patch_matrix = problem.patch_plan(ctx.grid).matrix(elem)
-                patch_op = SparseOperator(patch_matrix, problem.space(ctx.grid))
+                patch_op = element_operator(problem.space(ctx.grid), elem)
                 dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
             ids = ctx.center
             t_dual = float(

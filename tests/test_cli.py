@@ -404,9 +404,10 @@ def test_every_config_entry_exits_0_or_2(tmp_path, base, section, key, value):
         ("advdiff_small", "dirichlet = gamma_d", "dirichlet = gamma_x"),
         ("advdiff_small", "gamma = 0.1", "gamma = -1"),
         ("diffusion_tiny", "h = 2^-6\nfine = 2^-6", "h = 2^-4\nfine = 2^-4"),
+        ("diffusion_tiny", "kind = lognormal", "kind = raster\npath = no_such_raster.pgm"),
     ],
     ids=["misspelled_key", "unknown_section", "reference_on", "tile", "dirichlet_unknown",
-         "negative_definite_constant_field", "reference_coarser_than_raster"],
+         "negative_definite_constant_field", "reference_coarser_than_raster", "missing_raster"],
 )
 def test_shipped_config_error_exits_before_writing(tmp_path, config, old, new):
     text = (CONFIGS / f"{config}.ini").read_text()
@@ -457,6 +458,8 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[mesh]\ndelta = 1/3\nH = 1/4\nh = 1/8\n")
     assert main(["optimize", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert main(["optimize", str(tmp_path / "no_such.ini"), "--out", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m").exists()
 
     cfg_path = tmp_path / "tiny.ini"
     cfg_path.write_text(TINY)

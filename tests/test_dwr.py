@@ -22,6 +22,7 @@ from dwropt.fem import (
     gauss_point_coords,
     gauss_values,
     interpolate,
+    lattice_plan,
     problem_rhs,
     solve,
     solve_dual,
@@ -314,7 +315,8 @@ def test_fine_data_slice_equals_direct_sampling(fine_ratio):
 
 def test_sweeps_keep_one_plan_per_patch_shape():
     # depth-1 and depth-0 sweeps on the 4 x 8 sampling grid meet five patch
-    # shapes, within the bound of nine plans
+    # shapes; with the macro grid they build six lattice plans, each once
+    lattice_plan.cache_clear()
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
     hierarchy = problem.hierarchy
     model = constant_model(hierarchy, 0.1)
@@ -328,5 +330,10 @@ def test_sweeps_keep_one_plan_per_patch_shape():
         for k in range(hierarchy.n_sampling):
             space = problem.space(hierarchy.micro_grid(hierarchy.patch_of(k, depth).bbox))
             patterns.add((space.grid.shape, space.dirichlet_nodes.tobytes()))
-    assert set(problem._plans) == {shape for shape, _ in patterns}
-    assert len(problem._plans) == 5
+    shapes = {shape for shape, _ in patterns}
+    assert len(shapes) == 5 and macro.grid.shape not in shapes
+    built = lattice_plan.cache_info()
+    assert built.misses == built.currsize == 6
+    for shape in shapes | {macro.grid.shape}:
+        lattice_plan(shape)
+    assert lattice_plan.cache_info().misses == 6

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import advection_problem, figure5_domain, lognormal_problem
+from dwropt.cli import ExperimentConfig, build_initial_model, build_problem, read_config
 from dwropt.dwr import _fine_data
 from dwropt.errors import ConfigurationError, SingularOperatorError
 from dwropt.fem import (
@@ -11,6 +14,7 @@ from dwropt.fem import (
     Functional,
     Problem,
     SparseOperator,
+    advection_elements,
     apply_functional,
     assemble_advection,
     assemble_diffusion,
@@ -32,6 +36,8 @@ from dwropt.fem import (
 from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, Grid, build_hierarchy
 from dwropt.upscale import constant_model
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def unit_space(n, dirichlet=("left", "right", "bottom", "top")):
@@ -401,6 +407,22 @@ def patch_elements(problem, k):
     return problem.space(grid), elem if fluct is None else elem + fluct
 
 
+def coo_operator(grid, elems):
+    """Sum of the COO to CSR assemblies of each (ncells, 4, 4) element array
+    on ``grid``: the reference the lattice plan must reproduce bit for bit."""
+    cn = grid.cell_nodes
+    rows, cols = np.repeat(cn, 4, axis=1).ravel(), np.tile(cn, (1, 4)).ravel()
+    shape = (grid.n_nodes, grid.n_nodes)
+    parts = [sp.coo_matrix((e.ravel(), (rows, cols)), shape=shape).tocsr() for e in elems]
+    return sum(parts[1:], parts[0])
+
+
+def assert_bit_identical(a, b):
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
 @pytest.mark.parametrize(
     "case, k",
     [("interior", 5), ("neumann", 0), ("advective", 13)],
@@ -415,11 +437,33 @@ def test_patch_plan_assembles_the_coo_matrix_entry_for_entry(case, k):
         "advective": lambda: advection_problem(h_micro=2.0**-5, drift_max=1.5),
     }[case]()
     space, elem = patch_elements(problem, k)
-    coo = element_operator(space, elem).matrix
-    planned = problem.patch_plan(space.grid).matrix(elem)
-    assert np.array_equal(planned.indptr, coo.indptr)
-    assert np.array_equal(planned.indices, coo.indices)
-    assert np.array_equal(planned.data, coo.data)
+    assert_bit_identical(element_operator(space, elem).matrix, coo_operator(space.grid, [elem]))
+
+
+@pytest.mark.parametrize("config", ["diffusion_small", "advdiff_small"])
+def test_macro_and_fine_operators_assemble_the_coo_matrix(config):
+    # the macro operator (diffusion plus, with transport, the plain b_delta
+    # form) and the fine operator (diffusion plus the skew E_eps form) of a
+    # shipped config go through the lattice plan too: each equals the sum of
+    # the COO assemblies of its element arrays, bit for bit
+    cfg = ExperimentConfig.from_ini(CONFIGS / f"{config}.ini")
+    problem, _ = build_problem(read_config(cfg))
+    model = build_initial_model(cfg, problem)
+    macro = problem.macro_space()
+    grid = macro.grid
+    elems = [diffusion_element_matrices(grid, model.tensors_at(grid.cell_centers))]
+    if problem.is_advective:
+        elems.append(advection_elements(grid, problem.delta_values(grid), skew=False))
+    n_forms = 2 if config == "advdiff_small" else 1
+    assert len(elems) == n_forms
+    planned = effective_operator(problem, model, macro).matrix
+    assert_bit_identical(planned, coo_operator(grid, elems))
+
+    fine = problem.fine_space(problem.hierarchy.h_micro)
+    grid, a_eps, e_eps, _ = problem.fine_data(problem.hierarchy.h_micro)
+    elems = [diffusion_element_matrices(grid, a_eps)] + ([] if e_eps is None else [e_eps])
+    assert len(elems) == n_forms and grid.shape == fine.grid.shape
+    assert_bit_identical(fine_operator(problem, fine).matrix, coo_operator(grid, elems))
 
 
 def test_dissection_ordered_factor_matches_minimum_degree_factor():
@@ -432,7 +476,7 @@ def test_dissection_ordered_factor_matches_minimum_degree_factor():
     rng = np.random.default_rng(3)
     for k in (10, 14):
         space, elem = patch_elements(problem, k)
-        op = SparseOperator(problem.patch_plan(space.grid).matrix(elem), space)
+        op = element_operator(space, elem)
         free = space.free_nodes
         mmd = splu(op.matrix[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A")
         assert op._factorize().nnz <= mmd.nnz

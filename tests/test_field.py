@@ -98,6 +98,28 @@ def test_pgm_round_trip(tmp_path):
     assert back.values.dtype == np.uint8
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"P5\n4 4\n255\n" + bytes(10), "size 4 x 4, maxval 255, 10 pixels"),
+        (b"P5\n4 x4\n255\n" + bytes(16), "invalid literal for int"),
+        (b"P5\n4 4\n", "invalid literal for int"),
+        (b"P5\n-4 -4\n255\n" + bytes(16), "size -4 x -4"),
+    ],
+    ids=["truncated", "malformed_size", "no_maxval", "negative_size"],
+)
+def test_broken_pgm_is_a_configuration_error(tmp_path, content, message):
+    path = tmp_path / "field.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ConfigurationError, match=message):
+        RasterField.from_pgm(path)
+
+
+def test_missing_pgm_is_a_configuration_error(tmp_path):
+    with pytest.raises(ConfigurationError, match="cannot read the PGM file"):
+        RasterField.from_pgm(tmp_path / "missing.pgm")
+
+
 def test_raster_lookup_out_of_extent():
     r = RasterField(values=np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(OutOfDomainError):
