@@ -1,21 +1,24 @@
 """Paired benchmark of two dwropt checkouts.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --label NAME \
-        [--claim advdiff_small:wall_s] [--change-text TEXT] [--tolerance FILE.json]
+        [--workload diffusion_small:5 ...] [--claim advdiff_small:wall_s] \
+        [--change-text TEXT] [--tolerance FILE.json]
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
-inside each checkout for every workload of ``WORKLOADS``, with N the
-``run_seconds`` of the change's ``BENCHMARK.json``, in ``PAIRS`` pairs that
-alternate which side runs first (odd pairs start with the parent), one
-process at a time.  Then it makes one
+inside each checkout for every ``W:S`` of ``--workload`` (default
+``WORKLOADS``), with N the ``run_seconds`` of the change's
+``BENCHMARK.json``, in ``PAIRS`` pairs that alternate which side runs first
+(odd pairs start with the parent), one process at a time.  Then it makes one
 traced run (``--seconds 1 --trace 1``) per side and workload.  It writes
 ``BENCH_<label>.json`` into the current directory with, per workload and
 end-to-end metric, the median and quartiles (inclusive method) of the run
 values on each side, the per-run values, and how many pairs the change read
-better or worse.  The file also holds the traced layers, the machine notes of
-``perfbench/machine.py`` and, with ``--tolerance``, a JSON object stating
-how far the outputs of the two sides differ.  Nothing under ``perfbench/``
-is changed.
+better or worse.  The file also holds the traced layers, the time per patch
+enhancement outside its factorization (``outside_factor_s_per_call``,
+``(dwr.local_enhancement.s - fem.factor.patch.s) / calls``, also printed),
+the machine notes of ``perfbench/machine.py`` and, with ``--tolerance``, a
+JSON object stating how far the outputs of the two sides differ.  Nothing
+under ``perfbench/`` is changed.
 """
 
 import argparse
@@ -49,6 +52,7 @@ TRACED = (
     "fem.factor.fine.count",
     "fem.factor.fine.lu_nnz",
     "fem.factor.lu_bytes",
+    "fem.solve.s",
     "fem.solve.count",
     "dwr.local_enhancement.s",
     "dwr.local_enhancement.self_s",
@@ -56,8 +60,18 @@ TRACED = (
     "dwr.error_identity.s",
     "optim.assemble_system.s",
     "optim.assemble_system.self_s",
+    "optim.response_U.s",
     "optim.response_U.calls",
 )
+
+
+def outside_factor_per_call(layers):
+    """Seconds per patch enhancement spent outside its factorization:
+    (dwr.local_enhancement.s - fem.factor.patch.s) / calls."""
+    calls = layers["dwr.local_enhancement.calls"]
+    if not calls:
+        return None
+    return (layers["dwr.local_enhancement.s"] - layers["fem.factor.patch.s"]) / calls
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -108,6 +122,7 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--label", required=True)
+    parser.add_argument("--workload", action="append", help="NAME:SEED (default: WORKLOADS)")
     parser.add_argument("--claim", action="append", default=[], help="WORKLOAD:METRIC")
     parser.add_argument("--change-text", default="", help="one line on what changed")
     parser.add_argument("--tolerance", type=Path, help="JSON object on output differences")
@@ -119,7 +134,8 @@ def main(argv=None):
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     workloads, traced = {}, {}
-    for spec in WORKLOADS:
+    specs = args.workload or WORKLOADS
+    for spec in specs:
         name, seed = spec.split(":")
         runs = {"parent": [], "change": []}
         for pair in range(1, PAIRS + 1):
@@ -148,12 +164,17 @@ def main(argv=None):
             layers = {k: v["value"] for k, v in result["metrics"].items()}
             traced[name][side] = {"correct": result["correct"]}
             traced[name][side].update((k, layers[k]) for k in TRACED if k in layers)
+            outside = outside_factor_per_call(layers)
+            traced[name][side]["outside_factor_s_per_call"] = outside
+            if outside is not None:
+                print(f"{name} {side}: {1e3 * outside:.2f} ms per local_enhancement outside "
+                      "its factorization", file=sys.stderr)
 
     notes = subprocess.run(
         [sys.executable, "perfbench/machine.py"], cwd=roots["change"],
         capture_output=True, text=True, check=True,
     )
-    seeds = ", ".join(spec.replace(":", " seed ") for spec in WORKLOADS)
+    seeds = ", ".join(spec.replace(":", " seed ") for spec in specs)
     record = {
         "change": args.change_text,
         "method": (

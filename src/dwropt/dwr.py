@@ -23,12 +23,14 @@ from .fem import (
     diffusion_form_stack,
     effective_operator,
     element_operator,
-    evaluate,
     functional_vector,
     gather,
     interpolate,
+    lattice_matrix,
+    lattice_values,
     problem_rhs,
 )
+from .mesh import _exact_ratio
 
 
 @dataclass
@@ -53,8 +55,17 @@ def _fine_data(problem, grid):
     grad u (None without transport).  Both are slices of the problem's global
     fine data on the grid's spacing."""
     fine_grid, a_eps, _, fluct = problem.fine_data(grid.spacing[0])
-    ids = fine_grid.subgrid_cell_ids(grid.bbox)
-    return a_eps[ids], None if fluct is None else fluct[ids]
+    return (
+        fine_grid.restrict(a_eps, grid.bbox),
+        None if fluct is None else fine_grid.restrict(fluct, grid.bbox),
+    )
+
+
+def _patch_elements(grid, a_eps, fluct):
+    """Element matrices of the patch operator: the fine diffusion plus the
+    transport fluctuation."""
+    elem = diffusion_element_matrices(grid, a_eps)
+    return elem if fluct is None else elem + fluct
 
 
 def local_enhancement(problem, z_eff, k, depth):
@@ -65,22 +76,21 @@ def local_enhancement(problem, z_eff, k, depth):
     (homogeneous Neumann) conditions where the patch touches Neumann
     boundaries of the primal problem.  The patch operator is the fine
     diffusion plus the transport fluctuation.  Returns (patch, patch_space,
-    z_eff at the patch nodes, z_k, fine data of the patch grid); the
-    enhanced dual on the patch is the sum of the middle two.
+    z_eff at the patch nodes, z_k, (A_eps, fluctuation and patch operator
+    element matrices)); the enhanced dual on the patch is the sum of the
+    middle two.
     """
     hierarchy = problem.hierarchy
     patch = hierarchy.patch_of(k, depth)
     grid = hierarchy.micro_grid(patch.bbox)
     space = problem.space(grid)
-    a_eps, fluct = data = _fine_data(problem, grid)
-    elem = diffusion_element_matrices(grid, a_eps)
-    if fluct is not None:
-        elem = elem + fluct
+    a_eps, fluct = _fine_data(problem, grid)
+    elem = _patch_elements(grid, a_eps, fluct)
     op = element_operator(space, elem)
-    zi = evaluate(z_eff, grid.node_coords)
+    zi = lattice_values(z_eff, grid).ravel()
     rhs = functional_vector(space, problem.functional) - op.matrix.T @ zi
     values = op.solve_constrained(rhs, transpose=True)
-    return patch, space, zi, DiscreteField(space, values), data
+    return patch, space, zi, DiscreteField(space, values), (a_eps, fluct, elem)
 
 
 @dataclass
@@ -154,53 +164,90 @@ def _theta_H(problem, model, operator, U, z):
 
 
 class _PatchContext:
-    """Per-cell data shared by the indicator eta_K and its Jacobian row: the
-    patch micro grid, U and the dual z* on it, the fine tensors A_eps, the
-    differences A_delta - A_eps, the transport fluctuation element matrices,
-    and the weights that turn a field on the patch into its response terms."""
+    """Per-cell data shared by the indicator eta_K and its Jacobian row.
+
+    A context keeps the patch, its micro grid, the dual z* at the patch
+    nodes and the fine data of the patch cells (A_eps, the transport
+    fluctuation element matrices and, from the enhancement, the patch
+    operator's element matrices).  Of U and z* per cell and of A_delta -
+    A_eps it keeps the center cell's alone (``u4``, ``z4``, ``d_tensors``,
+    rows ``center`` of the patch cells), which is all eta_K reads.  The
+    response terms of the Jacobian row read the whole patch; their
+    contraction is built on the first :meth:`response_terms` call, so a
+    sweep without Jacobian never builds it."""
 
     def __init__(self, problem, model, U, k, patch, grid, zstar, data):
         self.k = k
         self.patch = patch
         self.grid = grid
         self.zstar = zstar
-        hierarchy = problem.hierarchy
-        self.a_eps, self.fluct = data
-        parents = hierarchy.parents(grid)
-        self.d_tensors = model.tensors[parents] - self.a_eps
-        self.u4 = gather(grid, evaluate(U, grid.node_coords))
-        self.z4 = gather(grid, zstar)
-        self.center = grid.subgrid_cell_ids(hierarchy.sampling_bbox(k))
-        # member index of every cell: patch members are sorted cell ids
-        self.labels = np.searchsorted(patch.members, parents)
-        elem = diffusion_element_matrices(grid, self.d_tensors)
-        if self.fluct is not None:
-            elem = elem - self.fluct
-        self.weights = np.einsum("cp,cpq->cq", self.z4, elem)
+        self.a_eps, self.fluct, self._elem = data
+        self._delta = problem.hierarchy.delta
+        self._tensors = model.tensors[list(patch.members)]
+        self._macro = U.space.grid
+        self._bbox = bbox = problem.hierarchy.sampling_bbox(k)
+        center = grid.subgrid(bbox)
+        self.center = grid.subgrid_cell_ids(bbox)
+        self.d_tensors = model.tensors[k] - grid.restrict(self.a_eps, bbox)
+        self.u4 = gather(center, lattice_values(U, center).ravel())
+        self.z4 = gather(center, grid.restrict(zstar, bbox, nodal=True))
+        self._terms = None
 
     def indicator_and_stack(self):
         """(eta_K, direct-term stack) over the center cell's region."""
-        ids = self.center
-        stack = diffusion_form_stack(self.grid, self.u4[ids], self.z4[ids])
-        eta = float(np.einsum("cab,cab->", self.d_tensors[ids], stack))
+        stack = diffusion_form_stack(self.grid, self.u4, self.z4)
+        eta = float(np.einsum("cab,cab->", self.d_tensors, stack))
         if self.fluct is not None:
-            eta -= float(np.einsum("cp,cpq,cq->", self.z4[ids], self.fluct[ids], self.u4[ids]))
+            fluct = self.grid.restrict(self.fluct, self._bbox)
+            eta -= float(np.einsum("cp,cpq,cq->", self.z4, fluct, self.u4))
         return eta, stack.sum(axis=0)
+
+    def _contraction(self):
+        """(members, macro nodes of the patch) matrix C and those macro node
+        ids: row m of C @ R is the term of member m for a macro field R.
+        The weights z*^T (E_delta - E) of every patch cell, with E_delta the
+        diffusion element matrices of its member's tensor and E those of the
+        patch operator, are summed per member and node, then contracted with
+        the interpolation from the member's macro nodes (one
+        :func:`lattice_matrix` per axis)."""
+        grid = self.grid
+        side = _exact_ratio(self._delta, grid.spacing[0], "sampling cell")
+        ratio = _exact_ratio(self._macro.spacing[0], grid.spacing[0], "macro cell")
+        nx, ny, q = grid.nx // side, grid.ny // side, side // ratio
+        elem = self._elem
+        if elem is None:
+            elem = _patch_elements(grid, self.a_eps, self.fluct)
+        z4 = gather(grid, self.zstar)
+        # axes: member row, member column, cell row, cell column, corner
+        by_member = z4.reshape(ny, side, nx, side, 4).transpose(0, 2, 1, 3, 4)
+        member = diffusion_element_matrices(grid, self._tensors).reshape(ny, nx, 4, 4)
+        weights = (by_member.reshape(ny, nx, side * side, 4) @ member).reshape(by_member.shape)
+        patch_weights = np.einsum("cp,cpq->cq", z4, elem).reshape(ny, side, nx, side, 4)
+        weights -= patch_weights.transpose(0, 2, 1, 3, 4)
+        # per member, the corners' weights summed per node in cell order
+        nodal = np.zeros((ny, nx, side + 1, side + 1))
+        nodal[..., 1:, 1:] += weights[..., 3]
+        nodal[..., 1:, :-1] += weights[..., 2]
+        nodal[..., :-1, 1:] += weights[..., 1]
+        nodal[..., :-1, :-1] += weights[..., 0]
+        table = lattice_matrix(side + 1, ratio)
+        per_member = table.T @ nodal @ table
+        contraction = np.zeros((ny, nx, ny * q + 1, nx * q + 1))
+        for j in range(ny):
+            for i in range(nx):
+                contraction[j, i, j * q : j * q + q + 1, i * q : i * q + q + 1] = per_member[j, i]
+        nodes = self._macro.subgrid_node_ids(self.patch.bbox)
+        return contraction.reshape(ny * nx, nodes.size), nodes
 
     def response_terms(self, fields):
         """(members, fields) array of int_Q (A_delta - A_eps) grad R . grad z*
         [- (b_eps - b_delta) . grad R z*] for every patch member Q and macro
-        field R of ``fields``.  The fields are evaluated on the patch grid
-        together, contracted with the weights in one pass and summed per
-        member."""
-        stacked = DiscreteField(fields[0].space, np.column_stack([f.values for f in fields]))
-        nodal = evaluate(stacked, self.grid.node_coords)[self.grid.cell_nodes]
-        per_cell = np.einsum("cp,cpr->cr", self.weights, nodal)
-        shape = (len(self.patch.members), len(fields))
-        index = self.labels[:, None] * shape[1] + np.arange(shape[1])
-        return np.bincount(
-            index.ravel(), weights=per_cell.ravel(), minlength=shape[0] * shape[1]
-        ).reshape(shape)
+        field R of ``fields``: one product of the contraction with the
+        fields' values at the patch's macro nodes."""
+        if self._terms is None:
+            self._terms = self._contraction()
+        contraction, nodes = self._terms
+        return contraction @ np.column_stack([f.values for f in fields])[nodes]
 
 
 def _patch_context(problem, model, U, dual, k):
@@ -221,10 +268,11 @@ def _patch_context(problem, model, U, dual, k):
         zstar = z.values[z.space.grid.subgrid_node_ids(patch.bbox)]
     elif dual.mode == "effective":
         grid = hierarchy.micro_grid(patch.bbox)
-        zstar = evaluate(z, grid.node_coords)
+        zstar = lattice_values(z, grid).ravel()
     else:
         raise ValueError(f"unknown dual mode '{dual.mode}'")
-    return _PatchContext(problem, model, U, k, patch, grid, zstar, _fine_data(problem, grid))
+    data = _fine_data(problem, grid) + (None,)
+    return _PatchContext(problem, model, U, k, patch, grid, zstar, data)
 
 
 def indicator_sweep(problem, model, U, dual):

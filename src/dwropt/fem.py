@@ -147,25 +147,21 @@ class FeSpace:
     def _classify(self):
         g = self.grid
         nx, ny = g.nx, g.ny
-        coords = g.node_coords
-        ix = np.arange(g.n_nodes) % (nx + 1)
-        iy = np.arange(g.n_nodes) // (nx + 1)
-        constrained = np.zeros(g.n_nodes, dtype=bool)
-        side_tests = {
-            "left": ix == 0,
-            "right": ix == nx,
-            "bottom": iy == 0,
-            "top": iy == ny,
+        side_nodes = {
+            "left": np.arange(ny + 1) * (nx + 1),
+            "right": np.arange(ny + 1) * (nx + 1) + nx,
+            "bottom": np.arange(nx + 1),
+            "top": ny * (nx + 1) + np.arange(nx + 1),
         }
-        for side, on_side in side_tests.items():
+        constrained = np.zeros(g.n_nodes, dtype=bool)
+        for side, idx in side_nodes.items():
             dom_side = self._domain_side_of(side)
             if dom_side is None:
-                constrained |= on_side  # interior patch cut
+                constrained[idx] = True  # interior patch cut
                 continue
             axis = 1 if side in ("left", "right") else 0
-            idx = np.nonzero(on_side)[0]
-            markers = self.dirichlet_markers
-            constrained[idx] |= self.domain.meets(dom_side, coords[idx, axis], markers)
+            coords = g.origin[axis] + g.spacing[axis] * np.arange(idx.size)
+            constrained[idx] |= self.domain.meets(dom_side, coords, self.dirichlet_markers)
         self.dirichlet_nodes = np.nonzero(constrained)[0]
         self.free_nodes = np.nonzero(~constrained)[0]
 
@@ -205,15 +201,14 @@ class FeSpace:
 
 @dataclass
 class DiscreteField:
-    """Nodal coefficient vector on a finite-element space; ``values`` of
-    shape (n_dofs, m) stack m fields that are evaluated together."""
+    """Nodal coefficient vector on a finite-element space."""
 
     space: FeSpace
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[:1] != (self.space.n_dofs,) or self.values.ndim > 2:
+        if self.values.shape != (self.space.n_dofs,):
             raise ConfigurationError(
                 f"coefficient length {self.values.shape} does not match dof count {self.space.n_dofs}"
             )
@@ -320,6 +315,42 @@ def lattice_plan(shape):
     return plan
 
 
+InteriorBlock = namedtuple("InteriorBlock", "indptr indices slots")
+
+# Lattices of at most this many nodes (the patch and macro grids of the
+# small shipped configs) keep an interior block pattern: about 76 bytes per
+# interior node, 0.68 MB for a 96 x 96-cell patch, at most 9 x 16,384 x 76 B
+# = 11 MB.  A global fine grid is factored once per run while its LU sets the
+# run's peak memory, and gains nothing from it.
+BLOCK_CACHE_NODES = 16_384
+
+
+@lru_cache(maxsize=9)
+def interior_block(shape):
+    """The CSC pattern of the block of a lattice operator on a grid of
+    ``shape`` cells between its interior nodes (all but the lattice's
+    boundary), in the :func:`nested_dissection` order of its
+    :func:`lattice_plan`: ``indptr``, ``indices`` and the CSR slot of every
+    entry; int32, read-only."""
+    plan = lattice_plan(shape)
+    n_x, n_y = shape[0] + 1, shape[1] + 1
+    interior = np.zeros((n_y, n_x), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    order = plan.order[interior.ravel()[plan.order]]
+    position = np.full(n_x * n_y, -1, dtype=np.int32)
+    position[order] = np.arange(order.size, dtype=np.int32)
+    row = np.repeat(position, np.diff(plan.indptr))  # of each CSR slot
+    col = position[plan.indices]
+    slots = np.flatnonzero((row >= 0) & (col >= 0))
+    slots = slots[np.lexsort((row[slots], col[slots]))].astype(np.int32)
+    counts = np.bincount(col[slots], minlength=order.size)
+    indptr = np.concatenate([np.int32([0]), np.cumsum(counts, dtype=np.int32)])
+    block = InteriorBlock(indptr, row[slots], slots)
+    for array in block:
+        array.flags.writeable = False
+    return block
+
+
 class SparseOperator:
     """Square sparse operator with a cached LU factorization of its
     Dirichlet-constrained block, computed on first use and reused by every
@@ -330,7 +361,9 @@ class SparseOperator:
     (``permc_spec="NATURAL"``).  The order depends only on the lattice shape
     and the constrained nodes, so every operator of one pattern, patch,
     macro or fine, is factored alike on every call.  ``free`` holds the free
-    nodes in the order of the factored block.
+    nodes in the order of the factored block.  An operator whose lattice
+    boundary is all constrained gathers the block through the
+    :func:`interior_block` of its shape (:meth:`free_block`).
     """
 
     def __init__(self, matrix, space):
@@ -343,9 +376,30 @@ class SparseOperator:
         self.factorization_count = 0
         self._lu = None
 
+    def free_block(self):
+        """``matrix[free][:, free]`` in CSC form.  When every boundary node
+        of the lattice is constrained (a patch away from Neumann sides) and
+        the matrix has the lattice pattern, this is one gather through the
+        :func:`interior_block` of the grid's shape, bit for bit."""
+        grid, m = self.space.grid, self.matrix
+        plan = lattice_plan(grid.shape)
+        if (
+            self.space.dirichlet_nodes.size == 2 * (grid.nx + grid.ny)
+            and self.space.n_dofs <= BLOCK_CACHE_NODES
+            and np.array_equal(m.indptr, plan.indptr)
+            and np.array_equal(m.indices, plan.indices)
+        ):
+            block = interior_block(grid.shape)
+            a_ff = sp.csc_matrix(
+                (m.data.take(block.slots), block.indices, block.indptr), shape=(self.free.size,) * 2
+            )
+            a_ff.has_canonical_format = True  # sorted rows, no duplicates, by construction
+            return a_ff
+        return m[self.free][:, self.free].tocsc()
+
     def _factorize(self):
         if self._lu is None:
-            a_ff = self.matrix[self.free][:, self.free].tocsc()
+            a_ff = self.free_block()
             try:
                 self._lu = splu(a_ff, permc_spec="NATURAL", panel_size=SUPERLU_PANEL_SIZE)
             except Exception as exc:  # scipy raises bare RuntimeError
@@ -440,16 +494,21 @@ def assemble_rhs(space, f, neumann=()):
         coords, w, phi, _ = _gauss_points_physical(grid)
         fv = np.asarray(f(coords.reshape(-1, 2)), dtype=float).reshape(grid.n_cells, len(w))
         elem = np.einsum("q,cq,qp->cp", w, fv, phi)
-        np.add.at(rhs, grid.cell_nodes.ravel(), elem.ravel())
+        rhs = np.bincount(grid.cell_nodes.ravel(), weights=elem.ravel(), minlength=space.n_dofs)
     elif f != 0.0:
         quarter = f * grid.spacing[0] * grid.spacing[1] * 0.25
-        np.add.at(rhs, grid.cell_nodes.ravel(), quarter)
+        weights = np.full(4 * grid.n_cells, quarter)
+        rhs = np.bincount(grid.cell_nodes.ravel(), weights=weights, minlength=space.n_dofs)
     for marker, flux in neumann:
-        pairs, lengths = space.marked_boundary_edges(marker)
-        contrib = 0.5 * flux * lengths
-        np.add.at(rhs, pairs[:, 0], contrib)
-        np.add.at(rhs, pairs[:, 1], contrib)
+        rhs = rhs + _edge_sum(space, marker, 0.5 * flux)
     return rhs
+
+
+def _edge_sum(space, marker, scale):
+    """``scale`` times the length of every ``marker`` edge, summed into both
+    of its nodes."""
+    pairs, lengths = space.marked_boundary_edges(marker)
+    return np.bincount(pairs.T.ravel(), weights=np.tile(scale * lengths, 2), minlength=space.n_dofs)
 
 
 def functional_vector(space, j):
@@ -477,11 +536,7 @@ def functional_vector(space, j):
         vec[grid.cell_nodes[cell]] = phi
         return vec
     if j.kind == "boundary_integral":
-        vec = np.zeros(space.n_dofs)
-        pairs, lengths = space.marked_boundary_edges(j.marker)
-        np.add.at(vec, pairs[:, 0], 0.5 * lengths)
-        np.add.at(vec, pairs[:, 1], 0.5 * lengths)
-        return vec
+        return _edge_sum(space, j.marker, 0.5)
     raise ConfigurationError(f"unknown functional kind '{j.kind}'")
 
 
@@ -508,9 +563,8 @@ def solve_dual(op, j):
 
 def evaluate(field, points):
     """Bilinear evaluation of a nodal field at arbitrary points (clamped to
-    the closure of its grid).  For stacked fields (values of shape
-    (n_dofs, m)) the m columns share the interpolation weights and the
-    result is (npoints, m)."""
+    the closure of its grid); the nodes of a nested lattice take
+    :func:`lattice_values`."""
     grid = field.space.grid
     p = np.atleast_2d(np.asarray(points, dtype=float))
     tx = np.clip((p[:, 0] - grid.origin[0]) / grid.spacing[0], 0.0, grid.nx)
@@ -521,8 +575,6 @@ def evaluate(field, points):
     fy = ty - iy
     n00 = iy * (grid.nx + 1) + ix
     v = field.values
-    if v.ndim == 2:
-        fx, fy = fx[:, None], fy[:, None]
     return (
         v[n00] * (1 - fx) * (1 - fy)
         + v[n00 + 1] * fx * (1 - fy)
@@ -531,9 +583,49 @@ def evaluate(field, points):
     )
 
 
+@lru_cache(maxsize=16)
+def lattice_matrix(n, ratio):
+    """The 1-d bilinear weights of ``n`` lattice nodes, ``ratio`` per cell
+    of a coarse lattice whose nodes include their first and last: an
+    (n, (n - 1) // ratio + 1) table, row i holding the weights of node i on
+    the coarse nodes, the last node clamped into the last coarse cell as
+    :func:`evaluate` clamps.  Read-only, 8 bytes per entry (10 kB for a
+    97-node patch side over 13 macro nodes); a run keys a few (node count,
+    ratio) pairs, the sides of its patches, sampling cells, reference and
+    full-dual grids, and the cache keeps 16."""
+    m = (n - 1) // ratio
+    i = np.arange(n)
+    cell = np.minimum(i // ratio, m - 1)
+    frac = (i - cell * ratio) / ratio
+    table = np.zeros((n, m + 1))
+    table[i, cell] = 1.0 - frac
+    table[i, cell + 1] = frac
+    table.flags.writeable = False
+    return table
+
+
+def lattice_values(field, grid):
+    """The values of ``field`` at the nodes of ``grid``, a lattice window of
+    a uniform refinement of the field's grid whose corners are nodes of it (a
+    patch, a sampling cell, a reference or full-dual grid): the
+    :func:`evaluate` of those nodes up to rounding, separable as one
+    :func:`lattice_matrix` per axis: (ny + 1, nx + 1) values."""
+    src = field.space.grid
+    i0, j0, i1, j1 = src._window(grid.bbox)
+    tables = []
+    for axis, (n, cells) in enumerate(((grid.nx + 1, i1 - i0), (grid.ny + 1, j1 - j0))):
+        ratio = _exact_ratio(src.spacing[axis], grid.spacing[axis], "nested lattice")
+        if n - 1 != cells * ratio:
+            raise ConfigurationError(f"grid {grid.bbox} is not a lattice window of {src.bbox}")
+        tables.append(lattice_matrix(n, ratio))
+    values = field.values.reshape(src.ny + 1, src.nx + 1)
+    return tables[1] @ values[j0 : j1 + 1, i0 : i1 + 1] @ tables[0].T
+
+
 def interpolate(field, target_space):
-    """Nodal interpolation onto another space (exact on nested refinements)."""
-    return DiscreteField(target_space, evaluate(field, target_space.grid.node_coords))
+    """Nodal interpolation onto a space nested in the field's (exact on
+    nested refinements), through :func:`lattice_values`."""
+    return DiscreteField(target_space, lattice_values(field, target_space.grid).ravel())
 
 
 def gather(grid, values):
@@ -545,7 +637,8 @@ def diffusion_form_stack(grid, u4, z4):
     """s[c, a, b] = int_cell d_a(z) d_b(u); contract with a tensor to get the
     cellwise diffusion form (c grad u, grad z)."""
     k, _ = q1_blocks(*grid.spacing)
-    return np.einsum("cp,abpq,cq->cab", z4, k, u4)
+    ku = (u4 @ k.transpose(3, 0, 1, 2).reshape(4, 16)).reshape(-1, 2, 2, 4)  # [c, a, b, p]
+    return np.einsum("cp,cabp->cab", z4, ku)
 
 
 def diffusion_form_percell(grid, tensors, u4, z4):

@@ -249,6 +249,17 @@ class Grid:
         i0, j0, i1, j1 = self._window(bbox)
         return (np.arange(j0, j1)[:, None] * self.nx + np.arange(i0, i1)).ravel()
 
+    def restrict(self, values, bbox, nodal=False):
+        """A new array of the rows of per-cell ``values`` (per-node with
+        ``nodal``) on the lattice window covering ``bbox``:
+        ``values[subgrid_cell_ids(bbox)]`` (``subgrid_node_ids``), sliced
+        from the lattice without an index array."""
+        i0, j0, i1, j1 = self._window(bbox)
+        extra = int(nodal)
+        lattice = values.reshape((self.ny + extra, self.nx + extra) + values.shape[1:])
+        window = np.array(lattice[j0 : j1 + extra, i0 : i1 + extra])
+        return window.reshape((-1,) + values.shape[1:])
+
 
 @dataclass(frozen=True)
 class Patch:
@@ -312,10 +323,11 @@ class MeshHierarchy:
         global micro grid (``fine_grid(h_micro)``), for any trailing shape:
         (n_micro, ...) -> (n_sampling, ...)."""
         parents = self.parents(self.fine_grid(self.h_micro))
-        sums = np.zeros((self.n_sampling,) + values.shape[1:])
-        np.add.at(sums, parents, values)
+        width = values[0].size
+        index = (parents[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(index, weights=values.ravel(), minlength=self.n_sampling * width)
         counts = np.bincount(parents, minlength=self.n_sampling).astype(float)
-        return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+        return (sums.reshape(-1, width) / counts[:, None]).reshape((-1,) + values.shape[1:])
 
     def macro_cells_of(self, k):
         """Macro cell ids inside sampling cell ``k`` (row-major)."""

@@ -31,6 +31,7 @@ from .fem import (
     evaluate,
     gather,
     gauss_point_coords,
+    lattice_values,
     problem_rhs,
     q1_blocks,
     solve,
@@ -136,11 +137,9 @@ def response_rhs(problem, macro_space, U, k, i, j):
     grid = macro_space.grid
     cells = grid.subgrid_cell_ids(problem.hierarchy.sampling_bbox(k))
     kblocks, _ = q1_blocks(*grid.spacing)
-    u4 = gather(grid, U.values)[cells]
-    loads = -np.einsum("pq,cq->cp", kblocks[i, j], u4)
-    rhs = np.zeros(macro_space.n_dofs)
-    np.add.at(rhs, grid.cell_nodes[cells].ravel(), loads.ravel())
-    return rhs
+    u4 = U.values[grid.cell_nodes[cells]]
+    loads = -np.einsum("pq,cq->cp", kblocks[i, j], u4).ravel()
+    return np.bincount(grid.cell_nodes[cells].ravel(), weights=loads, minlength=macro_space.n_dofs)
 
 
 def response_U(problem, operator, U, k, i, j):
@@ -285,7 +284,7 @@ class GaussNewtonState:
 def l2_error_against(u_ref, U):
     """L2 norm of u_ref - U, evaluated on the reference space."""
     grid = u_ref.space.grid
-    diff = u_ref.values - evaluate(U, grid.node_coords)
+    diff = u_ref.values - lattice_values(U, grid).ravel()
     return float(np.sqrt(np.sum(value_sq_percell(grid, gather(grid, diff)))))
 
 
@@ -452,17 +451,15 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
     # primal response w: (A grad w, grad phi) = -(dir grad U, grad phi)
     dir_cells = direction[macro_parents]
     loads = -np.einsum("cab,abpq,cq->cp", dir_cells, kblocks, u4m)
-    rhs_w = np.zeros(macro_space.n_dofs)
-    np.add.at(rhs_w, macro_space.grid.cell_nodes.ravel(), loads.ravel())
-    w = solve(operator, rhs_w)
+    cell_nodes = macro_space.grid.cell_nodes.ravel()
+    w = solve(operator, np.bincount(cell_nodes, weights=loads.ravel(), minlength=macro_space.n_dofs))
 
     dz_eff = None
     if config.dual_mode != "full":
         # dual response: (A grad phi, grad DZ) = -(dir grad phi, grad Z)
         z4m = gather(macro_space.grid, dual.z_global.values)
         loads = -np.einsum("cab,bapq,cq->cp", dir_cells, kblocks, z4m)
-        rhs_dz = np.zeros(macro_space.n_dofs)
-        np.add.at(rhs_dz, macro_space.grid.cell_nodes.ravel(), loads.ravel())
+        rhs_dz = np.bincount(cell_nodes, weights=loads.ravel(), minlength=macro_space.n_dofs)
         dz_eff = DiscreteField(macro_space, operator.solve_constrained(rhs_dz, transpose=True))
 
     cost = 0.0
@@ -481,14 +478,8 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
                 elem = diffusion_element_matrices(ctx.grid, ctx.a_eps)
                 patch_op = element_operator(problem.space(ctx.grid), elem)
                 dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
-            ids = ctx.center
-            t_dual = float(
-                np.sum(
-                    diffusion_form_percell(
-                        ctx.grid, ctx.d_tensors[ids], ctx.u4[ids], gather(ctx.grid, dzi)[ids]
-                    )
-                )
-            )
+            dz4 = gather(ctx.grid, dzi)[ctx.center]
+            t_dual = float(np.sum(diffusion_form_percell(ctx.grid, ctx.d_tensors, ctx.u4, dz4)))
         deriv += 2.0 * eta_k * (t_direct + t_resp + t_dual)
     diff = model.tensors - model0.tensors
     cost += float(np.sum(alpha[:, None, None] * diff**2))

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
-from .fem import diffusion_element_matrices, _gauss_points_physical
+from .fem import _gauss_points_physical, diffusion_element_matrices, element_operator
 
 
 @dataclass
@@ -129,6 +129,23 @@ def _periodic_dof_map(grid):
     return (iy % grid.ny) * grid.nx + (ix % grid.nx)
 
 
+def periodic_cell_matrix(problem, grid, tensors):
+    """Stiffness of the periodic cell problem on ``grid``, a sampling cell's
+    micro grid with one tensor per cell, in CSC form: the
+    :func:`element_operator` of the cell lattice folded onto the periodic
+    dofs, with dof 0 pinned (its row and column are those of the identity)
+    to fix the constant mode."""
+    pmap = _periodic_dof_map(grid)
+    n_dof = grid.nx * grid.ny
+    nodes = np.nonzero(pmap)[0]  # the nodes of dof 0 fold onto nothing
+    fold = sp.csr_matrix((np.ones(nodes.size), (nodes, pmap[nodes])), shape=(grid.n_nodes, n_dof))
+    matrix = element_operator(problem.space(grid), diffusion_element_matrices(grid, tensors)).matrix
+    pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(n_dof, n_dof))
+    folded = (fold.T @ matrix @ fold + pin).tocsc()
+    folded.sort_indices()
+    return folded
+
+
 def homogenized_model(problem, k):
     """Homogenized tensor of one sampling cell from periodic cell problems.
 
@@ -140,22 +157,10 @@ def homogenized_model(problem, k):
     fine_grid, a_eps, _, _ = problem.fine_data(problem.hierarchy.h_micro)
     grid = fine_grid.subgrid(bbox)
     tensors = a_eps[fine_grid.subgrid_cell_ids(bbox)]
-    pmap = _periodic_dof_map(grid)
-    cn = pmap[grid.cell_nodes]
+    cn = _periodic_dof_map(grid)[grid.cell_nodes]
     n_dof = grid.nx * grid.ny
-
-    elem = diffusion_element_matrices(grid, tensors)
-    rows = np.repeat(cn, 4, axis=1).ravel()
-    cols = np.tile(cn, (1, 4)).ravel()
-    data = elem.ravel()
-    # pin dof 0 to fix the constant mode
-    keep = (rows != 0) & (cols != 0)
-    rows = np.concatenate([rows[keep], [0]])
-    cols = np.concatenate([cols[keep], [0]])
-    data = np.concatenate([data[keep], [1.0]])
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsc()
     try:
-        lu = splu(matrix)
+        lu = splu(periodic_cell_matrix(problem, grid, tensors))
     except Exception as exc:
         raise NumericalError(f"cell problem on sampling cell {k} is singular: {exc}") from exc
 
@@ -166,8 +171,7 @@ def homogenized_model(problem, k):
     correctors = []
     for i in range(2):
         load = -(tensors[:, 0, i][:, None] * ex[None, :] + tensors[:, 1, i][:, None] * ey[None, :])
-        rhs = np.zeros(n_dof)
-        np.add.at(rhs, cn.ravel(), load.ravel())
+        rhs = np.bincount(cn.ravel(), weights=load.ravel(), minlength=n_dof)
         rhs[0] = 0.0
         w = lu.solve(rhs)
         w -= w.mean()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -796,3 +799,23 @@ def test_shipped_configs_parse():
         settings = read_config(cfg)
         build_domain(settings)
         build_optimizer_config(settings)
+
+
+def test_history_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # diffusion_tiny optimize in fresh processes, once with one OpenBLAS
+    # thread and once with the thread variables unset (the library default)
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    histories = []
+    for name, threads in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "dwropt.cli", "optimize", str(CONFIGS / "diffusion_tiny.ini"),
+             "--out", str(out)],
+            env={**env, **threads}, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        histories.append((out / "history.csv").read_bytes())
+    assert histories[0] == histories[1]

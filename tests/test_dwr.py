@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import advection_problem, lognormal_problem
+from dwropt import dwr, fem
 from dwropt.dwr import (
     DualApproximation,
     ErrorBreakdown,
@@ -29,6 +30,7 @@ from dwropt.fem import (
 )
 from dwropt.field import CoefficientField
 from dwropt.mesh import Domain, build_hierarchy
+from dwropt.optim import OptimizerConfig, assemble_system, primal_dual
 from dwropt.upscale import constant_model, geometric_mean_model
 
 
@@ -337,3 +339,60 @@ def test_sweeps_keep_one_plan_per_patch_shape():
     for shape in shapes | {macro.grid.shape}:
         lattice_plan(shape)
     assert lattice_plan.cache_info().misses == 6
+
+
+def test_sweep_caches_stay_within_their_caps():
+    # a depth-1 and a depth-0 sweep on the figure-5 domain key one
+    # interpolation table per patch side (two and three sampling cells) and
+    # the sampling cell's side, 8 bytes per entry each, and one interior
+    # block pattern per shape of the patches whose boundary is all
+    # constrained, about 76 bytes per interior node
+    fem.lattice_matrix.cache_clear()
+    fem.interior_block.cache_clear()
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    hierarchy = problem.hierarchy
+    model = constant_model(hierarchy, 0.1)
+    macro = problem.macro_space()
+    op = effective_operator(problem, model, macro)
+    U = solve(op, problem_rhs(problem, macro))
+    z = solve_dual(op, problem.functional)
+    shapes = set()
+    for depth in (1, 0):
+        error_identity(problem, model, op, U, DualApproximation("enhanced", z, depth))
+        for k in range(hierarchy.n_sampling):
+            grid = hierarchy.micro_grid(hierarchy.patch_of(k, depth).bbox)
+            if problem.space(grid).dirichlet_nodes.size == 2 * (grid.nx + grid.ny):
+                shapes.add(grid.shape)
+    side = round(hierarchy.delta / hierarchy.h_micro)
+    ratio = round(hierarchy.h_macro / hierarchy.h_micro)
+    keys = {(n * side + 1, ratio) for n in (1, 2, 3)}
+    tables = fem.lattice_matrix.cache_info()
+    assert tables.misses == tables.currsize == len(keys) <= tables.maxsize
+    for n, ratio in keys:
+        assert fem.lattice_matrix(n, ratio).nbytes == 8 * n * ((n - 1) // ratio + 1)
+    assert fem.lattice_matrix.cache_info().misses == len(keys)
+    blocks = fem.interior_block.cache_info()
+    assert blocks.misses == blocks.currsize == len(shapes) == 3 <= blocks.maxsize
+    for shape in shapes:
+        assert (shape[0] + 1) * (shape[1] + 1) <= fem.BLOCK_CACHE_NODES
+        interior = (shape[0] - 1) * (shape[1] - 1)
+        assert sum(a.nbytes for a in fem.interior_block(shape)) <= 76 * interior
+    assert fem.interior_block.cache_info().misses == len(shapes)
+
+
+@pytest.mark.parametrize("mode", ["enhanced", "full", "effective"])
+def test_sweeps_without_jacobian_build_no_response_contraction(monkeypatch, mode):
+    # error_identity and a sweep without Jacobian (the last cycle) read the
+    # center cell alone; only a Jacobian sweep builds the contraction
+    def refuse(self):
+        raise AssertionError("the response contraction was built")
+
+    monkeypatch.setattr(dwr._PatchContext, "_contraction", refuse)
+    problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
+    model = geometric_mean_model(problem)
+    op, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode=mode, h_fine=2.0**-6))
+    err = error_identity(problem, model, op, U, dual)
+    eta, triplets = assemble_system(problem, model, U, op, dual, want_jacobian=False)
+    assert triplets is None and np.array_equal(eta, err.eta)
+    with pytest.raises(AssertionError, match="contraction"):
+        assemble_system(problem, model, U, op, dual)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import advection_problem, figure5_domain, lognormal_problem
+from dwropt import fem
 from dwropt.cli import ExperimentConfig, build_initial_model, build_problem, read_config
 from dwropt.dwr import _fine_data
 from dwropt.errors import ConfigurationError, SingularOperatorError
@@ -27,6 +28,7 @@ from dwropt.fem import (
     functional_vector,
     gauss_values,
     interpolate,
+    lattice_values,
     nested_dissection,
     problem_rhs,
     q1_blocks,
@@ -511,16 +513,6 @@ def test_dissection_order_lists_each_free_node_once(cells):
     assert np.array_equal(op.free, order[np.isin(order, space.free_nodes)])
 
 
-def test_stacked_fields_evaluate_as_each_field():
-    space = unit_space(5)
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal((space.n_dofs, 3))
-    pts = rng.uniform(-0.1, 1.1, size=(40, 2))
-    stacked = evaluate(DiscreteField(space, values), pts)
-    for m in range(3):
-        assert np.array_equal(stacked[:, m], evaluate(DiscreteField(space, values[:, m]), pts))
-
-
 def test_concurrent_solves_share_factorization():
     from concurrent.futures import ThreadPoolExecutor
 
@@ -549,3 +541,105 @@ def test_field_exports(tmp_path):
     assert lines[0] == "x,y,value"
     assert len(lines) == space.n_dofs + 1
     assert "STRUCTURED_POINTS" in vtk_path.read_text()
+
+
+def lattice_grids(problem):
+    """Lattice windows nested in the macro grid of ``problem``: an interior
+    and a corner patch (the corner one ends on the macro grid's last row and
+    column, where evaluation clamps), the reference grid and the full-dual
+    grid at half the micro spacing."""
+    h = problem.hierarchy
+    return {
+        "interior_patch": h.micro_grid(h.patch_of(5, 1).bbox),
+        "corner_patch": h.micro_grid(h.patch_of(h.n_sampling - 1, 1).bbox),
+        "center_cell": h.micro_grid(h.sampling_bbox(6)),
+        "reference": h.fine_grid(h.h_micro),
+        "full_dual": h.fine_grid(h.h_micro / 2),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["interior_patch", "corner_patch", "center_cell", "reference", "full_dual"]
+)
+def test_lattice_values_match_point_evaluation(case):
+    # the separable interpolation of a macro field onto a nested lattice is
+    # the point evaluation of its nodes up to rounding, clamped last row and
+    # column included; interpolate goes through it
+    problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
+    macro = problem.macro_space()
+    field = DiscreteField(macro, np.random.default_rng(3).standard_normal(macro.n_dofs))
+    grid = lattice_grids(problem)[case]
+    values = lattice_values(field, grid)
+    assert values.shape == (grid.ny + 1, grid.nx + 1)
+    expected = evaluate(field, grid.node_coords)
+    assert np.max(np.abs(values.ravel() - expected)) <= 1e-14 * np.max(np.abs(expected))
+    space = problem.space(grid)
+    assert np.array_equal(interpolate(field, space).values, values.ravel())
+
+
+def test_lattice_values_reject_a_window_off_the_lattice():
+    problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
+    macro = problem.macro_space()
+    field = DiscreteField(macro, np.ones(macro.n_dofs))
+    h = problem.hierarchy.h_micro
+    with pytest.raises(ConfigurationError):
+        lattice_values(field, Grid((0.0, 0.0), (h, h), (3, 4)))
+
+
+def free_block_cases():
+    """(name, operator) pairs: patch operators of depth 0 and 1 on an
+    interior, a Dirichlet-corner, a Neumann-side and an advective cell, and
+    the macro and fine operators of the shipped configs."""
+    problems = {
+        "lognormal": lognormal_problem(),
+        "neumann": advection_problem(h_micro=2.0**-5, target_max=0.0),
+        "advective": advection_problem(h_micro=2.0**-5, drift_max=1.5),
+    }
+    cells = {"interior": ("lognormal", 5), "dirichlet_corner": ("lognormal", 0),
+             "neumann_side": ("neumann", 0), "advective": ("advective", 13)}
+    cases = []
+    for name, (which, k) in cells.items():
+        problem = problems[which]
+        h = problem.hierarchy
+        for depth in (0, 1):
+            grid = h.micro_grid(h.patch_of(k, depth).bbox)
+            a_eps, fluct = _fine_data(problem, grid)
+            elem = diffusion_element_matrices(grid, a_eps)
+            op = element_operator(problem.space(grid), elem if fluct is None else elem + fluct)
+            cases.append((f"{name}_depth{depth}", op))
+    for config in ("diffusion_small", "advdiff_small"):
+        cfg = ExperimentConfig.from_ini(CONFIGS / f"{config}.ini")
+        problem, _ = build_problem(read_config(cfg))
+        model = build_initial_model(cfg, problem)
+        cases.append((f"{config}_macro", effective_operator(problem, model, problem.macro_space())))
+        fine = problem.fine_space(problem.hierarchy.h_micro)
+        cases.append((f"{config}_fine", fine_operator(problem, fine)))
+    return cases
+
+
+def test_free_block_is_the_sliced_block():
+    # the factored block is matrix[free][:, free] in CSC form, bit for bit;
+    # an operator whose lattice boundary is all constrained (every diffusion
+    # patch, the diffusion_small macro grid, the depth-0 advective patch,
+    # whose depth-1 patch reaches the left side) gathers it through the
+    # interior pattern of its shape
+    gathered = {"interior_depth0", "interior_depth1", "dirichlet_corner_depth0",
+                "dirichlet_corner_depth1", "advective_depth0", "diffusion_small_macro"}
+    for name, op in free_block_cases():
+        block, sliced = op.free_block(), op.matrix[op.free][:, op.free].tocsc()
+        assert block.format == "csc" and block.shape == sliced.shape, name
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, attr), getattr(sliced, attr)), (name, attr)
+        pattern = fem.interior_block(op.space.grid.shape).indices
+        assert np.shares_memory(block.indices, pattern) == (name in gathered), name
+
+
+def test_bincount_adds_as_add_at_into_zeros():
+    # every scatter-add of the package is an np.bincount: it adds in index
+    # order, so it gives np.add.at into zeros bit for bit
+    rng = np.random.default_rng(5)
+    index = rng.integers(0, 50, size=2000)
+    weights = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 8, size=2000)
+    expected = np.zeros(60)
+    np.add.at(expected, index, weights)
+    assert np.array_equal(np.bincount(index, weights=weights, minlength=60), expected)

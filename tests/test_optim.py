@@ -238,15 +238,15 @@ def test_response_terms_match_per_member_forms(case):
             response_U(problem, op, U, k, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
         ]
         inline = np.zeros((len(ctx.patch.members), 4))
+        z4 = gather(grid, ctx.zstar)
         for r, response in enumerate(responses):
             r4 = gather(grid, evaluate(response, grid.node_coords))
             for m, q in enumerate(ctx.patch.members):
                 ids = grid.subgrid_cell_ids(problem.hierarchy.sampling_bbox(q))
-                inline[m, r] = np.sum(
-                    diffusion_form_percell(grid, ctx.d_tensors[ids], r4[ids], ctx.z4[ids])
-                )
+                d_tensors = model.tensors[q] - ctx.a_eps[ids]
+                inline[m, r] = np.sum(diffusion_form_percell(grid, d_tensors, r4[ids], z4[ids]))
                 if ctx.fluct is not None:
-                    inline[m, r] -= np.einsum("cp,cpq,cq->", ctx.z4[ids], ctx.fluct[ids], r4[ids])
+                    inline[m, r] -= np.einsum("cp,cpq,cq->", z4[ids], ctx.fluct[ids], r4[ids])
         terms = ctx.response_terms(responses)
         # a member's term sums contributions that cancel: compare on the
         # scale of the response's largest member term

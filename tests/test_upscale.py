@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import coefficient_problem
 from dwropt.field import CoefficientField, gen_gaussian_raster
@@ -9,9 +10,12 @@ from dwropt.upscale import (
     arithmetic_mean_model,
     constant_model,
     geometric_mean_model,
+    _periodic_dof_map,
     homogenized_effective_model,
     homogenized_model,
+    periodic_cell_matrix,
 )
+from dwropt.fem import diffusion_element_matrices
 
 
 def hierarchy(delta=0.5, h_macro=0.25, h_micro=0.0625):
@@ -166,3 +170,37 @@ def test_min_eigenvalue_report():
     h = hierarchy()
     model = constant_model(h, np.diag([2.0, -1.0]))
     assert np.allclose(model.min_eigenvalues(), -1.0)
+
+
+def coo_cell_matrix(grid, tensors):
+    """The periodic cell matrix assembled from COO triplets of periodic dof
+    ids, dof 0 pinned: the reference the folded lattice operator must match."""
+    cn = _periodic_dof_map(grid)[grid.cell_nodes]
+    n_dof = grid.nx * grid.ny
+    rows = np.repeat(cn, 4, axis=1).ravel()
+    cols = np.tile(cn, (1, 4)).ravel()
+    data = diffusion_element_matrices(grid, tensors).ravel()
+    keep = (rows != 0) & (cols != 0)
+    rows = np.concatenate([rows[keep], [0]])
+    cols = np.concatenate([cols[keep], [0]])
+    data = np.concatenate([data[keep], [1.0]])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n_dof, n_dof)).tocsc()
+
+
+@pytest.mark.parametrize("k", [0, 5, 15])
+def test_folded_cell_operator_equals_the_coo_cell_matrix(k):
+    # the lattice operator of a sampling cell folded onto the periodic dofs
+    # has the pattern of the COO assembly and its values up to rounding
+    h = hierarchy(delta=0.25, h_macro=0.125, h_micro=2.0**-5)
+    field = CoefficientField.lognormal(gen_gaussian_raster(32, 32, 0.05, seed=4), gamma=0.5)
+    problem = coefficient_problem(field, h)
+    fine, a_eps, _, _ = problem.fine_data(h.h_micro)
+    bbox = h.sampling_bbox(k)
+    grid = fine.subgrid(bbox)
+    tensors = a_eps[fine.subgrid_cell_ids(bbox)]
+    folded = periodic_cell_matrix(problem, grid, tensors)
+    coo = coo_cell_matrix(grid, tensors)
+    assert folded.format == "csc"
+    assert np.array_equal(folded.indptr, coo.indptr)
+    assert np.array_equal(folded.indices, coo.indices)
+    assert np.max(np.abs(folded.data - coo.data)) <= 1e-14 * np.max(np.abs(coo.data))
