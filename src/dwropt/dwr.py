@@ -54,7 +54,7 @@ def _fine_data(problem, grid):
     the element matrices of the transport fluctuation (b_eps - b_delta) .
     grad u (None without transport).  Both are slices of the problem's global
     fine data on the grid's spacing."""
-    fine_grid, a_eps, _, fluct = problem.fine_data(grid.spacing[0])
+    fine_grid, a_eps, fluct = problem.fine_data(grid.spacing[0])
     return (
         fine_grid.restrict(a_eps, grid.bbox),
         None if fluct is None else fine_grid.restrict(fluct, grid.bbox),

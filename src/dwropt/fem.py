@@ -133,33 +133,30 @@ class FeSpace:
     def _domain_side_of(self, grid_side):
         """Domain side name if the given grid side lies on the domain
         boundary, else None."""
-        tol = 1e-9 * max(self.domain.extent)
-        bb = self.grid.bbox
-        coord = {"left": bb[0], "right": bb[2], "bottom": bb[1], "top": bb[3]}[grid_side]
-        target = {
-            "left": self.domain.xmin,
-            "right": self.domain.xmax,
-            "bottom": self.domain.ymin,
-            "top": self.domain.ymax,
+        bb, d = self.grid.bbox, self.domain
+        coord, target = {
+            "left": (bb[0], d.xmin), "right": (bb[2], d.xmax),
+            "bottom": (bb[1], d.ymin), "top": (bb[3], d.ymax),
         }[grid_side]
-        return grid_side if abs(coord - target) <= tol else None
+        return grid_side if abs(coord - target) <= 1e-9 * max(d.extent) else None
+
+    def _side_nodes(self, side):
+        """The node ids along a side of the grid, in coordinate order, and
+        the axis the side runs along."""
+        nx, ny = self.grid.nx, self.grid.ny
+        if side in ("left", "right"):
+            return np.arange(ny + 1) * (nx + 1) + (0 if side == "left" else nx), 1
+        return (0 if side == "bottom" else ny) * (nx + 1) + np.arange(nx + 1), 0
 
     def _classify(self):
         g = self.grid
-        nx, ny = g.nx, g.ny
-        side_nodes = {
-            "left": np.arange(ny + 1) * (nx + 1),
-            "right": np.arange(ny + 1) * (nx + 1) + nx,
-            "bottom": np.arange(nx + 1),
-            "top": ny * (nx + 1) + np.arange(nx + 1),
-        }
         constrained = np.zeros(g.n_nodes, dtype=bool)
-        for side, idx in side_nodes.items():
+        for side in SIDES:
+            idx, axis = self._side_nodes(side)
             dom_side = self._domain_side_of(side)
             if dom_side is None:
                 constrained[idx] = True  # interior patch cut
                 continue
-            axis = 1 if side in ("left", "right") else 0
             coords = g.origin[axis] + g.spacing[axis] * np.arange(idx.size)
             constrained[idx] |= self.domain.meets(dom_side, coords, self.dirichlet_markers)
         self.dirichlet_nodes = np.nonzero(constrained)[0]
@@ -179,16 +176,8 @@ class FeSpace:
             dom_side = self._domain_side_of(side)
             if dom_side is None:
                 continue
-            if side in ("left", "right"):
-                i = 0 if side == "left" else g.nx
-                ids = np.arange(g.ny + 1) * (g.nx + 1) + i
-                h = g.spacing[1]
-                base = g.origin[1]
-            else:
-                j = 0 if side == "bottom" else g.ny
-                ids = j * (g.nx + 1) + np.arange(g.nx + 1)
-                h = g.spacing[0]
-                base = g.origin[0]
+            ids, axis = self._side_nodes(side)
+            h, base = g.spacing[axis], g.origin[axis]
             for e in range(len(ids) - 1):
                 mid = base + (e + 0.5) * h
                 if self.domain.marker_of(dom_side, mid) == marker:
@@ -248,34 +237,46 @@ ND_LEAF = 2
 SUPERLU_PANEL_SIZE = 2
 
 
+def _expand(count):
+    """(k, t) for every t < count[k], by k, then t."""
+    k = np.repeat(np.arange(count.size), count)
+    return k, np.arange(k.size) - (np.cumsum(count) - count)[k]
+
+
 def nested_dissection(n_x, n_y, leaf=ND_LEAF):
     """Every node of an ``n_x`` by ``n_y`` node lattice (node ``(i, j)`` has
     id ``j * n_x + i``) once, in nested-dissection order: a block with a
     side longer than ``leaf`` is split by its middle line across the longer
     side, both halves come first, the line last; smaller blocks are taken
     row by row.  Operators read it from their :func:`lattice_plan`, which
-    builds it once per lattice shape."""
-    order = []  # node ids as Python ints: far cheaper than many tiny arrays
-
-    def dissect(i0, i1, j0, j1):  # the block [i0, i1) x [j0, j1)
-        if i1 <= i0 or j1 <= j0:
-            return
-        if i1 - i0 <= leaf and j1 - j0 <= leaf:
-            for j in range(j0, j1):
-                order.extend(range(j * n_x + i0, j * n_x + i1))
-        elif i1 - i0 >= j1 - j0:
-            m = (i0 + i1) // 2
-            dissect(i0, m, j0, j1)
-            dissect(m + 1, i1, j0, j1)
-            order.extend(range(j0 * n_x + m, j1 * n_x + m, n_x))
-        else:
-            m = (j0 + j1) // 2
-            dissect(i0, i1, j0, m)
-            dissect(i0, i1, m + 1, j1)
-            order.extend(range(m * n_x + i0, m * n_x + i1))
-
-    dissect(0, n_x, 0, n_y)
-    return np.array(order, dtype=np.int32)
+    builds it once per lattice shape.  A block's nodes fill a known range of
+    the order, so each level's blocks are placed at once, with no call per
+    block."""
+    order = np.empty(n_x * n_y, dtype=np.int32)
+    # one level's blocks [i0, i1) x [j0, j1) and the order position of each one's first node
+    i0, i1, j0, j1, start = (np.array([v]) for v in (0, n_x, 0, n_y, 0))
+    while i0.size:
+        w, h = i1 - i0, j1 - j0
+        small = (w <= leaf) & (h <= leaf)
+        k, t = _expand(np.where(small, w * h, 0))  # small blocks, row by row
+        order[start[k] + t] = (j0[k] + t // w[k]) * n_x + i0[k] + t % w[k]
+        wide = w >= h  # split by column m, else by row m
+        m = np.where(wide, (i0 + i1) // 2, (j0 + j1) // 2)
+        line = np.where(wide, h, w)
+        k, t = _expand(np.where(small, 0, line))  # the lines, after both halves
+        order[start[k] + (w * h - line)[k] + t] = np.where(
+            wide[k], (j0[k] + t) * n_x + m[k], m[k] * n_x + i0[k] + t
+        )
+        halves = (
+            (i0, np.where(wide, m, i1), j0, np.where(wide, j1, m), start),
+            (np.where(wide, m + 1, i0), i1, np.where(wide, j0, m + 1), j1,
+             start + np.where(wide, (m - i0) * h, (m - j0) * w)),
+        )
+        split = ~small
+        i0, i1, j0, j1, start = (np.concatenate([a[split], b[split]]) for a, b in zip(*halves))
+        nodes = (i1 > i0) & (j1 > j0)
+        i0, i1, j0, j1, start = (a[nodes] for a in (i0, i1, j0, j1, start))
+    return order
 
 
 LatticePlan = namedtuple("LatticePlan", "indptr indices scatter order")
@@ -295,9 +296,11 @@ def lattice_plan(shape):
     :func:`element_operator` builds that conversion's matrix bit for bit.
 
     The one cache of what operators share: a run meets at most 12 shapes (9
-    patch shapes, the macro grid and up to two global fine grids), and a
-    plan takes about 108 bytes per cell (64 for the scatter, 44 per node for
-    the pattern and the order; 7.1 MB for a 256 x 256 grid)."""
+    patch shapes, the macro grid and, with ``dual = full``, the global fine
+    grid of its effective operator), and a plan takes about 108 bytes per
+    cell (64 for the scatter, 44 per node for the pattern and the order;
+    7.1 MB for a 256 x 256 grid).  :func:`fine_operator` builds its plan
+    uncached (``lattice_plan.__wrapped__``)."""
     n_x, n_y = shape[0] + 1, shape[1] + 1
     ids = np.pad(np.arange(n_x * n_y, dtype=np.int32).reshape(n_y, n_x), 1, constant_values=-1)
     window = np.lib.stride_tricks.sliding_window_view(ids, (3, 3))  # -1 outside the lattice
@@ -363,13 +366,14 @@ class SparseOperator:
     macro or fine, is factored alike on every call.  ``free`` holds the free
     nodes in the order of the factored block.  An operator whose lattice
     boundary is all constrained gathers the block through the
-    :func:`interior_block` of its shape (:meth:`free_block`).
+    :func:`interior_block` of its shape (:meth:`free_block`).  ``order``
+    defaults to the one of the shared :func:`lattice_plan`.
     """
 
-    def __init__(self, matrix, space):
+    def __init__(self, matrix, space, order=None):
         self.matrix = sp.csr_matrix(matrix)
         self.space = space
-        order = lattice_plan(space.grid.shape).order
+        order = lattice_plan(space.grid.shape).order if order is None else order
         is_free = np.zeros(space.n_dofs, dtype=bool)
         is_free[space.free_nodes] = True
         self.free = order[is_free[order]]
@@ -397,9 +401,9 @@ class SparseOperator:
             return a_ff
         return m[self.free][:, self.free].tocsc()
 
-    def _factorize(self):
+    def _factorize(self, a_ff=None):
         if self._lu is None:
-            a_ff = self.free_block()
+            a_ff = self.free_block() if a_ff is None else a_ff
             try:
                 self._lu = splu(a_ff, permc_spec="NATURAL", panel_size=SUPERLU_PANEL_SIZE)
             except Exception as exc:  # scipy raises bare RuntimeError
@@ -408,6 +412,13 @@ class SparseOperator:
                 ) from exc
             self.factorization_count += 1
         return self._lu
+
+    def factor_alone(self):
+        """Factor with the sliced free block alone: the matrix is dropped
+        first, and the operator only solves afterwards (the fine operator,
+        whose LU sets a run's peak memory)."""
+        a_ff, self.matrix = self.matrix[self.free][:, self.free].tocsc(), None
+        self._factorize(a_ff)
 
     def solve_constrained(self, rhs, transpose=False):
         """Solution with homogeneous Dirichlet data: zero on the constrained
@@ -427,14 +438,15 @@ class SparseOperator:
 # assembly
 
 
-def element_operator(space, elem):
+def element_operator(space, elem, plan=None):
     """Operator scattered from (ncells, 4, 4) element matrices on the grid of
-    ``space`` through its :func:`lattice_plan`; ``elem[c, p, q]`` couples
-    test node p with trial node q.  Every Q1 operator is assembled here."""
-    plan = lattice_plan(space.grid.shape)
+    ``space`` through ``plan``, by default the shared :func:`lattice_plan` of
+    its shape; ``elem[c, p, q]`` couples test node p with trial node q.
+    Every Q1 operator is assembled here."""
+    plan = lattice_plan(space.grid.shape) if plan is None else plan
     data = np.bincount(plan.scatter, weights=elem.ravel(), minlength=plan.indices.size)
     matrix = sp.csr_matrix((data, plan.indices, plan.indptr), shape=(space.n_dofs,) * 2)
-    return SparseOperator(matrix, space)
+    return SparseOperator(matrix, space, plan.order)
 
 
 def diffusion_element_matrices(grid, tensors):
@@ -692,8 +704,10 @@ class Problem:
     The problem is the one place that keeps the problem data every cycle
     reads: the macro and global fine spaces, the fine data and the fine
     solution per grid spacing, and b_delta; what depends on a grid's shape
-    alone is its :func:`lattice_plan`.  Patch spaces and operators are built
-    on demand, and :meth:`keep_fine_data` frees fine data no longer read.
+    alone is the :func:`lattice_plan` of a patch or macro operator.  Patch
+    spaces and operators are built on demand, :meth:`keep_fine_data` frees
+    fine data no longer read, and a fine operator lives only until its
+    factor is built (:meth:`fine_solution`).
     """
 
     hierarchy: object
@@ -734,37 +748,36 @@ class Problem:
         return self._global_space(self.hierarchy.fine_grid(h))
 
     def fine_data(self, h):
-        """(grid, a_eps, E_eps, F) on ``hierarchy.fine_grid(h)``: the fine
-        tensor per cell and, for advective problems, the skew element matrices
-        E_eps of b_eps and the transport fluctuation F = E_eps - E_delta, with
-        E_delta the plain element matrices of b_delta (both None without
+        """(grid, a_eps, F) on ``hierarchy.fine_grid(h)``: the fine tensor
+        per cell and, for advective problems, the transport fluctuation F =
+        E_eps - E_delta, with E_eps the skew element matrices of b_eps and
+        E_delta the plain element matrices of b_delta (None without
         transport).  ``h`` must be h_micro / n for an integer n >= 1; other
         spacings raise ``ConfigurationError``.
 
         This is the one fine-scale sampler, shared by the indicator sweep,
         the fine solution, the initial models of :mod:`dwropt.upscale` and
-        b_delta; it samples once per spacing.  On the micro grid the
-        Gauss-point values of b_eps behind E_eps are also reduced to b_delta
+        b_delta; it samples once per spacing.  F is all the sweep reads, and
+        :func:`fine_operator` adds E_delta back.  On the micro grid the
+        Gauss-point values of b_eps are also reduced to b_delta
         (:meth:`average_advection`) and not kept; other spacings build the
-        micro data first for F.  The arrays are shared by every caller and
-        read-only."""
+        micro data first for F.  The arrays are shared and read-only."""
         if h not in self._fine:
             _exact_ratio(self.hierarchy.h_micro, h, "[mesh] h / fine")
             grid = self.hierarchy.fine_grid(h)
             a_eps = self.coefficient.tensors_at(grid.cell_centers)
             a_eps.flags.writeable = False
-            e_eps = fluct = None
+            fluct = None
             if self.is_advective:
                 b_eps = gauss_values(grid, self.advection)
-                e_eps = advection_elements(grid, b_eps)
-                e_eps.flags.writeable = False
+                fluct = advection_elements(grid, b_eps)
                 if h == self.hierarchy.h_micro:
                     per_cell = 0.25 * (b_eps[:, 0] + b_eps[:, 1] + b_eps[:, 2] + b_eps[:, 3])
                     self._b_delta = self.hierarchy.sampling_mean(per_cell)
                     self._b_delta.flags.writeable = False
-                fluct = e_eps - advection_elements(grid, self.delta_values(grid), skew=False)
+                fluct -= advection_elements(grid, self.delta_values(grid), skew=False)
                 fluct.flags.writeable = False
-            self._fine[h] = (grid, a_eps, e_eps, fluct)
+            self._fine[h] = (grid, a_eps, fluct)
         return self._fine[h]
 
     def keep_fine_data(self, h):
@@ -796,9 +809,12 @@ class Problem:
     def fine_solution(self, h):
         """(u, z) on ``fine_space(h)``: the fine-scale solution (the reference)
         and the full dual.  Neither depends on the model: one factorization of
-        :func:`fine_operator` solves both once per spacing; only u, z are kept."""
+        :func:`fine_operator` solves both once per spacing; only u, z are kept.
+        The free block is all of the operator alive while SuperLU runs
+        (:meth:`SparseOperator.factor_alone`); the loads come after."""
         if h not in self._fine_solutions:
             op = fine_operator(self, self.fine_space(h))
+            op.factor_alone()
             u = solve(op, problem_rhs(self, op.space))
             self._fine_solutions[h] = (u, solve_dual(op, self.functional))
         return self._fine_solutions[h]
@@ -816,14 +832,17 @@ def effective_operator(problem, model, space):
 
 def fine_operator(problem, space):
     """Operator of the fine-scale problem on a global fine space, assembled
-    from ``problem.fine_data`` of its spacing: the element data that the
-    indicator sweep slices."""
-    grid, a_eps, e_eps, _ = problem.fine_data(space.grid.spacing[0])
-    op = element_operator(space, diffusion_element_matrices(grid, a_eps))
-    if e_eps is not None:
-        adv = element_operator(space, e_eps)
-        return SparseOperator(op.matrix + adv.matrix, space)
-    return op
+    from ``problem.fine_data`` of its spacing, the element data that the
+    indicator sweep slices: one element array, diffusion plus, with
+    transport, F + E_delta = E_eps, through a plan of its own, not cached.
+    The array and the plan's scatter index are freed on return, its pattern
+    with the matrix (:meth:`SparseOperator.factor_alone`)."""
+    grid, a_eps, fluct = problem.fine_data(space.grid.spacing[0])
+    elem = diffusion_element_matrices(grid, a_eps)
+    if fluct is not None:
+        elem += fluct
+        elem += advection_elements(grid, problem.delta_values(grid), skew=False)
+    return element_operator(space, elem, lattice_plan.__wrapped__(grid.shape))
 
 
 def problem_rhs(problem, space):

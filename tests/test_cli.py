@@ -720,6 +720,28 @@ def test_full_dual_run_factors_and_samples_the_fine_problem_once(tmp_path, monke
     assert sum(points) == 64 * 64
 
 
+@pytest.mark.parametrize("command", ["reference", "optimize"])
+def test_failed_fine_factor_exits_3(tmp_path, monkeypatch, command, capsys):
+    # SuperLU failing on the fine block (the reference) is a numerical
+    # failure: the lean fine factor keeps the SingularOperatorError wrap
+    config = CONFIGS / "diffusion_tiny.ini"
+    problem, _ = build_problem(read_config(ExperimentConfig.from_ini(config)))
+    n_fine = problem.fine_space(problem.hierarchy.h_micro).free_nodes.size
+    factor, failed = fem.splu, []
+
+    def failing_on_the_fine_block(matrix, **kw):
+        if matrix.shape[0] == n_fine:
+            failed.append(n_fine)
+            raise RuntimeError("Factor is exactly singular")
+        return factor(matrix, **kw)
+
+    monkeypatch.setattr(fem, "splu", failing_on_the_fine_block)
+    assert main([command, str(config), "--out", str(tmp_path / "o")]) == 3
+    assert failed == [n_fine]
+    err = capsys.readouterr().err
+    assert f"factorization of the {n_fine}-dof constrained system failed" in err
+
+
 def test_full_dual_run_keeps_only_the_fine_data_of_its_sweep(tmp_path, monkeypatch):
     # with dual = full and fine = h / 2 the loop reads the h / 2 fine data
     # only: the micro data behind b_delta is freed before the first cycle

@@ -445,8 +445,9 @@ def test_patch_plan_assembles_the_coo_matrix_entry_for_entry(case, k):
 @pytest.mark.parametrize("config", ["diffusion_small", "advdiff_small"])
 def test_macro_and_fine_operators_assemble_the_coo_matrix(config):
     # the macro operator (diffusion plus, with transport, the plain b_delta
-    # form) and the fine operator (diffusion plus the skew E_eps form) of a
-    # shipped config go through the lattice plan too: each equals the sum of
+    # form) and the fine operator (one element array: diffusion plus, with
+    # transport, F and the plain b_delta form, E_eps = F + E_delta) of a
+    # shipped config go through a lattice plan too: each equals the sum of
     # the COO assemblies of its element arrays, bit for bit
     cfg = ExperimentConfig.from_ini(CONFIGS / f"{config}.ini")
     problem, _ = build_problem(read_config(cfg))
@@ -462,10 +463,12 @@ def test_macro_and_fine_operators_assemble_the_coo_matrix(config):
     assert_bit_identical(planned, coo_operator(grid, elems))
 
     fine = problem.fine_space(problem.hierarchy.h_micro)
-    grid, a_eps, e_eps, _ = problem.fine_data(problem.hierarchy.h_micro)
-    elems = [diffusion_element_matrices(grid, a_eps)] + ([] if e_eps is None else [e_eps])
-    assert len(elems) == n_forms and grid.shape == fine.grid.shape
-    assert_bit_identical(fine_operator(problem, fine).matrix, coo_operator(grid, elems))
+    grid, a_eps, fluct = problem.fine_data(problem.hierarchy.h_micro)
+    elem = diffusion_element_matrices(grid, a_eps)
+    if fluct is not None:
+        elem = elem + fluct + advection_elements(grid, problem.delta_values(grid), skew=False)
+    assert (fluct is not None) == (n_forms == 2) and grid.shape == fine.grid.shape
+    assert_bit_identical(fine_operator(problem, fine).matrix, coo_operator(grid, [elem]))
 
 
 def test_dissection_ordered_factor_matches_minimum_degree_factor():
@@ -511,6 +514,87 @@ def test_dissection_order_lists_each_free_node_once(cells):
     assert op.free.size == space.free_nodes.size
     assert np.array_equal(np.sort(op.free), space.free_nodes)
     assert np.array_equal(op.free, order[np.isin(order, space.free_nodes)])
+
+
+def recursive_dissection(n_x, n_y, leaf):
+    """The nested-dissection order built block by block, recursively: the
+    reference that the level-by-level build must reproduce."""
+    order = []
+
+    def dissect(i0, i1, j0, j1):  # the block [i0, i1) x [j0, j1)
+        if i1 <= i0 or j1 <= j0:
+            return
+        if i1 - i0 <= leaf and j1 - j0 <= leaf:
+            for j in range(j0, j1):
+                order.extend(range(j * n_x + i0, j * n_x + i1))
+        elif i1 - i0 >= j1 - j0:
+            m = (i0 + i1) // 2
+            dissect(i0, m, j0, j1)
+            dissect(m + 1, i1, j0, j1)
+            order.extend(range(j0 * n_x + m, j1 * n_x + m, n_x))
+        else:
+            m = (j0 + j1) // 2
+            dissect(i0, i1, j0, m)
+            dissect(i0, i1, m + 1, j1)
+            order.extend(range(m * n_x + i0, m * n_x + i1))
+
+    dissect(0, n_x, 0, n_y)
+    return np.array(order, dtype=np.int32)
+
+
+@pytest.mark.parametrize("nodes", [(2, 7), (5, 9), (6, 8), (7, 4), (33, 65), (257, 257)])
+def test_dissection_order_is_the_recursive_order(nodes):
+    # the lattices of test_dissection_order_lists_each_free_node_once and the
+    # 257 x 257-node reference lattice of diffusion_small, with the default
+    # leaf and those of scripts/factor_sweep.py: the same order, bit for bit
+    for leaf in (fem.ND_LEAF, 3, 4, 6):
+        order = nested_dissection(*nodes, leaf)
+        assert order.dtype == np.int32
+        assert np.array_equal(order, recursive_dissection(*nodes, leaf)), leaf
+
+
+@pytest.mark.parametrize("config", ["diffusion_tiny", "advdiff_small"])
+def test_fine_solution_leaves_no_fine_lattice_in_the_shared_caches(config):
+    # the reference factor slices its block from an operator assembled
+    # through an uncached plan: afterwards neither the plan cache nor the
+    # interior-block cache holds the global fine lattice (diffusion_tiny's
+    # 65 x 65 nodes, all boundary nodes constrained, would fit both), and
+    # u and z equal the solves of a kept fine operator, bit for bit
+    problem, _ = build_problem(read_config(ExperimentConfig.from_ini(CONFIGS / f"{config}.ini")))
+    h = problem.hierarchy.h_micro
+    fem.lattice_plan.cache_clear()
+    fem.interior_block.cache_clear()
+    u, z = problem.fine_solution(h)
+    shape = problem.fine_space(h).grid.shape
+    for cache in (fem.lattice_plan, fem.interior_block):
+        misses = cache.cache_info().misses
+        cache(shape)
+        assert cache.cache_info().misses == misses + 1, cache
+    op = fine_operator(problem, problem.fine_space(h))
+    assert np.array_equal(u.values, solve(op, problem_rhs(problem, op.space)).values)
+    assert np.array_equal(z.values, solve_dual(op, problem.functional).values)
+    assert op.factorization_count == 1
+    fem.lattice_plan.cache_clear()
+    fem.interior_block.cache_clear()
+
+
+@pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "half_h"])
+def test_fine_data_keeps_the_fluctuation_and_not_e_eps(fine_ratio):
+    # fine_data holds (grid, a_eps, F) and no skew element array E_eps of
+    # b_eps; F + E_delta gives E_eps back within 1e-15 relative per entry,
+    # relative to the larger of the two summands (where E_delta cancels most
+    # of E_eps, no bound relative to E_eps alone holds), zeros exactly
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    h = problem.hierarchy.h_micro / fine_ratio
+    grid, a_eps, fluct = problem.fine_data(h)
+    e_eps = advection_elements(grid, gauss_values(grid, problem.advection))
+    e_delta = advection_elements(grid, problem.delta_values(grid), skew=False)
+    kept = [x for x in problem._fine[h] if isinstance(x, np.ndarray)]
+    assert len(kept) == 2 and a_eps.shape == (grid.n_cells, 2, 2)
+    assert not any(x.shape == e_eps.shape and np.allclose(x, e_eps) for x in kept)
+    error = np.abs(fluct + e_delta - e_eps)
+    assert np.all(error <= 1e-15 * np.maximum(np.abs(e_eps), np.abs(e_delta)))
+    assert np.all(error[e_eps == 0.0] == 0.0)
 
 
 def test_concurrent_solves_share_factorization():
