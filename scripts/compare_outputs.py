@@ -38,9 +38,8 @@ RUNS = (
      {("optimizer", "max_cycles"): "2"}),
     ("optimize-diffusion_tiny-full", "optimize", "diffusion_tiny", None,
      {("optimizer", "dual"): "full"}),
-    ("optimize-advdiff_small-full-fine", "optimize", "advdiff_small", None,
-     {("optimizer", "dual"): "full", ("mesh", "fine"): "2^-8",
-      ("optimizer", "max_cycles"): "2"}),
+    ("optimize-advdiff_small-full", "optimize", "advdiff_small", None,
+     {("optimizer", "dual"): "full", ("optimizer", "max_cycles"): "2"}),
     ("estimate-diffusion_small", "estimate", "diffusion_small", None, {}),
     ("estimate-advdiff_small", "estimate", "advdiff_small", None, {}),
     ("estimate-advdiff_small-full", "estimate", "advdiff_small", None,

@@ -41,7 +41,7 @@ from .field import (
     gen_gaussian_raster,
     stream_advection,
 )
-from .mesh import SIDES, Domain, _exact_ratio, build_hierarchy
+from .mesh import SIDES, Domain, build_hierarchy
 from .optim import OptimizerConfig, primal_dual, run_optimization
 from .upscale import (
     arithmetic_mean_model,
@@ -206,10 +206,10 @@ REQUIRED = object()
 _REQUIRED_QUANTITY = (parse_quantity, REQUIRED)
 
 # Every config entry: section -> key -> (parser, default or REQUIRED).  A
-# default is a parsed value; None means `h` for `fine` and the side's own
-# name for a side.  A range that a library constructor checks is checked
-# there, not here: the spacing ratios, OptimizerConfig.validate, the field
-# constructors and the boundary markers.
+# default is a parsed value; None means the side's own name for a side.  A
+# range that a library constructor checks is checked there, not here: the
+# spacing ratios, OptimizerConfig.validate, the field constructors and the
+# boundary markers.
 KEYS = {
     "domain": {
         "origin": (parse_pair, (0.0, 0.0)),
@@ -218,7 +218,6 @@ KEYS = {
     },
     "mesh": {
         **dict.fromkeys(("delta", "H", "h"), _REQUIRED_QUANTITY),
-        "fine": (parse_quantity, None),
         "dof_cap": (parse_count, 500_000),
     },
     "field": {
@@ -394,7 +393,7 @@ def build_initial_model(cfg, problem):
     if m["upscaler"] == "constant":
         model = constant_model(hierarchy, m["value"])
     else:
-        check_fine_grid(hierarchy, hierarchy.h_micro, settings["mesh"]["dof_cap"], "the upscaler")
+        check_fine_grid(hierarchy, settings["mesh"]["dof_cap"], "the upscaler")
         model = _UPSCALERS[m["upscaler"]](problem)
     scale = m["scale"]
     if scale != 1.0:
@@ -410,14 +409,10 @@ _OPTIMIZER_FIELDS = {"jacobian": "jacobian_mode", "dual": "dual_mode"}
 
 
 def build_optimizer_config(settings):
-    """Optimizer settings; ``h_fine`` is ``[mesh] fine``, else ``h``, and must
-    divide ``h``, which is checked before anything is sampled or written."""
-    mesh = settings["mesh"]
-    h_fine = mesh["h"] if mesh["fine"] is None else mesh["fine"]
-    _exact_ratio(mesh["h"], h_fine, "[mesh] h / fine")
+    """Optimizer settings of the ``[optimizer]`` entries, validated."""
     o = settings["optimizer"]
     fields = {_OPTIMIZER_FIELDS.get(key, key): o[key] for key in KEYS["optimizer"]}
-    config = OptimizerConfig(h_fine=h_fine, **fields)
+    config = OptimizerConfig(**fields)
     config.validate()
     return config
 
@@ -426,10 +421,10 @@ def build_optimizer_config(settings):
 # reference solve
 
 
-def check_fine_grid(hierarchy, h, dof_cap, what):
+def check_fine_grid(hierarchy, dof_cap, what):
     """Refuse ``what`` before it samples or solves anything on the global
-    grid of spacing ``h`` when that grid has more than ``dof_cap`` nodes."""
-    n_fine = hierarchy.fine_grid(h).n_nodes
+    micro grid when that grid has more than ``dof_cap`` nodes."""
+    n_fine = hierarchy.fine_grid.n_nodes
     if n_fine > dof_cap:
         raise ResourceCapError(
             f"{what} needs {n_fine} fine-grid nodes, above the cap of {dof_cap}; "
@@ -437,22 +432,23 @@ def check_fine_grid(hierarchy, h, dof_cap, what):
         )
 
 
-def check_reference(problem, h_fine, dof_cap, raster=None):
-    """Refuse a reference solve on the grid of spacing ``h_fine`` when that
-    grid exceeds ``dof_cap`` or is coarser than the raster pixel."""
-    check_fine_grid(problem.hierarchy, h_fine, dof_cap, "the reference solve")
-    if raster is not None and h_fine > min(raster.pixel_size) * (1 + 1e-12):
+def check_reference(problem, dof_cap, raster=None):
+    """Refuse a reference solve on the global micro grid when that grid
+    exceeds ``dof_cap`` or is coarser than the raster pixel."""
+    check_fine_grid(problem.hierarchy, dof_cap, "the reference solve")
+    h = problem.hierarchy.h_micro
+    if raster is not None and h > min(raster.pixel_size) * (1 + 1e-12):
         raise ConfigurationError(
-            f"reference mesh size {h_fine} is coarser than the raster pixel "
+            f"reference mesh size {h} is coarser than the raster pixel "
             f"{min(raster.pixel_size)}"
         )
 
 
-def oracle_reference(problem, h_fine, dof_cap=KEYS["mesh"]["dof_cap"][1], raster=None):
+def oracle_reference(problem, dof_cap=KEYS["mesh"]["dof_cap"][1], raster=None):
     """Single global fine-scale solve: the brute-force oracle behind every
     effectivity and error column."""
-    check_reference(problem, h_fine, dof_cap, raster)
-    u_ref, _ = problem.fine_solution(h_fine)
+    check_reference(problem, dof_cap, raster)
+    u_ref, _ = problem.fine_solution()
     return u_ref, apply_functional(problem.functional, u_ref)
 
 
@@ -540,45 +536,38 @@ def _write_b_delta(path, hierarchy, b_delta):
 
 @dataclass
 class Scenario:
-    """What the scenario commands read from one configuration: the problem,
-    the initial model, the optimizer settings and the reference settings."""
+    """What the scenario commands read from one configuration: its parsed
+    settings, the problem, the initial model and the optimizer settings."""
 
+    settings: dict
     problem: Problem
     raster: object
     model0: object
     config: OptimizerConfig
-    dof_cap: int
-    reference: bool
 
     def oracle(self):
         """(u_ref, j_ref) from the fine-scale reference solve, or None when
         ``[problem] reference`` is off."""
-        if not self.reference:
+        if not self.settings["problem"]["reference"]:
             return None
-        return oracle_reference(self.problem, self.config.h_fine, self.dof_cap, self.raster)
+        return oracle_reference(self.problem, self.settings["mesh"]["dof_cap"], self.raster)
 
 
-def build_scenario(cfg, seed_override=None, dual_modes=None):
-    """Problem, initial model and optimizer config of ``cfg``.  For each of
-    ``dual_modes`` (default: the configured one), the global grid whose fine
-    data the indicator sweep slices (the micro grid; for the full dual the
-    ``h_fine`` grid of its solve) is checked against ``[mesh] dof_cap``
-    before any fine data is sampled or fine space built; so is the reference
-    grid, and its resolution of the raster, when ``[problem] reference`` is
-    on."""
+def build_scenario(cfg, seed_override=None):
+    """Problem, initial model and optimizer config of ``cfg``.  The global
+    micro grid, whose fine data the indicator sweep of every dual slices and
+    on which the full dual and the reference are solved, is checked against
+    ``[mesh] dof_cap`` before any fine data is sampled or fine space built;
+    so is its resolution of the raster when ``[problem] reference`` is on."""
     settings = read_config(cfg)
     problem, raster = build_problem(settings, seed_override)
     config = build_optimizer_config(settings)
     dof_cap = settings["mesh"]["dof_cap"]
-    reference = settings["problem"]["reference"]
-    hierarchy = problem.hierarchy
-    for mode in dual_modes or (config.dual_mode,):
-        h = replace(config, dual_mode=mode).sweep_spacing(hierarchy)
-        check_fine_grid(hierarchy, h, dof_cap, f"the {mode} dual")
-    if reference:
-        check_reference(problem, config.h_fine, dof_cap, raster)
+    check_fine_grid(problem.hierarchy, dof_cap, "the indicator sweep")
+    if settings["problem"]["reference"]:
+        check_reference(problem, dof_cap, raster)
     model0 = build_initial_model(cfg, problem)
-    return Scenario(problem, raster, model0, config, dof_cap, reference)
+    return Scenario(settings, problem, raster, model0, config)
 
 
 def run_scenario(cfg, outdir, seed_override=None):
@@ -606,12 +595,11 @@ def run_scenario(cfg, outdir, seed_override=None):
         manifest.append("advection_delta.csv")
 
     oracle = None
-    if sc.reference:
+    if sc.settings["problem"]["reference"]:
         phases.start("reference")
         oracle = sc.oracle()
         phases.stop()
 
-    problem.keep_fine_data(sc.config.sweep_spacing(problem.hierarchy))
     phases.start("optimize")
     state = run_optimization(problem, model0, sc.config, oracle=oracle)
     phases.stop()
@@ -664,7 +652,7 @@ def compare_duals(cfg, outdir, seed_override=None):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     modes = ("full", "enhanced")
-    sc = build_scenario(cfg, seed_override, dual_modes=modes)
+    sc = build_scenario(cfg, seed_override)
     oracle = sc.oracle()
     states = {
         mode: run_optimization(
@@ -722,8 +710,7 @@ def _cmd_reference(cfg, outdir, seed):
     out.mkdir(parents=True, exist_ok=True)
     settings = read_config(cfg)
     problem, raster = build_problem(settings, seed)
-    h_fine = build_optimizer_config(settings).h_fine
-    u_ref, j_ref = oracle_reference(problem, h_fine, settings["mesh"]["dof_cap"], raster)
+    u_ref, j_ref = oracle_reference(problem, settings["mesh"]["dof_cap"], raster)
     u_ref.to_csv(out / "reference.csv")
     u_ref.to_vtk(out / "reference.vtk")
     (out / "reference_qoi.txt").write_text(f"{j_ref:.17g}\n", newline="\n")

@@ -18,14 +18,13 @@ import numpy as np
 
 from .fem import (
     DiscreteField,
+    advection_elements,
     apply_functional,
     diffusion_element_matrices,
     diffusion_form_stack,
-    effective_operator,
     element_operator,
     functional_vector,
     gather,
-    interpolate,
     lattice_matrix,
     lattice_values,
     problem_rhs,
@@ -53,8 +52,8 @@ def _fine_data(problem, grid):
     indicator forms: the fine tensor per cell and, for advective problems,
     the element matrices of the transport fluctuation (b_eps - b_delta) .
     grad u (None without transport).  Both are slices of the problem's global
-    fine data on the grid's spacing."""
-    fine_grid, a_eps, fluct = problem.fine_data(grid.spacing[0])
+    fine data."""
+    fine_grid, a_eps, fluct = problem.fine_data()
     return (
         fine_grid.restrict(a_eps, grid.bbox),
         None if fluct is None else fine_grid.restrict(fluct, grid.bbox),
@@ -152,15 +151,19 @@ class ErrorBreakdown:
 def _theta_H(problem, model, operator, U, z):
     """Residual of the effective problem, rhs(z) - (A_eff U, z), on the space
     of z.  On the macro space (effective and enhanced duals) A_eff is
-    ``operator``, the one U was solved with; the full dual lives on a nested
-    refinement, where A_eff is assembled."""
+    ``operator``, the one U was solved with.  The full dual lives on the fine
+    grid, where (A_eff U, z) is summed cellwise, z4^T E u4 with E the
+    effective element matrices, and no operator is assembled."""
     space = z.space
+    rhs = problem_rhs(problem, space) @ z.values
     if space is operator.space:
-        matrix, u = operator.matrix, U.values
-    else:
-        matrix = effective_operator(problem, model, space).matrix
-        u = interpolate(U, space).values
-    return float(problem_rhs(problem, space) @ z.values - z.values @ (matrix @ u))
+        return float(rhs - z.values @ (operator.matrix @ U.values))
+    grid = space.grid
+    elem = diffusion_element_matrices(grid, model.tensors_at(grid.cell_centers))
+    if problem.is_advective:
+        elem += advection_elements(grid, problem.delta_values(grid), skew=False)
+    u4 = gather(grid, lattice_values(U, grid).ravel())
+    return float(rhs - np.einsum("cp,cpq,cq->", gather(grid, z.values), elem, u4))
 
 
 class _PatchContext:
@@ -263,11 +266,10 @@ def _patch_context(problem, model, U, dual, k):
         zstar = zi + z_k.values
         return _PatchContext(problem, model, U, k, patch, grid, zstar, data)
     patch = hierarchy.patch_of(k, 1)
+    grid = hierarchy.micro_grid(patch.bbox)
     if dual.mode == "full":
-        grid = z.space.grid.subgrid(patch.bbox)
-        zstar = z.values[z.space.grid.subgrid_node_ids(patch.bbox)]
+        zstar = z.space.grid.restrict(z.values, patch.bbox, nodal=True)
     elif dual.mode == "effective":
-        grid = hierarchy.micro_grid(patch.bbox)
         zstar = lattice_values(z, grid).ravel()
     else:
         raise ValueError(f"unknown dual mode '{dual.mode}'")

@@ -282,7 +282,7 @@ def nested_dissection(n_x, n_y, leaf=ND_LEAF):
 LatticePlan = namedtuple("LatticePlan", "indptr indices scatter order")
 
 
-@lru_cache(maxsize=12)
+@lru_cache(maxsize=10)
 def lattice_plan(shape):
     """What every Q1 operator on a grid of ``shape`` cells shares, patch,
     macro or fine: the CSR pattern (``indptr``, ``indices``: each node
@@ -295,12 +295,13 @@ def lattice_plan(shape):
     of a slot in cell order, as a COO to CSR conversion sums duplicates, so
     :func:`element_operator` builds that conversion's matrix bit for bit.
 
-    The one cache of what operators share: a run meets at most 12 shapes (9
-    patch shapes, the macro grid and, with ``dual = full``, the global fine
-    grid of its effective operator), and a plan takes about 108 bytes per
+    The one cache of what operators share: a run meets at most 10 shapes,
+    the 9 patch shapes (a sampling cell's periodic cell problem has the
+    depth-0 one) and the macro grid, and a plan takes about 108 bytes per
     cell (64 for the scatter, 44 per node for the pattern and the order;
-    7.1 MB for a 256 x 256 grid).  :func:`fine_operator` builds its plan
-    uncached (``lattice_plan.__wrapped__``)."""
+    1.0 MB for a 96 x 96-cell patch).  The global fine grid never enters
+    it: :func:`fine_operator` builds its plan uncached
+    (``lattice_plan.__wrapped__``)."""
     n_x, n_y = shape[0] + 1, shape[1] + 1
     ids = np.pad(np.arange(n_x * n_y, dtype=np.int32).reshape(n_y, n_x), 1, constant_values=-1)
     window = np.lib.stride_tricks.sliding_window_view(ids, (3, 3))  # -1 outside the lattice
@@ -603,8 +604,8 @@ def lattice_matrix(n, ratio):
     the coarse nodes, the last node clamped into the last coarse cell as
     :func:`evaluate` clamps.  Read-only, 8 bytes per entry (10 kB for a
     97-node patch side over 13 macro nodes); a run keys a few (node count,
-    ratio) pairs, the sides of its patches, sampling cells, reference and
-    full-dual grids, and the cache keeps 16."""
+    ratio) pairs, the sides of its patches, sampling cells and fine grid,
+    and the cache keeps 16."""
     m = (n - 1) // ratio
     i = np.arange(n)
     cell = np.minimum(i // ratio, m - 1)
@@ -619,7 +620,7 @@ def lattice_matrix(n, ratio):
 def lattice_values(field, grid):
     """The values of ``field`` at the nodes of ``grid``, a lattice window of
     a uniform refinement of the field's grid whose corners are nodes of it (a
-    patch, a sampling cell, a reference or full-dual grid): the
+    patch, a sampling cell, the global fine grid): the
     :func:`evaluate` of those nodes up to rounding, separable as one
     :func:`lattice_matrix` per axis: (ny + 1, nx + 1) values."""
     src = field.space.grid
@@ -702,12 +703,12 @@ class Problem:
     Dirichlet conditions: at least one, each a marker of the domain.
 
     The problem is the one place that keeps the problem data every cycle
-    reads: the macro and global fine spaces, the fine data and the fine
-    solution per grid spacing, and b_delta; what depends on a grid's shape
-    alone is the :func:`lattice_plan` of a patch or macro operator.  Patch
-    spaces and operators are built on demand, :meth:`keep_fine_data` frees
-    fine data no longer read, and a fine operator lives only until its
-    factor is built (:meth:`fine_solution`).
+    reads: the macro space, and on the one fine lattice, the global micro
+    grid ``hierarchy.fine_grid``, the fine space, the fine data, the fine
+    solution and b_delta; what depends on a grid's shape alone is the
+    :func:`lattice_plan` of a patch or macro operator.  Patch spaces and
+    operators are built on demand, and the fine operator lives only until
+    its factor is built (:meth:`fine_solution`).
     """
 
     hierarchy: object
@@ -717,9 +718,10 @@ class Problem:
     source: object = 0.0
     neumann: tuple = ()
     dirichlet: tuple = SIDES
-    _spaces: dict = dc_field(default_factory=dict, repr=False)
-    _fine: dict = dc_field(default_factory=dict, repr=False)
-    _fine_solutions: dict = dc_field(default_factory=dict, repr=False)
+    _macro_space: object = dc_field(default=None, repr=False)
+    _fine_space: object = dc_field(default=None, repr=False)
+    _fine: tuple = dc_field(default=None, repr=False)
+    _fine_solution: tuple = dc_field(default=None, repr=False)
     _b_delta: object = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -735,59 +737,44 @@ class Problem:
     def space(self, grid):
         return FeSpace(grid, self.hierarchy.domain, self.dirichlet)
 
-    def _global_space(self, grid):
-        key = (grid.origin, grid.spacing, grid.shape)
-        if key not in self._spaces:
-            self._spaces[key] = self.space(grid)
-        return self._spaces[key]
-
     def macro_space(self):
-        return self._global_space(self.hierarchy.macro_grid)
+        if self._macro_space is None:
+            self._macro_space = self.space(self.hierarchy.macro_grid)
+        return self._macro_space
 
-    def fine_space(self, h):
-        return self._global_space(self.hierarchy.fine_grid(h))
+    def fine_space(self):
+        """The space on ``hierarchy.fine_grid``, the grid of :meth:`fine_data`."""
+        if self._fine_space is None:
+            self._fine_space = self.space(self.hierarchy.fine_grid)
+        return self._fine_space
 
-    def fine_data(self, h):
-        """(grid, a_eps, F) on ``hierarchy.fine_grid(h)``: the fine tensor
-        per cell and, for advective problems, the transport fluctuation F =
-        E_eps - E_delta, with E_eps the skew element matrices of b_eps and
-        E_delta the plain element matrices of b_delta (None without
-        transport).  ``h`` must be h_micro / n for an integer n >= 1; other
-        spacings raise ``ConfigurationError``.
+    def fine_data(self):
+        """(grid, a_eps, F) on ``hierarchy.fine_grid``: the fine tensor per
+        cell and, for advective problems, the transport fluctuation F = E_eps
+        - E_delta, with E_eps the skew element matrices of b_eps and E_delta
+        the plain element matrices of b_delta (None without transport).
 
         This is the one fine-scale sampler, shared by the indicator sweep,
         the fine solution, the initial models of :mod:`dwropt.upscale` and
-        b_delta; it samples once per spacing.  F is all the sweep reads, and
-        :func:`fine_operator` adds E_delta back.  On the micro grid the
-        Gauss-point values of b_eps are also reduced to b_delta
-        (:meth:`average_advection`) and not kept; other spacings build the
-        micro data first for F.  The arrays are shared and read-only."""
-        if h not in self._fine:
-            _exact_ratio(self.hierarchy.h_micro, h, "[mesh] h / fine")
-            grid = self.hierarchy.fine_grid(h)
+        b_delta; it samples once.  F is all the sweep reads, and
+        :func:`fine_operator` adds E_delta back.  The Gauss-point values of
+        b_eps are reduced to b_delta (:meth:`average_advection`) and not
+        kept.  The arrays are shared and read-only."""
+        if self._fine is None:
+            grid = self.hierarchy.fine_grid
             a_eps = self.coefficient.tensors_at(grid.cell_centers)
             a_eps.flags.writeable = False
             fluct = None
             if self.is_advective:
                 b_eps = gauss_values(grid, self.advection)
                 fluct = advection_elements(grid, b_eps)
-                if h == self.hierarchy.h_micro:
-                    per_cell = 0.25 * (b_eps[:, 0] + b_eps[:, 1] + b_eps[:, 2] + b_eps[:, 3])
-                    self._b_delta = self.hierarchy.sampling_mean(per_cell)
-                    self._b_delta.flags.writeable = False
+                per_cell = 0.25 * (b_eps[:, 0] + b_eps[:, 1] + b_eps[:, 2] + b_eps[:, 3])
+                self._b_delta = self.hierarchy.sampling_mean(per_cell)
+                self._b_delta.flags.writeable = False
                 fluct -= advection_elements(grid, self.delta_values(grid), skew=False)
                 fluct.flags.writeable = False
-            self._fine[h] = (grid, a_eps, fluct)
-        return self._fine[h]
-
-    def keep_fine_data(self, h):
-        """Free the fine data of every spacing but ``h``, once nothing else
-        reads it: the initial model is built and the sweep slices the grid
-        of ``h``.  b_delta, reduced from the micro data, is reduced first
-        and stays; freed data would be sampled again on request."""
-        self.average_advection()
-        for spacing in [s for s in self._fine if s != h]:
-            del self._fine[spacing]
+            self._fine = (grid, a_eps, fluct)
+        return self._fine
 
     def average_advection(self):
         """b_delta, the effective transport: the mean of b_eps over every
@@ -797,7 +784,7 @@ class Problem:
         if not self.is_advective:
             return None
         if self._b_delta is None:
-            self.fine_data(self.hierarchy.h_micro)
+            self.fine_data()
         return self._b_delta
 
     def delta_values(self, grid):
@@ -806,18 +793,19 @@ class Problem:
         b_delta = self.average_advection()[self.hierarchy.parents(grid)]
         return np.repeat(b_delta[:, None, :], 4, axis=1)
 
-    def fine_solution(self, h):
-        """(u, z) on ``fine_space(h)``: the fine-scale solution (the reference)
-        and the full dual.  Neither depends on the model: one factorization of
-        :func:`fine_operator` solves both once per spacing; only u, z are kept.
-        The free block is all of the operator alive while SuperLU runs
-        (:meth:`SparseOperator.factor_alone`); the loads come after."""
-        if h not in self._fine_solutions:
-            op = fine_operator(self, self.fine_space(h))
+    def fine_solution(self):
+        """(u, z) on :meth:`fine_space`: the fine-scale solution (the
+        reference) and the full dual.  Neither depends on the model: one
+        factorization of :func:`fine_operator` solves both once; only u, z
+        are kept.  The free block is all of the operator alive while
+        SuperLU runs (:meth:`SparseOperator.factor_alone`); the loads come
+        after."""
+        if self._fine_solution is None:
+            op = fine_operator(self)
             op.factor_alone()
             u = solve(op, problem_rhs(self, op.space))
-            self._fine_solutions[h] = (u, solve_dual(op, self.functional))
-        return self._fine_solutions[h]
+            self._fine_solution = (u, solve_dual(op, self.functional))
+        return self._fine_solution
 
 
 def effective_operator(problem, model, space):
@@ -830,14 +818,15 @@ def effective_operator(problem, model, space):
     return op
 
 
-def fine_operator(problem, space):
-    """Operator of the fine-scale problem on a global fine space, assembled
-    from ``problem.fine_data`` of its spacing, the element data that the
+def fine_operator(problem):
+    """Operator of the fine-scale problem on ``problem.fine_space()``,
+    assembled from ``problem.fine_data()``, the element data that the
     indicator sweep slices: one element array, diffusion plus, with
     transport, F + E_delta = E_eps, through a plan of its own, not cached.
     The array and the plan's scatter index are freed on return, its pattern
     with the matrix (:meth:`SparseOperator.factor_alone`)."""
-    grid, a_eps, fluct = problem.fine_data(space.grid.spacing[0])
+    space = problem.fine_space()
+    grid, a_eps, fluct = problem.fine_data()
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
         elem += fluct

@@ -304,10 +304,6 @@ class MeshHierarchy:
     def n_sampling(self):
         return self.sampling_grid.n_cells
 
-    @property
-    def n_macro(self):
-        return self.macro_grid.n_cells
-
     @cached_property
     def macro_parent(self):
         """Sampling cell id containing each macro cell."""
@@ -320,18 +316,14 @@ class MeshHierarchy:
 
     def sampling_mean(self, values):
         """Mean over each sampling cell of ``values`` given per cell of the
-        global micro grid (``fine_grid(h_micro)``), for any trailing shape:
+        global micro grid (:attr:`fine_grid`), for any trailing shape:
         (n_micro, ...) -> (n_sampling, ...)."""
-        parents = self.parents(self.fine_grid(self.h_micro))
+        parents = self.parents(self.fine_grid)
         width = values[0].size
         index = (parents[:, None] * width + np.arange(width)).ravel()
         sums = np.bincount(index, weights=values.ravel(), minlength=self.n_sampling * width)
         counts = np.bincount(parents, minlength=self.n_sampling).astype(float)
         return (sums.reshape(-1, width) / counts[:, None]).reshape((-1,) + values.shape[1:])
-
-    def macro_cells_of(self, k):
-        """Macro cell ids inside sampling cell ``k`` (row-major)."""
-        return self.macro_grid.subgrid_cell_ids(self.sampling_grid.cell_bbox(k))
 
     def sampling_bbox(self, k):
         return self.sampling_grid.cell_bbox(k)
@@ -342,11 +334,14 @@ class MeshHierarchy:
         ny = _exact_ratio(bbox[3] - bbox[1], self.h_micro, "micro grid height")
         return Grid((bbox[0], bbox[1]), (self.h_micro, self.h_micro), (nx, ny))
 
-    def fine_grid(self, h):
-        """Global uniform grid of spacing ``h`` covering the domain."""
-        nx = _exact_ratio(self.domain.extent[0], h, "fine grid width")
-        ny = _exact_ratio(self.domain.extent[1], h, "fine grid height")
-        return Grid(self.domain.origin, (h, h), (nx, ny))
+    @cached_property
+    def fine_grid(self):
+        """The global micro grid: spacing ``h_micro`` over the whole domain,
+        the one fine lattice of the reference, the full dual and the fine
+        data that patches slice."""
+        nx = _exact_ratio(self.domain.extent[0], self.h_micro, "fine grid width")
+        ny = _exact_ratio(self.domain.extent[1], self.h_micro, "fine grid height")
+        return Grid(self.domain.origin, (self.h_micro, self.h_micro), (nx, ny))
 
     def patch_of(self, k, depth):
         """Patch of sampling cells around cell ``k``."""
@@ -364,13 +359,6 @@ class MeshHierarchy:
         x0, y0 = g.cell_bbox(g.cell_id(i0, j0))[:2]
         x1, y1 = g.cell_bbox(g.cell_id(i1, j1))[2:]
         return Patch(center=k, depth=depth, members=members, bbox=(x0, y0, x1, y1))
-
-    def locate_cell(self, x):
-        """``(sampling_cell_id, macro_cell_id)`` for a point in the closed domain."""
-        p = np.asarray(x, dtype=float).reshape(1, 2)
-        if not bool(self.domain.contains(p)[0]):
-            raise OutOfDomainError(f"point {tuple(p[0])} lies outside the domain")
-        return int(self.sampling_grid.locate(p)[0]), int(self.macro_grid.locate(p)[0])
 
 
 def build_hierarchy(domain, delta, h_macro, h_micro):

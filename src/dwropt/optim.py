@@ -71,7 +71,6 @@ class OptimizerConfig:
     depth: int = 1
     max_cycles: int = 15
     stop_fraction: float = 0.05
-    h_fine: float = None
 
     def validate(self):
         if self.jacobian_mode not in ("patch", "diagonal"):
@@ -92,14 +91,6 @@ class OptimizerConfig:
             alpha = np.asarray(self.alpha, dtype=float)
             if not np.all(np.isfinite(alpha)) or np.any(alpha < 0.0):
                 raise ConfigurationError("alpha must be finite and nonnegative")
-
-    def sweep_spacing(self, hierarchy):
-        """Spacing of the global fine grid whose data the indicator sweep
-        slices: ``h_fine`` (h_micro when unset) for the full dual, else
-        h_micro."""
-        if self.dual_mode == "full" and self.h_fine is not None:
-            return self.h_fine
-        return hierarchy.h_micro
 
 
 @dataclass
@@ -156,7 +147,7 @@ def primal_dual(problem, model, config):
     operator = effective_operator(problem, model, macro_space)
     U = solve(operator, problem_rhs(problem, macro_space))
     if config.dual_mode == "full":
-        z = problem.fine_solution(config.sweep_spacing(problem.hierarchy))[1]
+        z = problem.fine_solution()[1]
     else:
         z = solve_dual(operator, problem.functional)
     return operator, U, DualApproximation(config.dual_mode, z, config.depth)

@@ -93,7 +93,7 @@ def constant_model(hierarchy, tensor, provenance="constant"):
 def arithmetic_mean_model(problem):
     """Entrywise arithmetic cell average of the fine-scale tensor."""
     hierarchy = problem.hierarchy
-    _, samples, _ = problem.fine_data(hierarchy.h_micro)
+    _, samples, _ = problem.fine_data()
     return EffectiveModel(hierarchy, hierarchy.sampling_mean(samples), provenance="arithmetic")
 
 
@@ -104,7 +104,7 @@ def geometric_mean_model(problem):
     only the (strictly positive) diagonal is averaged geometrically.
     """
     hierarchy = problem.hierarchy
-    grid, samples, _ = problem.fine_data(hierarchy.h_micro)
+    grid, samples, _ = problem.fine_data()
     centers = grid.cell_centers
     diag = samples[:, (0, 1), (0, 1)]
     bad = diag <= 0.0
@@ -154,7 +154,7 @@ def homogenized_model(problem, k):
     and mean subtraction, then evaluates the averaged flux tensor.
     """
     bbox = problem.hierarchy.sampling_bbox(k)
-    fine_grid, a_eps, _ = problem.fine_data(problem.hierarchy.h_micro)
+    fine_grid, a_eps, _ = problem.fine_data()
     grid = fine_grid.subgrid(bbox)
     tensors = a_eps[fine_grid.subgrid_cell_ids(bbox)]
     cn = _periodic_dof_map(grid)[grid.cell_nodes]

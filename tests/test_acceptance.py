@@ -56,8 +56,8 @@ def identity_setup():
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
     z_eff = solve_dual(op, problem.functional)
-    fine = problem.fine_space(2.0**-7)
-    fop = fine_operator(problem, fine)
+    fine = problem.fine_space()
+    fop = fine_operator(problem)
     u_fine = solve(fop, problem_rhs(problem, fine))
     z_fine = solve_dual(fop, problem.functional)
     return problem, model, op, U, z_eff, u_fine, z_fine
@@ -156,10 +156,9 @@ def test_criterion_6_full_dual_effectivity(identity_setup):
     j_ref = apply_functional(problem.functional, u_fine)
     detuned = model.with_tensors(1.2 * model.tensors, "detuned geometric")
     config = OptimizerConfig(
-        dual_mode="full", h_fine=2.0**-7, max_cycles=5,
+        dual_mode="full", max_cycles=5,
         lambda_factor=1.0, stop_fraction=0.01, alpha_scale=1e-4,
     )
-    fine = problem.fine_space(2.0**-7)
     state = run_optimization(problem, detuned, config, oracle=(u_fine, j_ref))
     i_effs = [r["I_eff"] for r in state.history]
     ok = all(e is not None and abs(e - 1.0) <= 0.02 for e in i_effs)
@@ -195,7 +194,7 @@ def test_criterion_8_derivative_verification():
     worst_gateaux = 0.0
     for mode in ("full", "enhanced"):
         config = OptimizerConfig(
-            dual_mode=mode, jacobian_mode="patch", depth=1, h_fine=2.0**-5, alpha=0.0
+            dual_mode=mode, jacobian_mode="patch", depth=1, alpha=0.0
         )
         _, deriv = full_gateaux(problem, base, base, alpha, direction, config)
         for s in (1e-5, 1e-6):
@@ -211,7 +210,7 @@ def test_criterion_8_derivative_verification():
             worst_gateaux = max(worst_gateaux, abs(deriv - fd) / abs(fd))
 
     # production approximate Jacobian, diagonal mode, full dual
-    config = OptimizerConfig(dual_mode="full", jacobian_mode="diagonal", h_fine=2.0**-5)
+    config = OptimizerConfig(dual_mode="full", jacobian_mode="diagonal")
     op, U, dual = primal_dual(problem, base, config)
     eta, triplets = assemble_system(problem, base, U, op, dual, config.jacobian_mode)
     rows, cols, vals = triplets

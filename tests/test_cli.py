@@ -38,7 +38,6 @@ extent = 1 1
 delta = 2^-2
 H = 2^-4
 h = 2^-5
-fine = 2^-5
 dof_cap = 500000
 
 [field]
@@ -73,8 +72,9 @@ stop_fraction = 0.05
 """
 
 
-# TINY with a laminate field resolved at h = 2^-6 and a coarser [mesh] fine
-COARSE_FINE = TINY.replace("h = 2^-5\nfine = 2^-5", "h = 2^-6\nfine = 2^-5").replace(
+# TINY with a laminate field resolved at h = 2^-6 and a coarser [mesh] fine,
+# a key that is gone: the reference and the full dual use the micro grid
+COARSE_FINE = TINY.replace("h = 2^-5", "h = 2^-6\nfine = 2^-5").replace(
     "kind = lognormal", "kind = laminate\naxis = 0\na = 1\nb = 4\nlayer_width = 2^-6"
 )
 
@@ -92,7 +92,6 @@ top = gamma_b
 delta = 1/4
 H = 2^-4
 h = 2^-5
-fine = 2^-5
 
 [field]
 kind = constant
@@ -190,14 +189,13 @@ def test_build_problem_and_model():
     assert model.provenance.startswith("geometric")
     opt = build_optimizer_config(read_config(cfg))
     assert opt.dual_mode == "enhanced"
-    assert opt.h_fine == 2.0**-5
+    assert problem.hierarchy.fine_grid.spacing == (2.0**-5, 2.0**-5)
 
 
 def test_oracle_manufactured_solution():
     # A = Id and f matching u = sin(pi x) sin(pi y): the QoI converges to
     # the analytic integral 4 / pi^2 at second order
     domain = Domain()
-    hierarchy = build_hierarchy(domain, 0.5, 0.25, 2.0**-4)
 
     def source(points):
         return (
@@ -207,16 +205,16 @@ def test_oracle_manufactured_solution():
             * np.sin(np.pi * points[:, 1])
         )
 
-    problem = Problem(
-        hierarchy=hierarchy,
-        coefficient=CoefficientField.constant(1.0),
-        functional=Functional.domain_integral(),
-        source=source,
-    )
     exact = 4.0 / np.pi**2
     errors = {}
     for h in (2.0**-4, 2.0**-5):
-        _, j_ref = oracle_reference(problem, h)
+        problem = Problem(
+            hierarchy=build_hierarchy(domain, 0.5, 0.25, h),
+            coefficient=CoefficientField.constant(1.0),
+            functional=Functional.domain_integral(),
+            source=source,
+        )
+        _, j_ref = oracle_reference(problem)
         errors[h] = abs(j_ref - exact)
     assert errors[2.0**-4] <= 1e-2 * exact
     assert 3.3 <= errors[2.0**-4] / errors[2.0**-5] <= 4.7
@@ -234,9 +232,9 @@ def test_oracle_constant_coefficient_matches_effective():
         functional=Functional.domain_integral(),
         source=1.0,
     )
-    _, j_ref = oracle_reference(problem, 2.0**-4)
+    _, j_ref = oracle_reference(problem)
     model = constant_model(hierarchy, 2.0)
-    fine_space = problem.fine_space(2.0**-4)
+    fine_space = problem.fine_space()
     U = solve(
         effective_operator(problem, model, fine_space), problem_rhs(problem, fine_space)
     )
@@ -246,13 +244,16 @@ def test_oracle_constant_coefficient_matches_effective():
 def test_oracle_dof_cap():
     problem, raster = build_problem(read_config(tiny_config()))
     with pytest.raises(ResourceCapError):
-        oracle_reference(problem, 2.0**-5, dof_cap=100)
+        oracle_reference(problem, dof_cap=100)
 
 
 def test_oracle_refuses_under_resolved_raster():
-    problem, raster = build_problem(read_config(tiny_config()))
+    # a micro grid of 2^-4 under the 2^-5 pixels of TINY's raster
+    cfg = tiny_config()
+    cfg.set("mesh", "h", "2^-4")
+    problem, raster = build_problem(read_config(cfg))
     with pytest.raises(ConfigurationError, match="coarser than the raster"):
-        oracle_reference(problem, 2.0**-4, raster=raster)
+        oracle_reference(problem, raster=raster)
 
 
 def test_run_scenario_outputs_and_determinism(tmp_path):
@@ -327,7 +328,7 @@ def test_compare_duals_lognormal_same_order(tmp_path):
         ("dof_cap = 500000", "dof_cap = lots"),
         ("seed = 7", "seed = x"),
         ("source = 1.0", "source = 1.0\nneumann = bottom"),
-        ("fine = 2^-5", "fine = 0"),
+        ("h = 2^-5", "h = 2^-5\nfine = 0"),
         ("H = 2^-4", "H = 0"),
         ("h = 2^-5", "h = 0"),
         ("delta = 2^-2", "delta = 0"),
@@ -406,11 +407,13 @@ def test_every_config_entry_exits_0_or_2(tmp_path, base, section, key, value):
         ("diffusion_tiny", "seed = 7", "seed = 7\ntile = x"),
         ("advdiff_small", "dirichlet = gamma_d", "dirichlet = gamma_x"),
         ("advdiff_small", "gamma = 0.1", "gamma = -1"),
-        ("diffusion_tiny", "h = 2^-6\nfine = 2^-6", "h = 2^-4\nfine = 2^-4"),
+        ("diffusion_tiny", "h = 2^-6", "h = 2^-4"),
         ("diffusion_tiny", "kind = lognormal", "kind = raster\npath = no_such_raster.pgm"),
+        ("diffusion_tiny", "h = 2^-6", "h = 2^-6\nfine = 2^-6"),
     ],
     ids=["misspelled_key", "unknown_section", "reference_on", "tile", "dirichlet_unknown",
-         "negative_definite_constant_field", "reference_coarser_than_raster", "missing_raster"],
+         "negative_definite_constant_field", "reference_coarser_than_raster", "missing_raster",
+         "fine_key"],
 )
 def test_shipped_config_error_exits_before_writing(tmp_path, config, old, new):
     text = (CONFIGS / f"{config}.ini").read_text()
@@ -479,7 +482,7 @@ def test_full_dual_dof_cap_exit_code(tmp_path, monkeypatch, command):
     # 289 macro nodes fit under the cap of 500, the 1089 fine nodes of the
     # full dual do not; the cap must stop the run before any fine space is
     # built
-    def no_fine_space(self, h):
+    def no_fine_space(self):
         raise AssertionError("a fine space was built before the dof cap check")
 
     monkeypatch.setattr(Problem, "fine_space", no_fine_space)
@@ -638,8 +641,9 @@ def test_singular_operator_mid_run_writes_partial_artifacts(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("command", ["estimate", "optimize", "compare-duals", "reference"])
 def test_fine_mesh_coarser_than_h_exit_code(tmp_path, command):
-    # the reference and the full dual must discretize the fine problem the
-    # indicators see: a [mesh] fine of 2 h cannot resolve the 2^-6 layers
+    # the reference and the full dual discretize the fine problem the
+    # indicators see, on the micro grid: a config that still asks for a
+    # [mesh] fine of 2 h, which cannot resolve the 2^-6 layers, is refused
     text = COARSE_FINE
     if command == "estimate":
         text = text.replace("dual = enhanced", "dual = full")
@@ -647,7 +651,7 @@ def test_fine_mesh_coarser_than_h_exit_code(tmp_path, command):
     cfg_path.write_text(text)
     out = tmp_path / "o"
     assert main([command, str(cfg_path), "--out", str(out)]) == 2
-    # the spacing is rejected before anything is written
+    # the key is rejected before anything is written
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -688,7 +692,7 @@ def test_run_samples_fine_advection_once(tmp_path, monkeypatch):
     report, state = run_scenario(ExperimentConfig.from_ini_text(ADVECTIVE), tmp_path)
     assert report.j_reference is not None and state.cycles == 1
     hierarchy = built[0].hierarchy
-    assert sum(calls) == 4 * hierarchy.fine_grid(hierarchy.h_micro).n_cells
+    assert sum(calls) == 4 * hierarchy.fine_grid.n_cells
 
 
 def test_full_dual_run_factors_and_samples_the_fine_problem_once(tmp_path, monkeypatch):
@@ -726,7 +730,7 @@ def test_failed_fine_factor_exits_3(tmp_path, monkeypatch, command, capsys):
     # failure: the lean fine factor keeps the SingularOperatorError wrap
     config = CONFIGS / "diffusion_tiny.ini"
     problem, _ = build_problem(read_config(ExperimentConfig.from_ini(config)))
-    n_fine = problem.fine_space(problem.hierarchy.h_micro).free_nodes.size
+    n_fine = problem.fine_space().free_nodes.size
     factor, failed = fem.splu, []
 
     def failing_on_the_fine_block(matrix, **kw):
@@ -743,8 +747,8 @@ def test_failed_fine_factor_exits_3(tmp_path, monkeypatch, command, capsys):
 
 
 def test_full_dual_run_keeps_only_the_fine_data_of_its_sweep(tmp_path, monkeypatch):
-    # with dual = full and fine = h / 2 the loop reads the h / 2 fine data
-    # only: the micro data behind b_delta is freed before the first cycle
+    # with dual = full the reference, the full dual, the sweep and b_delta
+    # read one fine data, on the global micro grid that the fine space shares
     built = []
     build = cli.build_problem
 
@@ -755,12 +759,14 @@ def test_full_dual_run_keeps_only_the_fine_data_of_its_sweep(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "build_problem", keeping_build)
     cfg = ExperimentConfig.from_ini_text(ADVECTIVE)
-    cfg.set("mesh", "fine", "2^-6")
     cfg.set("optimizer", "dual", "full")
     report, state = run_scenario(cfg, tmp_path)
     assert report.j_reference is not None and state.cycles == 1
     problem = built[0]
-    assert list(problem._fine) == [2.0**-6]
+    grid = problem.hierarchy.fine_grid
+    assert problem._fine[0] is grid and problem.fine_space().grid is grid
+    u_ref, z = problem.fine_solution()
+    assert u_ref.space is z.space is problem.fine_space()
     b_delta = np.loadtxt(tmp_path / "advection_delta.csv", delimiter=",", skiprows=1)
     assert np.array_equal(b_delta[:, -2:], problem.average_advection())
 

@@ -41,13 +41,13 @@ def grad_sq_percell(grid, u4):
     return np.einsum("q,cqd->c", w, du**2)
 
 
-def solve_states(problem, model, h_fine):
+def solve_states(problem, model):
     """Primal U on the macro space, fine primal and fine dual."""
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
-    fine = problem.fine_space(h_fine)
-    fop = fine_operator(problem, fine)
+    fine = problem.fine_space()
+    fop = fine_operator(problem)
     u_fine = solve(fop, problem_rhs(problem, fine))
     z_fine = solve_dual(fop, problem.functional)
     return U, u_fine, z_fine, op
@@ -98,8 +98,7 @@ def test_enhancement_vanishes_for_exact_model():
         source=1.0,
     )
     model = constant_model(hierarchy, 2.0)
-    fine = problem.fine_space(hierarchy.h_micro)
-    z_micro = solve_dual(fine_operator(problem, fine), problem.functional)
+    z_micro = solve_dual(fine_operator(problem), problem.functional)
     _, _, _, z_k, _ = local_enhancement(problem, z_micro, 0, depth=1)
     assert np.abs(z_k.values).max() <= 1e-12 * max(np.abs(z_micro.values).max(), 1.0)
 
@@ -110,8 +109,7 @@ def test_enhancement_on_whole_domain_recovers_fine_dual():
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     z_eff = solve_dual(op, problem.functional)
-    fine = problem.fine_space(2.0**-5)
-    z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
+    z_fine = solve_dual(fine_operator(problem), problem.functional)
     _, _, zi, z_k, _ = local_enhancement(problem, z_eff, 0, depth=1)
     assert np.allclose(zi + z_k.values, z_fine.values, atol=1e-10 * np.abs(z_fine.values).max())
 
@@ -125,8 +123,7 @@ def test_enhancement_depth_improves_most_cells():
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     z_eff = solve_dual(op, problem.functional)
-    fine = problem.fine_space(hierarchy.h_micro)
-    z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
+    z_fine = solve_dual(fine_operator(problem), problem.functional)
 
     def cell_error(k, depth):
         _, patch_space, zi, z_k, _ = local_enhancement(problem, z_eff, k, depth)
@@ -156,7 +153,7 @@ def test_indicators_vanish_for_constant_coefficient():
         source=1.0,
     )
     model = constant_model(hierarchy, 3.0)
-    U, u_fine, z_fine, op = solve_states(problem, model, hierarchy.h_micro)
+    U, u_fine, z_fine, op = solve_states(problem, model)
     err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     assert np.abs(err.eta).max() <= 1e-14
     assert abs(err.theta_delta) <= 1e-14
@@ -167,7 +164,7 @@ def test_exact_discrete_error_identity_diffusion():
         delta=2.0**-2, h_macro=2.0**-4, h_micro=2.0**-5, raster_n=32, seed=11
     )
     model = geometric_mean_model(problem)
-    U, u_fine, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro)
+    U, u_fine, z_fine, op = solve_states(problem, model)
     err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
         problem.functional, U
@@ -180,7 +177,7 @@ def test_exact_discrete_error_identity_advection():
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
     model = constant_model(hierarchy, 0.1)
-    U, u_fine, z_fine, op = solve_states(problem, model, hierarchy.h_micro)
+    U, u_fine, z_fine, op = solve_states(problem, model)
     err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     lhs = apply_functional(problem.functional, u_fine) - apply_functional(
         problem.functional, U
@@ -203,7 +200,7 @@ def test_theta_macro_vanishes_with_galerkin_dual():
 def test_indicator_additivity():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
     model = geometric_mean_model(problem)
-    U, _, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro)
+    U, _, z_fine, op = solve_states(problem, model)
     err = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     assert np.isclose(err.theta_delta, err.eta.sum(), rtol=1e-12)
 
@@ -214,8 +211,8 @@ def test_indicators_linear_in_functional():
     macro = problem.macro_space()
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
-    fine = problem.fine_space(problem.hierarchy.h_micro)
-    fop = fine_operator(problem, fine)
+    fine = problem.fine_space()
+    fop = fine_operator(problem)
     from dwropt.fem import functional_vector
 
     jvec = functional_vector(fine, problem.functional)
@@ -227,12 +224,10 @@ def test_indicators_linear_in_functional():
     assert np.isclose(3.0 * e1.theta_H, e3.theta_H, rtol=1e-10)
 
 
-@pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "half_micro"])
-def test_full_dual_effectivity_is_one(fine_ratio):
-    # the two fine spacings a full dual may use: h_micro and h_micro / 2
+def test_full_dual_effectivity_is_one():
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5, seed=23)
     model = geometric_mean_model(problem)
-    U, u_fine, z_fine, op = solve_states(problem, model, problem.hierarchy.h_micro / fine_ratio)
+    U, u_fine, z_fine, op = solve_states(problem, model)
     j_ref = apply_functional(problem.functional, u_fine)
     err = error_identity(
         problem, model, op, U, DualApproximation("full", z_fine), j_reference=j_ref
@@ -262,8 +257,7 @@ def test_enhanced_single_patch_degenerates_to_full():
     op = effective_operator(problem, model, macro)
     U = solve(op, problem_rhs(problem, macro))
     z_eff = solve_dual(op, problem.functional)
-    fine = problem.fine_space(2.0**-5)
-    z_fine = solve_dual(fine_operator(problem, fine), problem.functional)
+    z_fine = solve_dual(fine_operator(problem), problem.functional)
     full = error_identity(problem, model, op, U, DualApproximation("full", z_fine))
     enh = error_identity(problem, model, op, U, DualApproximation("enhanced", z_eff, depth=1))
     assert np.isclose(full.eta[0], enh.eta[0], rtol=1e-9)
@@ -297,14 +291,13 @@ def _sampled_directly(problem, grid):
     return a_eps, fluct - advection_elements(grid, b_delta, skew=False)
 
 
-@pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "full_dual_half_h"])
-def test_fine_data_slice_equals_direct_sampling(fine_ratio):
+def test_fine_data_slice_equals_direct_sampling():
     # the global fine data sliced to a patch must be bit-identical to
     # sampling the patch grid itself, on an interior, an edge and a corner
-    # patch; fine_ratio 2 is the full-dual grid with h_fine = h_micro / 2
+    # patch
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5, confine_eddies=True)
     hierarchy = problem.hierarchy
-    fine = hierarchy.fine_grid(hierarchy.h_micro / fine_ratio)
+    fine = hierarchy.fine_grid
     g = hierarchy.sampling_grid
     for k in (g.cell_id(1, 2), g.cell_id(0, 3), g.cell_id(g.nx - 1, g.ny - 1)):
         grid = fine.subgrid(hierarchy.patch_of(k, 1).bbox)
@@ -313,6 +306,30 @@ def test_fine_data_slice_equals_direct_sampling(fine_ratio):
         assert fluct.shape == (grid.n_cells, 4, 4)
         assert np.array_equal(a_eps, a_ref)
         assert np.array_equal(fluct, fluct_ref)
+
+
+@pytest.mark.parametrize("advective", [False, True], ids=["diffusion", "advective"])
+def test_full_dual_theta_h_is_summed_per_fine_cell(advective):
+    # the full dual's theta_H contracts the effective element matrices with
+    # z and the interpolated U cell by cell: it builds no operator and no
+    # plan on the fine grid, and equals rhs.z - z.(A_eff U) with A_eff
+    # assembled there, to rounding
+    if advective:
+        problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+        model = constant_model(problem.hierarchy, 0.1)
+    else:
+        problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
+        model = geometric_mean_model(problem)
+    op, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode="full"))
+    lattice_plan.cache_clear()
+    theta_H = dwr._theta_H(problem, model, op, U, dual.z_global)
+    assert lattice_plan.cache_info().currsize == 0
+    fine, z = problem.fine_space(), dual.z_global.values
+    rhs_z = problem_rhs(problem, fine) @ z
+    a_eff = effective_operator(problem, model, fine).matrix
+    assembled = rhs_z - z @ (a_eff @ interpolate(U, fine).values)
+    assert abs(theta_H - assembled) <= 1e-12 * abs(rhs_z)
+    lattice_plan.cache_clear()
 
 
 def test_sweeps_keep_one_plan_per_patch_shape():
@@ -390,7 +407,7 @@ def test_sweeps_without_jacobian_build_no_response_contraction(monkeypatch, mode
     monkeypatch.setattr(dwr._PatchContext, "_contraction", refuse)
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
     model = geometric_mean_model(problem)
-    op, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode=mode, h_fine=2.0**-6))
+    op, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode=mode))
     err = error_identity(problem, model, op, U, dual)
     eta, triplets = assemble_system(problem, model, U, op, dual, want_jacobian=False)
     assert triplets is None and np.array_equal(eta, err.eta)

@@ -82,7 +82,7 @@ def test_effective_model_linearity():
 
 def test_stiffness_symmetry():
     problem = lognormal_problem()
-    space = problem.fine_space(problem.hierarchy.h_micro)
+    space = problem.fine_space()
     op = assemble_diffusion(space, problem.coefficient)
     diff = np.abs((op.matrix - op.matrix.T).toarray()).max()
     assert diff <= 1e-12 * np.abs(op.matrix.toarray()).max()
@@ -109,7 +109,7 @@ def test_constant_advection_applied_to_linear_field():
 
 def test_divergence_free_skew_symmetry():
     problem = advection_problem(h_micro=2.0**-5)
-    space = problem.fine_space(2.0**-5)
+    space = problem.fine_space()
     op = assemble_advection(space, gauss_values(space.grid, problem.advection))
     rng = np.random.default_rng(3)
     scale = np.abs(op.matrix).sum()
@@ -182,8 +182,8 @@ def test_solve_identity_operator():
 
 def test_solver_residual_contract():
     problem = lognormal_problem()
-    space = problem.fine_space(2.0**-6)
-    op = fine_operator(problem, space)
+    space = problem.fine_space()
+    op = fine_operator(problem)
     rhs = problem_rhs(problem, space)
     u = solve(op, rhs)
     free = space.free_nodes
@@ -195,7 +195,7 @@ def test_transposed_solve_residual_contract_with_advection():
     # the patch dual's path: a transposed solve with a non-symmetric operator
     problem = advection_problem()
     model = constant_model(problem.hierarchy, 0.1)
-    space = problem.fine_space(2.0**-6)
+    space = problem.fine_space()
     op = effective_operator(problem, model, space)
     free = space.free_nodes
     a_ff = op.matrix[free][:, free]
@@ -210,8 +210,8 @@ def test_factorization_fills_less_than_default_ordering():
     from scipy.sparse.linalg import splu
 
     problem = lognormal_problem()
-    space = problem.fine_space(2.0**-6)
-    op = fine_operator(problem, space)
+    space = problem.fine_space()
+    op = fine_operator(problem)
     free = space.free_nodes
     default = splu(op.matrix[free][:, free].tocsc())
     assert op._factorize().nnz < default.nnz
@@ -267,8 +267,8 @@ def test_zero_functional_zero_dual():
 
 def test_primal_dual_duality_with_advection():
     problem = advection_problem(h_micro=2.0**-5)
-    space = problem.fine_space(2.0**-5)
-    op = fine_operator(problem, space)
+    space = problem.fine_space()
+    op = fine_operator(problem)
     rhs = problem_rhs(problem, space)
     u = solve(op, rhs)
     z = solve_dual(op, problem.functional)
@@ -327,7 +327,7 @@ def test_nested_space_form_consistency():
         np.array([np.diag(d) for d in rng.uniform(0.5, 2.0, size=(4, 2))]), "random"
     )
     coarse = FeSpace(hierarchy.macro_grid, domain, ())
-    fine = FeSpace(hierarchy.fine_grid(0.0625), domain, ())
+    fine = FeSpace(hierarchy.fine_grid, domain, ())
     a_coarse = assemble_diffusion(coarse, model)
     a_fine = assemble_diffusion(fine, model)
     u = DiscreteField(coarse, rng.standard_normal(coarse.n_dofs))
@@ -341,7 +341,7 @@ def test_nested_space_form_consistency():
 
 def test_energy_identity_nonnegative():
     problem = lognormal_problem()
-    space = problem.fine_space(2.0**-6)
+    space = problem.fine_space()
     op = assemble_diffusion(space, problem.coefficient)
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -349,24 +349,10 @@ def test_energy_identity_nonnegative():
         assert u @ (op.matrix @ u) >= 0.0
 
 
-@pytest.mark.parametrize("ratio", [2.0, 2.0 / 3.0], ids=["coarser", "not_nested"])
-def test_fine_data_rejects_spacing_not_dividing_h(ratio):
-    # fine data lives on h_micro / n only, and nothing is sampled before
-    # the spacing is checked
-    class Unsampled:
-        def tensors_at(self, points):
-            raise AssertionError("the fine coefficient was sampled")
-
-    problem = lognormal_problem(h_macro=2.0**-3, h_micro=2.0**-5)
-    problem.coefficient = Unsampled()
-    with pytest.raises(ConfigurationError, match="does not divide"):
-        problem.fine_data(ratio * problem.hierarchy.h_micro)
-
-
 def test_interpolation_exact_on_nested_refinement():
     problem = lognormal_problem()
     coarse = problem.macro_space()
-    fine = problem.fine_space(problem.hierarchy.h_micro)
+    fine = problem.fine_space()
     rng = np.random.default_rng(6)
     u = DiscreteField(coarse, rng.standard_normal(coarse.n_dofs))
     uf = interpolate(u, fine)
@@ -462,13 +448,13 @@ def test_macro_and_fine_operators_assemble_the_coo_matrix(config):
     planned = effective_operator(problem, model, macro).matrix
     assert_bit_identical(planned, coo_operator(grid, elems))
 
-    fine = problem.fine_space(problem.hierarchy.h_micro)
-    grid, a_eps, fluct = problem.fine_data(problem.hierarchy.h_micro)
+    fine = problem.fine_space()
+    grid, a_eps, fluct = problem.fine_data()
     elem = diffusion_element_matrices(grid, a_eps)
     if fluct is not None:
         elem = elem + fluct + advection_elements(grid, problem.delta_values(grid), skew=False)
     assert (fluct is not None) == (n_forms == 2) and grid.shape == fine.grid.shape
-    assert_bit_identical(fine_operator(problem, fine).matrix, coo_operator(grid, [elem]))
+    assert_bit_identical(fine_operator(problem).matrix, coo_operator(grid, [elem]))
 
 
 def test_dissection_ordered_factor_matches_minimum_degree_factor():
@@ -561,16 +547,15 @@ def test_fine_solution_leaves_no_fine_lattice_in_the_shared_caches(config):
     # 65 x 65 nodes, all boundary nodes constrained, would fit both), and
     # u and z equal the solves of a kept fine operator, bit for bit
     problem, _ = build_problem(read_config(ExperimentConfig.from_ini(CONFIGS / f"{config}.ini")))
-    h = problem.hierarchy.h_micro
     fem.lattice_plan.cache_clear()
     fem.interior_block.cache_clear()
-    u, z = problem.fine_solution(h)
-    shape = problem.fine_space(h).grid.shape
+    u, z = problem.fine_solution()
+    shape = problem.fine_space().grid.shape
     for cache in (fem.lattice_plan, fem.interior_block):
         misses = cache.cache_info().misses
         cache(shape)
         assert cache.cache_info().misses == misses + 1, cache
-    op = fine_operator(problem, problem.fine_space(h))
+    op = fine_operator(problem)
     assert np.array_equal(u.values, solve(op, problem_rhs(problem, op.space)).values)
     assert np.array_equal(z.values, solve_dual(op, problem.functional).values)
     assert op.factorization_count == 1
@@ -578,18 +563,28 @@ def test_fine_solution_leaves_no_fine_lattice_in_the_shared_caches(config):
     fem.interior_block.cache_clear()
 
 
-@pytest.mark.parametrize("fine_ratio", [1, 2], ids=["micro", "half_h"])
-def test_fine_data_keeps_the_fluctuation_and_not_e_eps(fine_ratio):
+def test_one_fine_lattice_serves_the_fine_space_data_and_solution():
+    # the fine space, the fine data and the fine solution (the reference and
+    # the full dual) share one Grid: the hierarchy's cached global micro grid
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    hierarchy = problem.hierarchy
+    assert problem.fine_space().grid is problem.fine_data()[0] is hierarchy.fine_grid
+    assert hierarchy.fine_grid.spacing == (hierarchy.h_micro, hierarchy.h_micro)
+    assert hierarchy.fine_grid.bbox == (0.0, 0.0, 1.0, 2.0)
+    u, z = problem.fine_solution()
+    assert u.space is z.space is problem.fine_space()
+
+
+def test_fine_data_keeps_the_fluctuation_and_not_e_eps():
     # fine_data holds (grid, a_eps, F) and no skew element array E_eps of
     # b_eps; F + E_delta gives E_eps back within 1e-15 relative per entry,
     # relative to the larger of the two summands (where E_delta cancels most
     # of E_eps, no bound relative to E_eps alone holds), zeros exactly
     problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
-    h = problem.hierarchy.h_micro / fine_ratio
-    grid, a_eps, fluct = problem.fine_data(h)
+    grid, a_eps, fluct = problem.fine_data()
     e_eps = advection_elements(grid, gauss_values(grid, problem.advection))
     e_delta = advection_elements(grid, problem.delta_values(grid), skew=False)
-    kept = [x for x in problem._fine[h] if isinstance(x, np.ndarray)]
+    kept = [x for x in problem._fine if isinstance(x, np.ndarray)]
     assert len(kept) == 2 and a_eps.shape == (grid.n_cells, 2, 2)
     assert not any(x.shape == e_eps.shape and np.allclose(x, e_eps) for x in kept)
     error = np.abs(fluct + e_delta - e_eps)
@@ -601,8 +596,8 @@ def test_concurrent_solves_share_factorization():
     from concurrent.futures import ThreadPoolExecutor
 
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
-    space = problem.fine_space(2.0**-5)
-    op = fine_operator(problem, space)
+    space = problem.fine_space()
+    op = fine_operator(problem)
     rng = np.random.default_rng(1)
     rhss = [rng.standard_normal(space.n_dofs) for _ in range(8)]
     serial = [op.solve_constrained(r) for r in rhss]
@@ -630,20 +625,19 @@ def test_field_exports(tmp_path):
 def lattice_grids(problem):
     """Lattice windows nested in the macro grid of ``problem``: an interior
     and a corner patch (the corner one ends on the macro grid's last row and
-    column, where evaluation clamps), the reference grid and the full-dual
-    grid at half the micro spacing."""
+    column, where evaluation clamps), a sampling cell, and the global micro
+    grid, on which the reference error and the full dual's theta_H read U."""
     h = problem.hierarchy
     return {
         "interior_patch": h.micro_grid(h.patch_of(5, 1).bbox),
         "corner_patch": h.micro_grid(h.patch_of(h.n_sampling - 1, 1).bbox),
         "center_cell": h.micro_grid(h.sampling_bbox(6)),
-        "reference": h.fine_grid(h.h_micro),
-        "full_dual": h.fine_grid(h.h_micro / 2),
+        "reference": h.fine_grid,
     }
 
 
 @pytest.mark.parametrize(
-    "case", ["interior_patch", "corner_patch", "center_cell", "reference", "full_dual"]
+    "case", ["interior_patch", "corner_patch", "center_cell", "reference"]
 )
 def test_lattice_values_match_point_evaluation(case):
     # the separable interpolation of a macro field onto a nested lattice is
@@ -696,8 +690,7 @@ def free_block_cases():
         problem, _ = build_problem(read_config(cfg))
         model = build_initial_model(cfg, problem)
         cases.append((f"{config}_macro", effective_operator(problem, model, problem.macro_space())))
-        fine = problem.fine_space(problem.hierarchy.h_micro)
-        cases.append((f"{config}_fine", fine_operator(problem, fine)))
+        cases.append((f"{config}_fine", fine_operator(problem)))
     return cases
 
 

@@ -12,7 +12,7 @@ def unit_hierarchy(delta=0.5, h_macro=0.25, h_micro=0.125):
 def test_cell_counts_unit_square():
     h = unit_hierarchy()
     assert h.n_sampling == 4
-    assert h.n_macro == 16
+    assert h.macro_grid.n_cells == 16
 
 
 def test_sampling_count_eighth():
@@ -33,7 +33,7 @@ def test_extent_divisibility_violation():
 def test_rectangle_counts():
     h = build_hierarchy(Domain(extent=(1.0, 2.0)), 0.25, 0.125, 0.0625)
     assert h.n_sampling == 4 * 8
-    assert h.n_macro == 8 * 16
+    assert h.macro_grid.n_cells == 8 * 16
 
 
 def test_patch_interior_has_nine_members():
@@ -83,20 +83,22 @@ def test_locate_midpoint():
     for k in range(h.n_sampling):
         bb = h.sampling_bbox(k)
         mid = (0.5 * (bb[0] + bb[2]), 0.5 * (bb[1] + bb[3]))
-        assert h.locate_cell(mid)[0] == k
+        assert h.sampling_grid.locate(mid)[0] == k
 
 
 def test_locate_edge_tiebreak_left():
     h = unit_hierarchy()
-    ks, km = h.locate_cell((0.5, 0.3))  # on the interior vertical sampling edge
+    point = (0.5, 0.3)  # on the interior vertical sampling edge
+    ks, km = h.sampling_grid.locate(point)[0], h.macro_grid.locate(point)[0]
     assert ks == 0
     assert km == h.macro_grid.cell_id(1, 1)
 
 
 def test_locate_outside_raises():
     h = unit_hierarchy()
-    with pytest.raises(OutOfDomainError):
-        h.locate_cell((1.0 + 1e-9, 0.5))
+    for grid in (h.sampling_grid, h.macro_grid):
+        with pytest.raises(OutOfDomainError):
+            grid.locate((1.0 + 1e-9, 0.5))
 
 
 def test_sampling_cells_tile_domain():
@@ -110,7 +112,7 @@ def test_sampling_cells_tile_domain():
 
 def test_macro_parent_contains_macro_cell():
     h = build_hierarchy(Domain(), 2.0**-2, 2.0**-4, 2.0**-5)
-    for m in range(h.n_macro):
+    for m in range(h.macro_grid.n_cells):
         bb_m = h.macro_grid.cell_bbox(m)
         bb_s = h.sampling_bbox(int(h.macro_parent[m]))
         assert bb_s[0] <= bb_m[0] and bb_m[2] <= bb_s[2]
@@ -127,7 +129,7 @@ def test_sampling_mean_of_per_cell_constant(trailing):
     # per-sampling-cell constants, spread over the global micro grid, average
     # back to themselves in every trailing shape
     h = build_hierarchy(Domain(extent=(1.0, 2.0)), 2.0**-2, 2.0**-3, 2.0**-5)
-    micro = h.fine_grid(h.h_micro)
+    micro = h.fine_grid
     consts = np.arange(h.n_sampling * int(np.prod(trailing)), dtype=float)
     consts = consts.reshape((h.n_sampling,) + trailing) + 0.5
     mean = h.sampling_mean(consts[h.parents(micro)])
@@ -135,10 +137,11 @@ def test_sampling_mean_of_per_cell_constant(trailing):
     assert np.array_equal(mean, consts)
 
 
-def test_macro_cells_of_partition():
+def test_macro_parent_partition():
+    # the macro cells of the sampling cells, by macro_parent, tile the macro grid
     h = build_hierarchy(Domain(), 2.0**-2, 2.0**-4, 2.0**-5)
-    seen = np.concatenate([h.macro_cells_of(k) for k in range(h.n_sampling)])
-    assert sorted(seen) == list(range(h.n_macro))
+    seen = np.concatenate([np.flatnonzero(h.macro_parent == k) for k in range(h.n_sampling)])
+    assert sorted(seen) == list(range(h.macro_grid.n_cells))
 
 
 def test_micro_grid_alignment():
@@ -153,7 +156,7 @@ def test_subgrid_is_a_lattice_window():
     # the window's node and cell ids address the sub-grid's own nodes and
     # cells, in its row-major order
     h = build_hierarchy(Domain(), 2.0**-3, 2.0**-4, 2.0**-5)
-    fine = h.fine_grid(h.h_micro)
+    fine = h.fine_grid
     bbox = h.patch_of(h.sampling_grid.cell_id(3, 4), 1).bbox
     sub = fine.subgrid(bbox)
     assert sub == h.micro_grid(bbox)

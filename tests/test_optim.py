@@ -61,8 +61,8 @@ def cellwise_constant_problem():
 
 
 def full_config(**kw):
-    base = dict(dual_mode="full", jacobian_mode="patch", depth=1, h_fine=2.0**-5,
-                alpha=0.0, lambda_factor=1.0, max_cycles=15, stop_fraction=0.05)
+    base = dict(dual_mode="full", jacobian_mode="patch", depth=1, alpha=0.0,
+                lambda_factor=1.0, max_cycles=15, stop_fraction=0.05)
     base.update(kw)
     return OptimizerConfig(**base)
 
@@ -550,9 +550,9 @@ def test_full_dual_is_solved_once_per_problem(monkeypatch):
     built = []
     build = fem.fine_operator
 
-    def counted(problem, space):
-        built.append(space.n_dofs)
-        return build(problem, space)
+    def counted(problem):
+        built.append(problem.fine_space().n_dofs)
+        return build(problem)
 
     monkeypatch.setattr(fem, "fine_operator", counted)
     config = full_config()
@@ -560,7 +560,7 @@ def test_full_dual_is_solved_once_per_problem(monkeypatch):
     _, _, second = primal_dual(problem, constant_model(problem.hierarchy, 2.0), config)
     assert len(built) == 1
     assert second.z_global is first.z_global
-    assert first.z_global is problem.fine_solution(config.h_fine)[1]
+    assert first.z_global is problem.fine_solution()[1]
 
 
 @pytest.mark.parametrize("dual_mode", ["enhanced", "effective"])
@@ -586,7 +586,7 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
     model = constant_model(hierarchy, 0.1)
     state = run_optimization(problem, model, OptimizerConfig(max_cycles=2, dual_mode=dual_mode))
     assert state.cycles == 2
-    n_micro = hierarchy.fine_grid(hierarchy.h_micro).n_cells
+    n_micro = hierarchy.fine_grid.n_cells
     assert calls == [4 * n_micro]
     # the micro-grid E_delta once, then per cycle the macro operator of the
     # primal/dual solve, which theta_H reuses; the first macro operator asks

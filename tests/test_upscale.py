@@ -194,7 +194,7 @@ def test_folded_cell_operator_equals_the_coo_cell_matrix(k):
     h = hierarchy(delta=0.25, h_macro=0.125, h_micro=2.0**-5)
     field = CoefficientField.lognormal(gen_gaussian_raster(32, 32, 0.05, seed=4), gamma=0.5)
     problem = coefficient_problem(field, h)
-    fine, a_eps, _ = problem.fine_data(h.h_micro)
+    fine, a_eps, _ = problem.fine_data()
     bbox = h.sampling_bbox(k)
     grid = fine.subgrid(bbox)
     tensors = a_eps[fine.subgrid_cell_ids(bbox)]
