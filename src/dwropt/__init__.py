@@ -50,6 +50,5 @@ from .dwr import (  # noqa: F401
 from .optim import (  # noqa: F401
     GaussNewtonState,
     OptimizerConfig,
-    ResidualVector,
     run_optimization,
 )

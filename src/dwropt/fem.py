@@ -171,21 +171,18 @@ class FeSpace:
         """
         self.domain.check_marker(marker)
         g = self.grid
-        pairs, lengths = [], []
+        pairs, lengths = [np.zeros((0, 2), dtype=int)], [np.zeros(0)]
         for side in SIDES:
             dom_side = self._domain_side_of(side)
             if dom_side is None:
                 continue
             ids, axis = self._side_nodes(side)
-            h, base = g.spacing[axis], g.origin[axis]
-            for e in range(len(ids) - 1):
-                mid = base + (e + 0.5) * h
-                if self.domain.marker_of(dom_side, mid) == marker:
-                    pairs.append((ids[e], ids[e + 1]))
-                    lengths.append(h)
-        if not pairs:
-            return np.zeros((0, 2), dtype=int), np.zeros(0)
-        return np.array(pairs, dtype=int), np.array(lengths)
+            h = g.spacing[axis]
+            mids = g.origin[axis] + (np.arange(ids.size - 1) + 0.5) * h
+            e = np.nonzero(self.domain.markers_at(dom_side, mids) == marker)[0]
+            pairs.append(np.column_stack([ids[e], ids[e + 1]]))
+            lengths.append(np.full(e.size, h))
+        return np.concatenate(pairs), np.concatenate(lengths)
 
 
 @dataclass
@@ -407,7 +404,7 @@ class SparseOperator:
             a_ff = self.free_block() if a_ff is None else a_ff
             try:
                 self._lu = splu(a_ff, permc_spec="NATURAL", panel_size=SUPERLU_PANEL_SIZE)
-            except Exception as exc:  # scipy raises bare RuntimeError
+            except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
                 raise SingularOperatorError(
                     f"factorization of the {a_ff.shape[0]}-dof constrained system failed: {exc}"
                 ) from exc
@@ -633,12 +630,6 @@ def lattice_values(field, grid):
         tables.append(lattice_matrix(n, ratio))
     values = field.values.reshape(src.ny + 1, src.nx + 1)
     return tables[1] @ values[j0 : j1 + 1, i0 : i1 + 1] @ tables[0].T
-
-
-def interpolate(field, target_space):
-    """Nodal interpolation onto a space nested in the field's (exact on
-    nested refinements), through :func:`lattice_values`."""
-    return DiscreteField(target_space, lattice_values(field, target_space.grid).ravel())
 
 
 def gather(grid, values):

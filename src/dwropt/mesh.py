@@ -79,12 +79,13 @@ class Domain:
     def ymax(self):
         return self.origin[1] + self.extent[1]
 
-    def marker_of(self, side, coord):
-        """Marker of the boundary point at position ``coord`` along ``side``."""
-        for marker, split in self.boundary[side]:
-            if split is None or coord < split:
-                return marker
-        return self.boundary[side][-1][0]
+    def markers_at(self, side, coords):
+        """Marker of each boundary point at position ``coords`` along
+        ``side``; a point at a segment split belongs to the segment above."""
+        segments = self.boundary[side]
+        names = np.array([marker for marker, _ in segments], dtype=object)
+        splits = np.array([split for _, split in segments[:-1]], dtype=float)
+        return names[np.searchsorted(splits, coords, side="right")]
 
     def meets(self, side, coords, markers):
         """Whether each boundary point at position ``coords`` along ``side``
@@ -97,12 +98,11 @@ class Domain:
         """
         tol = 1e-12 * max(self.extent)
         segments = self.boundary[side]
-        hit = np.array([marker in markers for marker, _ in segments])
-        splits = np.array([split for _, split in segments[:-1]], dtype=float)
         coords = np.asarray(coords, dtype=float)
-        out = hit[np.searchsorted(splits, coords, side="right")]
-        for idx, split in enumerate(splits):
-            out |= (np.abs(coords - split) <= tol) & (hit[idx] | hit[idx + 1])
+        out = np.isin(self.markers_at(side, coords), list(markers))
+        for (below, split), (above, _) in zip(segments, segments[1:]):
+            if below in markers or above in markers:
+                out |= np.abs(coords - split) <= tol
         return out
 
     def markers(self):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .dwr import DualApproximation, error_breakdown, error_identity, indicator_sweep
+from .dwr import DualApproximation, error_breakdown, indicator_sweep
 from .errors import ConfigurationError, NumericalError
 from .fem import (
     DiscreteField,
@@ -93,33 +93,10 @@ class OptimizerConfig:
                 raise ConfigurationError("alpha must be finite and nonnegative")
 
 
-@dataclass
-class ResidualVector:
-    """Stacked residual {eta_K} + {sqrt(alpha_K) (A - A0)_Kij}; the flat
-    layout is all eta entries (cell order) followed by the regularization
-    entries, cell-major then row then column."""
-
-    eta: np.ndarray
-    g: np.ndarray
-
-    @property
-    def flat(self):
-        return np.concatenate([self.eta, self.g])
-
-    @property
-    def squared_norm(self):
-        return float(self.eta @ self.eta + self.g @ self.g)
-
-
 def regularization_residual(model, model0, alpha):
+    """Entries sqrt(alpha_K) (A - A0)_Kij, cell-major then row then column."""
     diff = (model.tensors - model0.tensors).reshape(-1, 4)
     return (np.sqrt(alpha)[:, None] * diff).ravel()
-
-
-def assemble_residual(problem, model, model0, alpha, operator, U, dual):
-    """Residual vector from a consistent (model, operator, U, dual) set."""
-    err = error_identity(problem, model, operator, U, dual)
-    return ResidualVector(eta=err.eta, g=regularization_residual(model, model0, alpha))
 
 
 def response_rhs(problem, macro_space, U, k, i, j):
@@ -310,7 +287,7 @@ def run_optimization(problem, initial_model, config, oracle=None):
             if cycle == 1:
                 theta1 = abs(theta)
                 state.alpha = resolve_alpha(config, theta1, initial_model)
-            residual = ResidualVector(eta, regularization_residual(model, initial_model, state.alpha))
+            g = regularization_residual(model, initial_model, state.alpha)
             row = dict.fromkeys(HISTORY_COLUMNS)
             row.update(
                 cycle=cycle,
@@ -318,7 +295,7 @@ def run_optimization(problem, initial_model, config, oracle=None):
                 theta_tilde=theta,
                 I_eff=err.i_eff,
                 I_loc=err.i_loc,
-                cost=residual.squared_norm,
+                cost=float(eta @ eta + g @ g),
                 indefinite=int(np.sum(model.min_eigenvalues() < 0.0)),
             )
             if oracle is not None:
@@ -344,7 +321,7 @@ def run_optimization(problem, initial_model, config, oracle=None):
                 break
 
             jac = build_jacobian(problem.hierarchy.n_sampling, triplets, state.alpha)
-            delta, lam, _ = lm_step(jac, residual.flat, config.lambda_factor)
+            delta, lam, _ = lm_step(jac, np.concatenate([eta, g]), config.lambda_factor)
             if not np.all(np.isfinite(delta)):
                 state.stop_reason = "diverged"
                 break

@@ -61,25 +61,6 @@ class EffectiveModel:
                     f"{i},{j},{t[0, 0]:.17g},{t[0, 1]:.17g},{t[1, 0]:.17g},{t[1, 1]:.17g}\n"
                 )
 
-    @classmethod
-    def from_csv(cls, path, hierarchy, provenance="imported"):
-        tensors = np.zeros((hierarchy.n_sampling, 2, 2))
-        grid = hierarchy.sampling_grid
-        with open(path, "r") as fh:
-            header = fh.readline()
-            if not header.startswith("cell_i"):
-                raise ValueError(f"unexpected model CSV header: {header!r}")
-            for line in fh:
-                parts = line.strip().split(",")
-                if not parts or parts == [""]:
-                    continue
-                i, j = int(parts[0]), int(parts[1])
-                k = grid.cell_id(i, j)
-                tensors[k] = np.array(
-                    [[float(parts[2]), float(parts[3])], [float(parts[4]), float(parts[5])]]
-                )
-        return cls(hierarchy=hierarchy, tensors=tensors, provenance=provenance)
-
 
 def constant_model(hierarchy, tensor, provenance="constant"):
     """Model with the same tensor on every sampling cell."""
@@ -159,9 +140,10 @@ def homogenized_model(problem, k):
     tensors = a_eps[fine_grid.subgrid_cell_ids(bbox)]
     cn = _periodic_dof_map(grid)[grid.cell_nodes]
     n_dof = grid.nx * grid.ny
+    matrix = periodic_cell_matrix(problem, grid, tensors)
     try:
-        lu = splu(periodic_cell_matrix(problem, grid, tensors))
-    except Exception as exc:
+        lu = splu(matrix)
+    except RuntimeError as exc:
         raise NumericalError(f"cell problem on sampling cell {k} is singular: {exc}") from exc
 
     hx, hy = grid.spacing

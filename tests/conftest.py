@@ -12,6 +12,20 @@ from dwropt.field import (
     stream_advection,
 )
 from dwropt.mesh import Domain, build_hierarchy
+from dwropt.upscale import EffectiveModel
+
+
+def read_model_csv(path, hierarchy):
+    """The model a ``model_*.csv`` holds: one row per sampling cell, each
+    cell exactly once."""
+    with open(path) as fh:
+        assert fh.readline() == "cell_i,cell_j,a11,a12,a21,a22\n"
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    cells = hierarchy.sampling_grid.cell_id(rows[:, 0].astype(int), rows[:, 1].astype(int))
+    assert np.array_equal(np.sort(cells), np.arange(hierarchy.n_sampling))
+    tensors = np.empty((hierarchy.n_sampling, 2, 2))
+    tensors[cells] = rows[:, 2:].reshape(-1, 2, 2)
+    return EffectiveModel(hierarchy, tensors, provenance="read back")
 
 
 def lognormal_problem(

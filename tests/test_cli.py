@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_model_csv
 from dwropt import cli, fem
 from dwropt.cli import (
     ExperimentConfig,
@@ -25,7 +26,6 @@ from dwropt.errors import ConfigurationError, ResourceCapError
 from dwropt.fem import Functional, Problem, apply_functional, effective_operator
 from dwropt.field import CoefficientField
 from dwropt.mesh import Domain, build_hierarchy
-from dwropt.upscale import EffectiveModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -176,8 +176,7 @@ top = gamma_b
 """
     )
     dom = build_domain(read_config(cfg))
-    assert dom.marker_of("left", 0.25) == "gamma_d"
-    assert dom.marker_of("left", 1.25) == "gamma_c"
+    assert list(dom.markers_at("left", [0.25, 1.25])) == ["gamma_d", "gamma_c"]
 
 
 def test_build_problem_and_model():
@@ -663,7 +662,7 @@ def test_advective_model_csv_round_trip(tmp_path):
     model = build_initial_model(cfg, problem)
     path = tmp_path / "model_initial.csv"
     model.to_csv(path)
-    back = EffectiveModel.from_csv(path, problem.hierarchy)
+    back = read_model_csv(path, problem.hierarchy)
     space = problem.macro_space()
     written = effective_operator(problem, model, space).matrix
     read = effective_operator(problem, back, space).matrix

@@ -22,8 +22,8 @@ from dwropt.fem import (
     gather,
     gauss_point_coords,
     gauss_values,
-    interpolate,
     lattice_plan,
+    lattice_values,
     problem_rhs,
     solve,
     solve_dual,
@@ -327,7 +327,7 @@ def test_full_dual_theta_h_is_summed_per_fine_cell(advective):
     fine, z = problem.fine_space(), dual.z_global.values
     rhs_z = problem_rhs(problem, fine) @ z
     a_eff = effective_operator(problem, model, fine).matrix
-    assembled = rhs_z - z @ (a_eff @ interpolate(U, fine).values)
+    assembled = rhs_z - z @ (a_eff @ lattice_values(U, fine.grid).ravel())
     assert abs(theta_H - assembled) <= 1e-12 * abs(rhs_z)
     lattice_plan.cache_clear()
 

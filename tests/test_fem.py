@@ -27,7 +27,6 @@ from dwropt.fem import (
     fine_operator,
     functional_vector,
     gauss_values,
-    interpolate,
     lattice_values,
     nested_dissection,
     problem_rhs,
@@ -234,6 +233,20 @@ def test_singular_operator_reported():
         solve(op, np.ones(space.n_dofs))
 
 
+def test_factor_memory_error_is_not_a_singular_operator(monkeypatch):
+    # only SuperLU's RuntimeError means a singular system; any other failure
+    # inside the factor propagates as itself
+    space = unit_space(4)
+    op = assemble_diffusion(space, CoefficientField.constant(1.0))
+
+    def out_of_memory(matrix, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(fem, "splu", out_of_memory)
+    with pytest.raises(MemoryError):
+        solve(op, np.ones(space.n_dofs))
+
+
 def test_poisson_functional_richardson_ratio():
     j = Functional.domain_integral()
     reference = None
@@ -333,9 +346,9 @@ def test_nested_space_form_consistency():
     u = DiscreteField(coarse, rng.standard_normal(coarse.n_dofs))
     v = DiscreteField(coarse, rng.standard_normal(coarse.n_dofs))
     coarse_val = float(v.values @ (a_coarse.matrix @ u.values))
-    uf = interpolate(u, fine)
-    vf = interpolate(v, fine)
-    fine_val = float(vf.values @ (a_fine.matrix @ uf.values))
+    uf = lattice_values(u, fine.grid).ravel()
+    vf = lattice_values(v, fine.grid).ravel()
+    fine_val = float(vf @ (a_fine.matrix @ uf))
     assert np.isclose(coarse_val, fine_val, rtol=1e-12)
 
 
@@ -355,7 +368,7 @@ def test_interpolation_exact_on_nested_refinement():
     fine = problem.fine_space()
     rng = np.random.default_rng(6)
     u = DiscreteField(coarse, rng.standard_normal(coarse.n_dofs))
-    uf = interpolate(u, fine)
+    uf = DiscreteField(fine, lattice_values(u, fine.grid).ravel())
     pts = rng.uniform(0.0, 1.0, size=(200, 2))
     assert np.allclose(evaluate(u, pts), evaluate(uf, pts), rtol=1e-13, atol=1e-14)
 
@@ -383,6 +396,61 @@ def test_neumann_markers_stay_free():
     assert np.all(np.isin(top, space.free_nodes))
     upper_left = np.nonzero((coords[:, 0] == 0.0) & (coords[:, 1] > 1.0))[0]
     assert np.all(np.isin(upper_left, space.free_nodes))
+
+
+def _marked_edges_loop(space, marker):
+    """Per-edge reference for ``marked_boundary_edges``: each boundary edge
+    takes the first segment of its side whose split lies above its midpoint."""
+    g, pairs, lengths = space.grid, [], []
+    for side in ("left", "right", "bottom", "top"):
+        dom_side = space._domain_side_of(side)
+        if dom_side is None:
+            continue
+        ids, axis = space._side_nodes(side)
+        h, base = g.spacing[axis], g.origin[axis]
+        for e in range(len(ids) - 1):
+            mid = base + (e + 0.5) * h
+            segments = space.domain.boundary[dom_side]
+            if next(m for m, split in segments if split is None or mid < split) == marker:
+                pairs.append((ids[e], ids[e + 1]))
+                lengths.append(h)
+    return np.array(pairs, dtype=int).reshape(-1, 2), np.array(lengths, dtype=float)
+
+
+SPLIT_DOMAIN = Domain(
+    extent=(1.0, 2.0),
+    boundary={
+        # 0.3125 and 0.5625 are edge midpoints at spacing 0.125
+        "left": (("gamma_a", 0.3125), ("gamma_b", 1.0), ("gamma_c", None)),
+        "right": (("right", None),),
+        "bottom": (("gamma_b", 0.5625), ("gamma_d", None)),
+        "top": (("top", None),),
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "origin, shape, empty",
+    [((0.0, 0.0), (8, 16), set()), ((0.0, 0.75), (2, 4), {"gamma_a", "gamma_d", "right", "top"}),
+     ((0.5, 0.5), (2, 2), set(SPLIT_DOMAIN.markers()))],
+    ids=["domain", "patch_at_split", "interior_patch"],
+)
+def test_marked_boundary_edges_match_per_edge_loop(origin, shape, empty):
+    space = FeSpace(Grid(origin, (0.125, 0.125), shape), SPLIT_DOMAIN, ())
+    for marker in SPLIT_DOMAIN.markers():
+        pairs, lengths = space.marked_boundary_edges(marker)
+        ref_pairs, ref_lengths = _marked_edges_loop(space, marker)
+        assert np.array_equal(pairs, ref_pairs)
+        assert np.array_equal(lengths, ref_lengths)
+        assert (lengths.size == 0) == (marker in empty)
+
+
+def test_edge_with_midpoint_on_split_takes_the_upper_segment():
+    space = FeSpace(Grid((0.0, 0.0), (0.125, 0.125), (8, 16)), SPLIT_DOMAIN, ())
+    # left edge y in [0.25, 0.375] and bottom edge x in [0.5, 0.625]
+    for edge, upper, lower in (((18, 27), "gamma_b", "gamma_a"), ((4, 5), "gamma_d", "gamma_b")):
+        assert list(edge) in space.marked_boundary_edges(upper)[0].tolist()
+        assert list(edge) not in space.marked_boundary_edges(lower)[0].tolist()
 
 
 def patch_elements(problem, k):
@@ -642,7 +710,7 @@ def lattice_grids(problem):
 def test_lattice_values_match_point_evaluation(case):
     # the separable interpolation of a macro field onto a nested lattice is
     # the point evaluation of its nodes up to rounding, clamped last row and
-    # column included; interpolate goes through it
+    # column included
     problem = lognormal_problem(raster_n=32, h_micro=2.0**-5)
     macro = problem.macro_space()
     field = DiscreteField(macro, np.random.default_rng(3).standard_normal(macro.n_dofs))
@@ -651,8 +719,6 @@ def test_lattice_values_match_point_evaluation(case):
     assert values.shape == (grid.ny + 1, grid.nx + 1)
     expected = evaluate(field, grid.node_coords)
     assert np.max(np.abs(values.ravel() - expected)) <= 1e-14 * np.max(np.abs(expected))
-    space = problem.space(grid)
-    assert np.array_equal(interpolate(field, space).values, values.ravel())
 
 
 def test_lattice_values_reject_a_window_off_the_lattice():

@@ -174,9 +174,8 @@ def test_boundary_marker_split():
             "top": (("gamma_b", None),),
         },
     )
-    assert dom.marker_of("left", 0.5) == "gamma_d"
-    assert dom.marker_of("left", 1.5) == "gamma_c"
-    assert dom.marker_of("top", 0.3) == "gamma_b"
+    assert list(dom.markers_at("left", [0.5, 1.0, 1.5])) == ["gamma_d", "gamma_c", "gamma_c"]
+    assert list(dom.markers_at("top", [0.3])) == ["gamma_b"]
     assert set(dom.markers()) == {"gamma_a", "gamma_b", "gamma_c", "gamma_d", "gamma_e"}
 
 

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import advection_problem, lognormal_problem
-from dwropt import fem
-from dwropt.dwr import indicator_sweep
+from dwropt import fem, optim
+from dwropt.dwr import error_identity, indicator_sweep
 from dwropt.errors import ConfigurationError, NumericalError
 from dwropt.fem import (
     Functional,
@@ -20,8 +20,6 @@ from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.optim import (
     OptimizerConfig,
-    ResidualVector,
-    assemble_residual,
     assemble_system,
     build_jacobian,
     cost_value,
@@ -80,10 +78,8 @@ def test_residual_zero_for_exact_constant_model():
         source=1.0,
     )
     model = constant_model(hierarchy, 2.0)
-    op, U, dual = primal_dual(problem, model, OptimizerConfig(dual_mode="enhanced"))
-    alpha = np.zeros(hierarchy.n_sampling)
-    res = assemble_residual(problem, model, model, alpha, op, U, dual)
-    assert res.squared_norm <= 1e-24
+    state = run_optimization(problem, model, OptimizerConfig(dual_mode="enhanced", max_cycles=1))
+    assert state.history[0]["cost"] <= 1e-24
 
 
 def test_alpha_zero_keeps_g_block_zero():
@@ -94,12 +90,43 @@ def test_alpha_zero_keeps_g_block_zero():
     assert not np.any(g)
 
 
-def test_residual_layout_and_norm():
-    eta = np.array([1.0, -2.0])
-    g = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5])
-    res = ResidualVector(eta=eta, g=g)
-    assert res.flat.shape == (10,)
-    assert np.isclose(res.squared_norm, 1 + 4 + 0.25 + 0.25)
+def _record_steps(monkeypatch):
+    """Record every model the loop moves to and every residual it hands to
+    lm_step; the first model is the loop's start."""
+    models, residuals = [], []
+    real_step, real_update = optim.lm_step, optim.apply_update
+
+    def step(jac, residual, lambda_factor):
+        residuals.append(residual.copy())
+        return real_step(jac, residual, lambda_factor)
+
+    def update(model, delta, cycle):
+        out = real_update(model, delta, cycle)
+        models.append(out[0])
+        return out
+
+    monkeypatch.setattr(optim, "lm_step", step)
+    monkeypatch.setattr(optim, "apply_update", update)
+    return models, residuals
+
+
+def test_residual_layout_and_norm(monkeypatch):
+    problem = small_problem()
+    model0 = geometric_mean_model(problem)
+    config = full_config(alpha=1e-3, dual_mode="enhanced", max_cycles=3, stop_fraction=1e-9)
+    models, residuals = _record_steps(monkeypatch)
+    state = run_optimization(problem, model0, config)
+    n = problem.hierarchy.n_sampling
+    assert len(residuals) == 2
+    for model, residual, row in zip([model0] + models, residuals, state.history):
+        op, U, dual = primal_dual(problem, model, config)
+        eta = error_identity(problem, model, op, U, dual).eta
+        g = regularization_residual(model, model0, state.alpha)
+        assert residual.shape == (5 * n,)
+        assert np.allclose(residual[:n], eta, rtol=1e-12, atol=0.0)
+        assert np.array_equal(residual[n:], g)
+        assert np.isclose(row["cost"], residual @ residual, rtol=1e-12)
+    assert np.any(residuals[1][n:])  # the second step carries a nonzero g
 
 
 def _diffusion_case():
@@ -117,16 +144,19 @@ def _advection_case():
 
 
 @pytest.mark.parametrize("case", [_diffusion_case, _advection_case], ids=["diffusion", "advection"])
-def test_residual_squared_norm_matches_independent_cost(case):
+def test_residual_squared_norm_matches_independent_cost(case, monkeypatch):
     problem, model0, modes = case()
     model = model0.with_tensors(1.3 * model0.tensors, "off")
+    models, _ = _record_steps(monkeypatch)
     for mode in modes:
-        config = full_config(alpha=1e-6, dual_mode=mode)
-        op, U, dual = primal_dual(problem, model, config)
-        alpha = resolve_alpha(config, 1.0, model0)
-        res = assemble_residual(problem, model, model0, alpha, op, U, dual)
-        cost = cost_value(problem, model, model0, alpha, config)
-        assert np.isclose(res.squared_norm, cost, rtol=1e-12)
+        config = full_config(alpha=1e-6, dual_mode=mode, max_cycles=2, stop_fraction=1e-9)
+        models.clear()
+        state = run_optimization(problem, model, config)
+        # the second row's model is off the start, so its cost has a g part
+        assert len(state.history) == 2
+        for row, m in zip(state.history, [model] + models):
+            cost = cost_value(problem, m, model, state.alpha, config)
+            assert np.isclose(row["cost"], cost, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

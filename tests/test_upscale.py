@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import coefficient_problem
+from conftest import coefficient_problem, read_model_csv
+from dwropt import upscale
+from dwropt.errors import NumericalError
 from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
 from dwropt.upscale import (
@@ -89,6 +91,24 @@ def test_homogenized_constant_field():
     assert np.allclose(t, 3.0 * np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "failure, reported",
+    [(RuntimeError("Factor is exactly singular"), NumericalError), (MemoryError(), MemoryError)],
+    ids=["singular", "out_of_memory"],
+)
+def test_cell_problem_factor_failure(monkeypatch, failure, reported):
+    # a singular cell problem is a numerical failure; any other failure
+    # inside the factor propagates as itself
+    def failing(matrix):
+        raise failure
+
+    monkeypatch.setattr(upscale, "splu", failing)
+    problem = coefficient_problem(CoefficientField.constant(3.0), hierarchy())
+    with pytest.raises(reported) as caught:
+        homogenized_model(problem, 0)
+    assert type(caught.value) is reported
+
+
 def test_homogenized_laminate_matches_classical_formula():
     # equal layers {1, 4} aligned with the micro mesh: harmonic mean across,
     # arithmetic along: diag(1.6, 2.5) to 1e-10
@@ -154,7 +174,7 @@ def test_model_csv_round_trip(tmp_path):
     model = EffectiveModel(h, tensors, provenance="random")
     path = tmp_path / "model.csv"
     model.to_csv(path)
-    back = EffectiveModel.from_csv(path, h)
+    back = read_model_csv(path, h)
     assert np.array_equal(model.tensors, back.tensors)
 
 
