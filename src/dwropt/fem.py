@@ -233,6 +233,10 @@ class DiscreteField:
 ND_LEAF = 2
 SUPERLU_PANEL_SIZE = 2
 
+# Most refinement steps of a solve with a single-precision factor, as in
+# LAPACK's dsgesv (:meth:`SparseOperator.factor_alone`).
+REFINE_STEPS = 30
+
 
 def _expand(count):
     """(k, t) for every t < count[k], by k, then t."""
@@ -376,7 +380,9 @@ class SparseOperator:
         is_free[space.free_nodes] = True
         self.free = order[is_free[order]]
         self.factorization_count = 0
+        self.refinement_steps = []  # per refined solve (factor_alone)
         self._lu = None
+        self._block = None
 
     def free_block(self):
         """``matrix[free][:, free]`` in CSC form.  When every boundary node
@@ -412,23 +418,86 @@ class SparseOperator:
         return self._lu
 
     def factor_alone(self):
-        """Factor with the sliced free block alone: the matrix is dropped
-        first, and the operator only solves afterwards (the fine operator,
-        whose LU sets a run's peak memory)."""
+        """Factor the sliced free block in single precision, with nothing
+        else of the operator alive: the matrix is dropped first, and the
+        operator only solves afterwards (the fine operator, whose LU sets a
+        run's peak memory).
+
+        The float64 block is kept for the residuals of the solves, which
+        refine to double precision (:meth:`solve_constrained`); its norms are
+        taken before SuperLU runs, and the float32 copy of its values shares
+        its ``indices`` and ``indptr`` and is dropped with the factor built.
+        A block with a nonzero outside the normal float32 range is factored
+        in double precision at once."""
         a_ff, self.matrix = self.matrix[self.free][:, self.free].tocsc(), None
-        self._factorize(a_ff)
+        single = np.finfo(np.float32)
+        magnitude = np.abs(a_ff.data)
+        if np.any((magnitude > single.max) | ((magnitude < single.tiny) & (magnitude > 0.0))):
+            self._factorize(a_ff)
+            return
+        # |block| and the float32 copy share the block's pattern: a freed
+        # transient of the pattern's size would stay resident beside the LU
+        pattern = (a_ff.indices, a_ff.indptr)
+        abs_a, ones = sp.csc_matrix((magnitude, *pattern), shape=a_ff.shape), np.ones(a_ff.shape[0])
+        self._norms = {"N": (abs_a @ ones).max(), "T": (abs_a.T @ ones).max()}  # inf- and 1-norm
+        del magnitude, abs_a
+        self._block = a_ff
+        a_32 = sp.csc_matrix((a_ff.data.astype(np.float32), *pattern), shape=a_ff.shape)
+        a_32.has_canonical_format = True  # the block's own pattern
+        self._factorize(a_32)
+
+    def _refined(self, b, trans):
+        """The solution of the block (``trans`` "N") or its transpose ("T")
+        for ``b``: a solve with the single-precision LU, refined by
+        float64 residuals (Moler, J. ACM 14, 1967; LAPACK ``dsgesv``) until
+        the correction is below double precision or fails to halve, at most
+        ``REFINE_STEPS`` times; None unless the result passes ``dsgesv``'s
+        normwise backward-error test.  Each right-hand side is scaled to a
+        largest entry of 1 before it is rounded to float32."""
+        lu, a = self._lu, (self._block if trans == "N" else self._block.T)
+        eps = np.finfo(float).eps
+
+        def single_solve(v):
+            scale = np.abs(v).max()
+            if scale == 0.0:
+                return np.zeros_like(v)
+            return scale * lu.solve((v / scale).astype(np.float32), trans=trans).astype(float)
+
+        x = single_solve(b)
+        last, steps = np.inf, 0
+        while steps < REFINE_STEPS:
+            d = single_solve(b - a @ x)
+            x += d
+            steps += 1
+            size = np.abs(d).max()
+            if size <= eps * np.abs(x).max() or not size <= 0.5 * last:
+                break
+            last = size
+        self.refinement_steps.append(steps)
+        bound = np.sqrt(b.size) * eps * self._norms[trans] * np.abs(x).max()
+        return x if np.abs(b - a @ x).max() <= bound else None
 
     def solve_constrained(self, rhs, transpose=False):
         """Solution with homogeneous Dirichlet data: zero on the constrained
-        nodes, the factored block solved (or its transpose) on the free ones."""
+        nodes, the factored block solved (or its transpose) on the free ones.
+        After :meth:`factor_alone` the single-precision solve is refined; a
+        solve that fails to refine releases the single-precision LU, and the
+        float64 block is factored once and solves this and every later
+        right-hand side."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.space.n_dofs,):
             raise ConfigurationError(
                 f"rhs length {rhs.shape} does not match dof count {self.space.n_dofs}"
             )
-        lu = self._factorize()
+        trans, b = "T" if transpose else "N", rhs[self.free]
+        y = None if self._block is None else self._refined(b, trans)
+        if y is None:
+            if self._block is not None:  # the refinement failed
+                block, self._block, self._lu = self._block, None, None
+                self._factorize(block)
+            y = self._factorize().solve(b, trans=trans)
         x = np.zeros(self.space.n_dofs)
-        x[self.free] = lu.solve(rhs[self.free], trans="T" if transpose else "N")
+        x[self.free] = y
         return x
 
 
@@ -478,13 +547,26 @@ def gauss_values(grid, b):
     return b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, 4, 2)
 
 
+def _transport_blocks(hx, hy):
+    """(2, 4, 4): ``g[d, l, m]`` = int phi_l d_d(phi_m) on an hx x hy
+    rectangle by the 2x2 Gauss rule, so that the plain element matrix of a b
+    constant on a cell is b[0] g[0] + b[1] g[1]."""
+    _, w, phi, dphi = _GAUSS
+    return np.einsum("q,ql,qmd->dlm", w * hx * hy, phi, dphi / np.array([hx, hy]))
+
+
 def advection_elements(grid, b_values, skew=True):
     """(ncells, 4, 4) element matrices of (b . grad u, v) from the Gauss-point
-    values of b (see :func:`gauss_values`): skew-symmetrized, or the plain
-    Galerkin form with ``skew=False``."""
-    _, w, phi, dphi = _gauss_points_physical(grid)
-    wb = w[:, None] * b_values
-    raw = np.einsum("ql,cqm->clm", phi, np.einsum("cqd,qmd->cqm", wb, dphi))
+    values of b (see :func:`gauss_values`), or from one b per cell, (ncells,
+    2), through the closed form of :func:`_transport_blocks`:
+    skew-symmetrized, or the plain Galerkin form with ``skew=False``."""
+    if b_values.ndim == 2:
+        g = _transport_blocks(*grid.spacing)
+        raw = b_values[:, 0, None, None] * g[0] + b_values[:, 1, None, None] * g[1]
+    else:
+        _, w, phi, dphi = _gauss_points_physical(grid)
+        wb = w[:, None] * b_values
+        raw = np.einsum("ql,cqm->clm", phi, np.einsum("cqd,qmd->cqm", wb, dphi))
     if skew:
         return 0.5 * (raw - raw.transpose(0, 2, 1))
     return raw
@@ -779,18 +861,19 @@ class Problem:
         return self._b_delta
 
     def delta_values(self, grid):
-        """b_delta at the 2x2 Gauss points of every cell of ``grid``, a grid
-        nested in the sampling grid: (ncells, 4, 2)."""
-        b_delta = self.average_advection()[self.hierarchy.parents(grid)]
-        return np.repeat(b_delta[:, None, :], 4, axis=1)
+        """b_delta on every cell of ``grid``, a grid nested in the sampling
+        grid: (ncells, 2), one vector per cell, as :func:`advection_elements`
+        takes it."""
+        return self.average_advection()[self.hierarchy.parents(grid)]
 
     def fine_solution(self):
         """(u, z) on :meth:`fine_space`: the fine-scale solution (the
         reference) and the full dual.  Neither depends on the model: one
-        factorization of :func:`fine_operator` solves both once; only u, z
-        are kept.  The free block is all of the operator alive while
-        SuperLU runs (:meth:`SparseOperator.factor_alone`); the loads come
-        after."""
+        single-precision factorization of :func:`fine_operator` solves both
+        once, each solve refined to double precision with float64 residuals
+        of the free block; only u, z are kept.  The free block is all of the
+        operator alive while SuperLU runs
+        (:meth:`SparseOperator.factor_alone`); the loads come after."""
         if self._fine_solution is None:
             op = fine_operator(self)
             op.factor_alone()

@@ -20,7 +20,6 @@ from dwropt.fem import (
     effective_operator,
     fine_operator,
     gather,
-    gauss_point_coords,
     gauss_values,
     lattice_plan,
     lattice_values,
@@ -285,9 +284,8 @@ def _sampled_directly(problem, grid):
     """Fine data of ``grid`` sampled on the grid itself."""
     a_eps = problem.coefficient.tensors_at(grid.cell_centers)
     fluct = advection_elements(grid, gauss_values(grid, problem.advection))
-    points = gauss_point_coords(grid).reshape(-1, 2)
-    cells = problem.hierarchy.sampling_grid.locate(points, clip=True)
-    b_delta = problem.average_advection()[cells].reshape(grid.n_cells, 4, 2)
+    cells = problem.hierarchy.sampling_grid.locate(grid.cell_centers, clip=True)
+    b_delta = problem.average_advection()[cells]  # one vector per cell
     return a_eps, fluct - advection_elements(grid, b_delta, skew=False)
 
 

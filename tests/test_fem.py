@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from conftest import advection_problem, figure5_domain, lognormal_problem
 from dwropt import fem
@@ -607,13 +608,27 @@ def test_dissection_order_is_the_recursive_order(nodes):
         assert np.array_equal(order, recursive_dissection(*nodes, leaf)), leaf
 
 
+def assert_double_precision(problem, u, z):
+    """u and z agree with the solves of a float64 SuperLU factor of the fine
+    operator's free block within 1e-12 relative, in the max norm."""
+    op = fine_operator(problem)
+    block = op.matrix[op.free][:, op.free].tocsc()  # as factor_alone slices it
+    lu = splu(block, permc_spec="NATURAL", panel_size=fem.SUPERLU_PANEL_SIZE)
+    rhs = problem_rhs(problem, op.space)[op.free]
+    j = functional_vector(op.space, problem.functional)[op.free]
+    for x, x_64 in ((u, lu.solve(rhs)), (z, lu.solve(j, trans="T"))):
+        assert np.all(x.values[op.space.dirichlet_nodes] == 0.0)
+        assert np.abs(x.values[op.free] - x_64).max() <= 1e-12 * np.abs(x_64).max()
+
+
 @pytest.mark.parametrize("config", ["diffusion_tiny", "advdiff_small"])
 def test_fine_solution_leaves_no_fine_lattice_in_the_shared_caches(config):
     # the reference factor slices its block from an operator assembled
     # through an uncached plan: afterwards neither the plan cache nor the
     # interior-block cache holds the global fine lattice (diffusion_tiny's
-    # 65 x 65 nodes, all boundary nodes constrained, would fit both), and
-    # u and z equal the solves of a kept fine operator, bit for bit
+    # 65 x 65 nodes, all boundary nodes constrained, would fit both); u and
+    # z equal the refined solves of a freshly built fine operator factored
+    # alone, bit for bit, and a float64 factor's solves within 1e-12
     problem, _ = build_problem(read_config(ExperimentConfig.from_ini(CONFIGS / f"{config}.ini")))
     fem.lattice_plan.cache_clear()
     fem.interior_block.cache_clear()
@@ -624,11 +639,97 @@ def test_fine_solution_leaves_no_fine_lattice_in_the_shared_caches(config):
         cache(shape)
         assert cache.cache_info().misses == misses + 1, cache
     op = fine_operator(problem)
+    op.factor_alone()
     assert np.array_equal(u.values, solve(op, problem_rhs(problem, op.space)).values)
     assert np.array_equal(z.values, solve_dual(op, problem.functional).values)
-    assert op.factorization_count == 1
+    assert op.factorization_count == 1 and op._lu.L.dtype == np.float32
+    assert len(op.refinement_steps) == 2 and max(op.refinement_steps) < fem.REFINE_STEPS
+    assert_double_precision(problem, u, z)
     fem.lattice_plan.cache_clear()
     fem.interior_block.cache_clear()
+
+
+def checkerboard_tiny():
+    """diffusion_tiny on a checkerboard of contrast 1e4, tiles of 2^-3."""
+    cfg = ExperimentConfig.from_ini(CONFIGS / "diffusion_tiny.ini")
+    for key, value in (("kind", "checkerboard"), ("a", "1"), ("b", "1e4"), ("tile", "2^-3")):
+        cfg.set("field", key, value)
+    return build_problem(read_config(cfg))[0]
+
+
+@pytest.mark.parametrize("case", ["diffusion_tiny", "advdiff_small", "checkerboard_1e4"])
+def test_refined_fine_solution_matches_a_double_factor(case):
+    # the reference u and the full dual z, solved with a single-precision LU
+    # refined in double precision, agree with a float64 factor of the same
+    # block within 1e-12 relative (max norm): on a lognormal, an advective
+    # and a high-contrast problem
+    if case == "checkerboard_1e4":
+        problem = checkerboard_tiny()
+    else:
+        problem, _ = build_problem(read_config(ExperimentConfig.from_ini(CONFIGS / f"{case}.ini")))
+    u, z = problem.fine_solution()
+    assert_double_precision(problem, u, z)
+
+
+def recorded_factors(monkeypatch):
+    """The dtype of every matrix that ``fem.splu`` factors from now on."""
+    dtypes, factor = [], fem.splu
+
+    def recording(matrix, **kw):
+        dtypes.append(matrix.dtype)
+        return factor(matrix, **kw)
+
+    monkeypatch.setattr(fem, "splu", recording)
+    return dtypes
+
+
+def unrefinable_operator():
+    """An operator on a 5 x 5-cell unit square whose 16-dof free block is
+    dense, with condition number 1e10: beyond what a float32 LU refines."""
+    space = unit_space(5)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    dense = np.zeros((space.n_dofs, space.n_dofs))
+    dense[np.ix_(space.free_nodes, space.free_nodes)] = (q * np.logspace(0, -10, 16)) @ q.T
+    return SparseOperator(sp.csr_matrix(dense), space)
+
+
+def scaled_operator(scale):
+    """The Laplacian of a 6 x 6-cell unit square times ``scale``."""
+    space = unit_space(6)
+    tensors = np.tile(scale * np.eye(2), (space.grid.n_cells, 1, 1))
+    return element_operator(space, diffusion_element_matrices(space.grid, tensors))
+
+
+@pytest.mark.parametrize("case", ["unrefinable", "underflow", "overflow"])
+def test_block_that_fails_single_precision_gets_one_double_factor(monkeypatch, case):
+    # a block whose refined solve fails the backward-error test releases its
+    # single-precision LU and is factored once in float64; a block with a
+    # nonzero outside the float32 range gets no single factor at all.  The
+    # solves equal those of a plain float64 SuperLU factor, bit for bit
+    op = {
+        "unrefinable": unrefinable_operator,
+        "underflow": lambda: scaled_operator(1e-40),
+        "overflow": lambda: scaled_operator(1e39),
+    }[case]()
+    block = op.free_block()
+    dtypes = recorded_factors(monkeypatch)
+    rng = np.random.default_rng(7)
+    rhs = [rng.standard_normal(op.space.n_dofs) for _ in range(2)]
+    op.factor_alone()
+    x = op.solve_constrained(rhs[0])
+    y = op.solve_constrained(rhs[1], transpose=True)
+    if case == "unrefinable":
+        assert dtypes == [np.float32, np.float64] and op.factorization_count == 2
+        assert len(op.refinement_steps) == 1
+    else:
+        assert dtypes == [np.float64] and op.factorization_count == 1
+        assert op.refinement_steps == []
+    lu = splu(block, permc_spec="NATURAL", panel_size=fem.SUPERLU_PANEL_SIZE)
+    free = op.free
+    assert np.array_equal(x[free], lu.solve(rhs[0][free]))
+    assert np.array_equal(y[free], lu.solve(rhs[1][free], trans="T"))
+    assert np.all(x[op.space.dirichlet_nodes] == 0.0) and np.all(y[op.space.dirichlet_nodes] == 0.0)
 
 
 def test_one_fine_lattice_serves_the_fine_space_data_and_solution():
@@ -658,6 +759,30 @@ def test_fine_data_keeps_the_fluctuation_and_not_e_eps():
     error = np.abs(fluct + e_delta - e_eps)
     assert np.all(error <= 1e-15 * np.maximum(np.abs(e_eps), np.abs(e_delta)))
     assert np.all(error[e_eps == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("where", ["patch", "macro", "fine"])
+def test_closed_form_transport_elements_equal_the_gauss_point_form(where):
+    # b_delta is one vector per sampling cell: its element matrices from the
+    # closed form b[0] g[0] + b[1] g[1] equal the 2x2 Gauss-point form with
+    # b_delta at every Gauss point, plain and skew, within 1e-15 relative to
+    # each cell's largest entry, on a patch, the macro grid and the fine grid
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    hierarchy = problem.hierarchy
+    grid = {
+        "patch": hierarchy.micro_grid(hierarchy.patch_of(5, 1).bbox),
+        "macro": hierarchy.macro_grid,
+        "fine": hierarchy.fine_grid,
+    }[where]
+    b_cell = problem.delta_values(grid)
+    assert b_cell.shape == (grid.n_cells, 2) and np.ptp(b_cell[:, 0]) > 0.0
+    b_gauss = np.repeat(b_cell[:, None, :], 4, axis=1)
+    for skew in (False, True):
+        closed = advection_elements(grid, b_cell, skew=skew)
+        gauss = advection_elements(grid, b_gauss, skew=skew)
+        largest = np.abs(gauss).max(axis=(1, 2))[:, None, None]
+        assert np.all(largest > 0.0)
+        assert np.all(np.abs(closed - gauss) <= 1e-15 * largest)
 
 
 def test_concurrent_solves_share_factorization():
