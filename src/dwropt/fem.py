@@ -320,8 +320,6 @@ def lattice_plan(shape):
     return plan
 
 
-InteriorBlock = namedtuple("InteriorBlock", "indptr indices slots")
-
 # Lattices of at most this many nodes (the patch and macro grids of the
 # small shipped configs) keep an interior block pattern: about 76 bytes per
 # interior node, 0.68 MB for a 96 x 96-cell patch, at most 9 x 16,384 x 76 B
@@ -332,26 +330,23 @@ BLOCK_CACHE_NODES = 16_384
 
 @lru_cache(maxsize=9)
 def interior_block(shape):
-    """The CSC pattern of the block of a lattice operator on a grid of
-    ``shape`` cells between its interior nodes (all but the lattice's
-    boundary), in the :func:`nested_dissection` order of its
-    :func:`lattice_plan`: ``indptr``, ``indices`` and the CSR slot of every
-    entry; int32, read-only."""
+    """The block of a lattice operator on a grid of ``shape`` cells between
+    its interior nodes (all but the lattice's boundary), in the
+    :func:`nested_dissection` order of its :func:`lattice_plan`: a CSC
+    matrix whose entries are the CSR slots of the operator's entries, int32,
+    read-only.  It is the slice ``[order][:, order].tocsc()`` of the plan's
+    pattern holding each slot's number (1-based while sliced, so that no
+    entry is a zero), and so has the pattern of that slice of any operator."""
     plan = lattice_plan(shape)
     n_x, n_y = shape[0] + 1, shape[1] + 1
     interior = np.zeros((n_y, n_x), dtype=bool)
     interior[1:-1, 1:-1] = True
     order = plan.order[interior.ravel()[plan.order]]
-    position = np.full(n_x * n_y, -1, dtype=np.int32)
-    position[order] = np.arange(order.size, dtype=np.int32)
-    row = np.repeat(position, np.diff(plan.indptr))  # of each CSR slot
-    col = position[plan.indices]
-    slots = np.flatnonzero((row >= 0) & (col >= 0))
-    slots = slots[np.lexsort((row[slots], col[slots]))].astype(np.int32)
-    counts = np.bincount(col[slots], minlength=order.size)
-    indptr = np.concatenate([np.int32([0]), np.cumsum(counts, dtype=np.int32)])
-    block = InteriorBlock(indptr, row[slots], slots)
-    for array in block:
+    slots = np.arange(1, plan.indices.size + 1, dtype=np.int32)
+    block = sp.csr_matrix((slots, plan.indices, plan.indptr), shape=(n_x * n_y,) * 2)
+    block = block[order][:, order].tocsc()
+    block.data -= 1
+    for array in (block.indptr, block.indices, block.data):
         array.flags.writeable = False
     return block
 
@@ -399,9 +394,9 @@ class SparseOperator:
         ):
             block = interior_block(grid.shape)
             a_ff = sp.csc_matrix(
-                (m.data.take(block.slots), block.indices, block.indptr), shape=(self.free.size,) * 2
+                (m.data.take(block.data), block.indices, block.indptr), block.shape
             )
-            a_ff.has_canonical_format = True  # sorted rows, no duplicates, by construction
+            a_ff.has_canonical_format = True  # the pattern of a tocsc: sorted rows, no duplicates
             return a_ff
         return m[self.free][:, self.free].tocsc()
 
@@ -547,34 +542,31 @@ def gauss_values(grid, b):
     return b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, 4, 2)
 
 
-def _transport_blocks(hx, hy):
-    """(2, 4, 4): ``g[d, l, m]`` = int phi_l d_d(phi_m) on an hx x hy
-    rectangle by the 2x2 Gauss rule, so that the plain element matrix of a b
-    constant on a cell is b[0] g[0] + b[1] g[1]."""
+def _transport_table(hx, hy):
+    """(4, 2, 4, 4): ``t[g, d, l, m]`` = w_g phi_l d_d(phi_m) at the 2x2
+    Gauss points g of an hx x hy rectangle, so that int phi_l b . grad phi_m
+    is sum over g and d of b[g, d] t[g, d, l, m]."""
     _, w, phi, dphi = _GAUSS
-    return np.einsum("q,ql,qmd->dlm", w * hx * hy, phi, dphi / np.array([hx, hy]))
+    return np.einsum("g,gl,gmd->gdlm", w * hx * hy, phi, dphi / np.array([hx, hy]))
 
 
 def advection_elements(grid, b_values, skew=True):
-    """(ncells, 4, 4) element matrices of (b . grad u, v) from the Gauss-point
-    values of b (see :func:`gauss_values`), or from one b per cell, (ncells,
-    2), through the closed form of :func:`_transport_blocks`:
-    skew-symmetrized, or the plain Galerkin form with ``skew=False``."""
-    if b_values.ndim == 2:
-        g = _transport_blocks(*grid.spacing)
-        raw = b_values[:, 0, None, None] * g[0] + b_values[:, 1, None, None] * g[1]
-    else:
-        _, w, phi, dphi = _gauss_points_physical(grid)
-        wb = w[:, None] * b_values
-        raw = np.einsum("ql,cqm->clm", phi, np.einsum("cqd,qmd->cqm", wb, dphi))
+    """(ncells, 4, 4) element matrices of (b . grad u, v), one product of b
+    with the :func:`_transport_table`: from the Gauss-point values of b,
+    (ncells, 4, 2) (see :func:`gauss_values`), or from one b per cell,
+    (ncells, 2), with the table summed over the Gauss points; skew-
+    symmetrized, or the plain Galerkin form with ``skew=False``."""
+    table = _transport_table(*grid.spacing)
+    table = table if b_values.ndim == 3 else table.sum(axis=0)
+    raw = (b_values.reshape(len(b_values), -1) @ table.reshape(-1, 16)).reshape(-1, 4, 4)
     if skew:
         return 0.5 * (raw - raw.transpose(0, 2, 1))
     return raw
 
 
 def assemble_advection(space, b_values, skew=True):
-    """Advection operator from the Gauss-point values of b on the grid of
-    ``space`` (see :func:`advection_elements`)."""
+    """Advection operator on the grid of ``space`` from the Gauss-point
+    values of b or from one b per cell (see :func:`advection_elements`)."""
     return element_operator(space, advection_elements(space.grid, b_values, skew))
 
 
@@ -751,13 +743,6 @@ def gauss_point_coords(grid):
     """Physical 2x2 Gauss points per cell: (ncells, 4, 2)."""
     coords, _, _, _ = _gauss_points_physical(grid)
     return coords
-
-
-def value_sq_percell(grid, u4):
-    """int_cell u^2 (exact for bilinear u)."""
-    _, w, phi, _ = _gauss_points_physical(grid)
-    uq = np.einsum("cp,qp->cq", u4, phi)
-    return np.einsum("q,cq->c", w, uq**2)
 
 
 # ---------------------------------------------------------------------------

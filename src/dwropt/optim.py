@@ -36,7 +36,6 @@ from .fem import (
     q1_blocks,
     solve,
     solve_dual,
-    value_sq_percell,
 )
 
 _IJ = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -79,8 +78,8 @@ class OptimizerConfig:
             raise ConfigurationError(f"unknown dual mode '{self.dual_mode}'")
         if not 0.0 < self.stop_fraction <= 1.0:
             raise ConfigurationError("stop_fraction must lie in (0, 1]")
-        if self.lambda_factor < 0.0:
-            raise ConfigurationError("lambda_factor must be nonnegative")
+        if not np.isfinite(self.lambda_factor) or self.lambda_factor < 0.0:
+            raise ConfigurationError("lambda_factor must be finite and nonnegative")
         if self.depth not in (0, 1):
             raise ConfigurationError("enhancement depth must be 0 or 1")
         if self.max_cycles < 0:
@@ -162,14 +161,9 @@ def assemble_system(problem, model, U, operator, dual, jacobian_mode="patch",
 
 def build_jacobian(n, triplets, alpha):
     """Sparse Jacobian (eta rows + regularization rows) x (4n parameters)."""
-    rows, cols, vals = ([list(t) for t in triplets] if triplets else ([], [], []))
-    sqrt_a = np.sqrt(alpha)
-    for k in range(n):
-        for idx in range(4):
-            rows.append(n + 4 * k + idx)
-            cols.append(4 * k + idx)
-            vals.append(sqrt_a[k])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(5 * n, 4 * n)).tocsr()
+    rows, cols, vals = triplets
+    eta_rows = sp.coo_matrix((vals, (rows, cols)), shape=(n, 4 * n))
+    return sp.vstack([eta_rows, sp.diags(np.repeat(np.sqrt(alpha), 4))], format="csr")
 
 
 def lm_step(jac, residual_flat, lambda_factor):
@@ -250,10 +244,13 @@ class GaussNewtonState:
 
 
 def l2_error_against(u_ref, U):
-    """L2 norm of u_ref - U, evaluated on the reference space."""
+    """L2 norm of u_ref - U on the reference space: sqrt(sum of d4^T M d4)
+    over its cells, d4 the cell's nodal values of u_ref - U and M the exact
+    Q1 mass block."""
     grid = u_ref.space.grid
-    diff = u_ref.values - lattice_values(U, grid).ravel()
-    return float(np.sqrt(np.sum(value_sq_percell(grid, gather(grid, diff)))))
+    d4 = gather(grid, u_ref.values - lattice_values(U, grid).ravel())
+    _, mass = q1_blocks(*grid.spacing)
+    return float(np.sqrt(np.sum((d4 @ mass) * d4)))
 
 
 def run_optimization(problem, initial_model, config, oracle=None):

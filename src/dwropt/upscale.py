@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
-from .fem import _gauss_points_physical, diffusion_element_matrices, element_operator
+from .fem import diffusion_element_matrices, element_operator
 
 
 @dataclass
@@ -110,9 +110,9 @@ def _periodic_dof_map(grid):
     return (iy % grid.ny) * grid.nx + (ix % grid.nx)
 
 
-def periodic_cell_matrix(problem, grid, tensors):
+def periodic_cell_matrix(problem, grid, elem):
     """Stiffness of the periodic cell problem on ``grid``, a sampling cell's
-    micro grid with one tensor per cell, in CSC form: the
+    micro grid with element matrices ``elem``, in CSC form: the
     :func:`element_operator` of the cell lattice folded onto the periodic
     dofs, with dof 0 pinned (its row and column are those of the identity)
     to fix the constant mode."""
@@ -120,7 +120,7 @@ def periodic_cell_matrix(problem, grid, tensors):
     n_dof = grid.nx * grid.ny
     nodes = np.nonzero(pmap)[0]  # the nodes of dof 0 fold onto nothing
     fold = sp.csr_matrix((np.ones(nodes.size), (nodes, pmap[nodes])), shape=(grid.n_nodes, n_dof))
-    matrix = element_operator(problem.space(grid), diffusion_element_matrices(grid, tensors)).matrix
+    matrix = element_operator(problem.space(grid), elem).matrix
     pin = sp.csr_matrix(([1.0], ([0], [0])), shape=(n_dof, n_dof))
     folded = (fold.T @ matrix @ fold + pin).tocsc()
     folded.sort_indices()
@@ -130,47 +130,34 @@ def periodic_cell_matrix(problem, grid, tensors):
 def homogenized_model(problem, k):
     """Homogenized tensor of one sampling cell from periodic cell problems.
 
-    Solves the two corrector problems on the cell's micro grid with periodic
-    boundary conditions (dof identification of opposite faces), one pinned dof
-    and mean subtraction, then evaluates the averaged flux tensor.
+    The cell's element stiffness matrices E serve every integral: the
+    periodic operator (dof identification of opposite faces, one pinned
+    dof), the loads -fold^T (E x_i) of the two corrector problems, x_i the
+    i-th corner coordinate of each cell, and the tensor
+    A[i, j] = sum over cells of (x_j + w_j)^T E (x_i + w_i) / |Y| with the
+    correctors w_i, each shifted to mean zero.
     """
     bbox = problem.hierarchy.sampling_bbox(k)
     fine_grid, a_eps, _ = problem.fine_data()
     grid = fine_grid.subgrid(bbox)
-    tensors = a_eps[fine_grid.subgrid_cell_ids(bbox)]
+    elem = diffusion_element_matrices(grid, a_eps[fine_grid.subgrid_cell_ids(bbox)])
     cn = _periodic_dof_map(grid)[grid.cell_nodes]
-    n_dof = grid.nx * grid.ny
-    matrix = periodic_cell_matrix(problem, grid, tensors)
     try:
-        lu = splu(matrix)
+        lu = splu(periodic_cell_matrix(problem, grid, elem))
     except RuntimeError as exc:
         raise NumericalError(f"cell problem on sampling cell {k} is singular: {exc}") from exc
 
     hx, hy = grid.spacing
-    # int_cell d_x(phi_p) and d_y(phi_p): signs by node position
-    ex = 0.5 * hy * np.array([-1.0, 1.0, -1.0, 1.0])
-    ey = 0.5 * hx * np.array([-1.0, -1.0, 1.0, 1.0])
-    correctors = []
-    for i in range(2):
-        load = -(tensors[:, 0, i][:, None] * ex[None, :] + tensors[:, 1, i][:, None] * ey[None, :])
-        rhs = np.bincount(cn.ravel(), weights=load.ravel(), minlength=n_dof)
+    # each cell's corner coordinates from its lower-left node (E maps constants to zero)
+    corners = np.array([[0.0, hx, 0.0, hx], [0.0, 0.0, hy, hy]])
+    fields = []
+    for x in corners:
+        rhs = np.bincount(cn.ravel(), weights=-(elem @ x).ravel(), minlength=grid.nx * grid.ny)
         rhs[0] = 0.0
         w = lu.solve(rhs)
-        w -= w.mean()
-        correctors.append(w)
-
-    _, wq, _, dphi = _gauss_points_physical(grid)
+        fields.append(x + (w - w.mean())[cn])
     area = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
-    grads = [
-        np.einsum("cp,qpd->cqd", correctors[i][cn], dphi) + np.eye(2)[i]
-        for i in range(2)
-    ]
-    out = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            flux = np.einsum("cab,cqb->cqa", tensors, grads[i])
-            out[i, j] = np.einsum("q,cqa,cqa->", wq, flux, grads[j]) / area
-    return out
+    return np.einsum("jcp,cpq,icq->ij", fields, elem, fields) / area
 
 
 def homogenized_effective_model(problem):

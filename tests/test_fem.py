@@ -785,6 +785,30 @@ def test_closed_form_transport_elements_equal_the_gauss_point_form(where):
         assert np.all(np.abs(closed - gauss) <= 1e-15 * largest)
 
 
+@pytest.mark.parametrize("case", ["skew_b_eps", "plain_b_delta"])
+def test_transport_elements_give_the_per_gauss_point_form(case):
+    # z4^T E u4 of every fine cell, E from advection_elements, equals the
+    # per-Gauss-point form of fem.advection_form_percell within 1e-14 of the
+    # cell's largest term z4_p E_pq u4_q: skew with the Gauss-point values
+    # of b_eps, plain with b_delta given once per cell (repeated at the
+    # Gauss points for the reference)
+    problem = advection_problem(h_micro=2.0**-5, drift_max=1.5)
+    grid = problem.hierarchy.fine_grid
+    rng = np.random.default_rng(3)
+    u4, z4 = (fem.gather(grid, rng.standard_normal(grid.n_nodes)) for _ in range(2))
+    if case == "skew_b_eps":
+        b = b_gauss = gauss_values(grid, problem.advection)
+    else:
+        b = problem.delta_values(grid)
+        b_gauss = np.repeat(b[:, None, :], 4, axis=1)
+    skew = case == "skew_b_eps"
+    terms = z4[:, :, None] * advection_elements(grid, b, skew=skew) * u4[:, None, :]
+    reference = fem.advection_form_percell(grid, b_gauss, u4, z4, skew=skew)
+    largest = np.abs(terms).max(axis=(1, 2))
+    assert np.all(largest > 0.0)
+    assert np.all(np.abs(terms.sum(axis=(1, 2)) - reference) <= 1e-14 * largest)
+
+
 def test_concurrent_solves_share_factorization():
     from concurrent.futures import ThreadPoolExecutor
 

@@ -561,6 +561,12 @@ def test_per_cell_alpha_must_be_finite_and_nonnegative(alpha):
         OptimizerConfig(alpha=values).validate()
 
 
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_lambda_factor_must_be_finite_and_nonnegative(value):
+    with pytest.raises(ConfigurationError):
+        OptimizerConfig(lambda_factor=value).validate()
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
         OptimizerConfig(jacobian_mode="dense").validate()
@@ -622,3 +628,39 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
     # primal/dual solve, which theta_H reuses; the first macro operator asks
     # for b_delta before the micro fine data that holds it is built
     assert sorted(delta_calls) == sorted([n_micro] + [hierarchy.macro_grid.n_cells] * state.cycles)
+
+
+# ---------------------------------------------------------------------------
+# L2 error against the reference
+
+
+def gauss_point_l2_error(u_ref, U):
+    """The L2 error by the 2x2 Gauss rule on the reference cells: the
+    squared difference summed at the Gauss points."""
+    grid = u_ref.space.grid
+    _, w, phi, _ = fem._gauss_points_physical(grid)
+    d4 = gather(grid, u_ref.values - fem.lattice_values(U, grid).ravel())
+    return float(np.sqrt(np.sum(w * (d4 @ phi.T) ** 2)))
+
+
+def test_l2_error_of_a_bilinear_field_is_exact():
+    # u = x y lies in Q1 on every cell: its L2 norm over the unit square is
+    # 1/3, and the mass block gives it within 1e-15
+    problem = small_problem()
+    fine = problem.fine_space()
+    x, y = fine.grid.node_coords.T
+    u_ref = fem.DiscreteField(fine, x * y)
+    zero = fem.DiscreteField(problem.macro_space(), np.zeros(problem.macro_space().n_dofs))
+    assert abs(optim.l2_error_against(u_ref, zero) - 1.0 / 3.0) <= 1e-15
+
+
+def test_l2_error_matches_the_gauss_point_sum():
+    # the reference against a macro solution: the mass-block error equals
+    # the Gauss-point sum within 1e-14 relative
+    problem = small_problem()
+    model = geometric_mean_model(problem)
+    _, U, _ = primal_dual(problem, model, OptimizerConfig())
+    u_ref = problem.fine_solution()[0]
+    expected = gauss_point_l2_error(u_ref, U)
+    assert expected > 0.0
+    assert abs(optim.l2_error_against(u_ref, U) - expected) <= 1e-14 * expected

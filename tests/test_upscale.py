@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from conftest import coefficient_problem, read_model_csv
-from dwropt import upscale
+from dwropt import fem, upscale
 from dwropt.errors import NumericalError
 from dwropt.field import CoefficientField, gen_gaussian_raster
 from dwropt.mesh import Domain, build_hierarchy
@@ -218,9 +219,51 @@ def test_folded_cell_operator_equals_the_coo_cell_matrix(k):
     bbox = h.sampling_bbox(k)
     grid = fine.subgrid(bbox)
     tensors = a_eps[fine.subgrid_cell_ids(bbox)]
-    folded = periodic_cell_matrix(problem, grid, tensors)
+    folded = periodic_cell_matrix(problem, grid, diffusion_element_matrices(grid, tensors))
     coo = coo_cell_matrix(grid, tensors)
     assert folded.format == "csc"
     assert np.array_equal(folded.indptr, coo.indptr)
     assert np.array_equal(folded.indices, coo.indices)
     assert np.max(np.abs(folded.data - coo.data)) <= 1e-14 * np.max(np.abs(coo.data))
+
+
+def gauss_point_homogenized(problem, k):
+    """The homogenized tensor of sampling cell k with the corrector loads
+    from the corner signs of int d_b(phi_p) and the flux averaged at the 2x2
+    Gauss points, on the COO cell matrix."""
+    fine, a_eps, _ = problem.fine_data()
+    bbox = problem.hierarchy.sampling_bbox(k)
+    grid = fine.subgrid(bbox)
+    tensors = a_eps[fine.subgrid_cell_ids(bbox)]
+    cn = _periodic_dof_map(grid)[grid.cell_nodes]
+    lu = splu(coo_cell_matrix(grid, tensors))
+    hx, hy = grid.spacing
+    ex = 0.5 * hy * np.array([-1.0, 1.0, -1.0, 1.0])
+    ey = 0.5 * hx * np.array([-1.0, -1.0, 1.0, 1.0])
+    _, wq, _, dphi = fem._gauss_points_physical(grid)
+    grads = []
+    for i in range(2):
+        load = -(tensors[:, 0, i, None] * ex + tensors[:, 1, i, None] * ey)
+        rhs = np.bincount(cn.ravel(), weights=load.ravel(), minlength=grid.nx * grid.ny)
+        rhs[0] = 0.0
+        w = lu.solve(rhs)
+        grads.append(np.einsum("cp,qpd->cqd", (w - w.mean())[cn], dphi) + np.eye(2)[i])
+    flux = [np.einsum("cab,cqb->cqa", tensors, g) for g in grads]
+    out = [[np.einsum("q,cqa,cqa->", wq, flux[i], grads[j]) for j in range(2)] for i in range(2)]
+    return np.array(out) / ((bbox[2] - bbox[0]) * (bbox[3] - bbox[1]))
+
+
+@pytest.mark.parametrize("case", ["lognormal", "checkerboard"])
+def test_homogenized_tensor_matches_the_gauss_point_flux_average(case):
+    # the tensor from the cell's element matrices equals the Gauss-point
+    # flux average within 1e-12 of its largest entry
+    h = hierarchy(delta=0.25, h_macro=0.125, h_micro=2.0**-5)
+    field = {
+        "lognormal": CoefficientField.lognormal(gen_gaussian_raster(32, 32, 0.05, seed=4), 1.0),
+        "checkerboard": CoefficientField.checkerboard(a=1.0, b=100.0, tile=2.0**-4),
+    }[case]
+    problem = coefficient_problem(field, h)
+    for k in (0, 5, 15):
+        expected = gauss_point_homogenized(problem, k)
+        error = np.abs(homogenized_model(problem, k) - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max()
