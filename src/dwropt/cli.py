@@ -526,12 +526,7 @@ class _Phases:
 
 
 def _write_b_delta(path, hierarchy, b_delta):
-    grid = hierarchy.sampling_grid
-    with open(path, "w", newline="\n") as fh:
-        fh.write("cell_i,cell_j,bx,by\n")
-        for k in range(hierarchy.n_sampling):
-            i, j = grid.cell_ij(k)
-            fh.write(f"{i},{j},{b_delta[k, 0]:.17g},{b_delta[k, 1]:.17g}\n")
+    hierarchy.sampling_grid.write_cell_table(path, "cell_i,cell_j,bx,by", b_delta)
 
 
 @dataclass

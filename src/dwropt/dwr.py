@@ -134,18 +134,15 @@ class ErrorBreakdown:
         return float(np.sum(np.abs(self.eta))) / total
 
     def to_csv(self, path, hierarchy):
-        grid = hierarchy.sampling_grid
-        with open(path, "w", newline="\n") as fh:
-            fh.write("cell_i,cell_j,eta_K\n")
-            for k in range(hierarchy.n_sampling):
-                i, j = grid.cell_ij(k)
-                fh.write(f"{i},{j},{self.eta[k]:.17g}\n")
-            i_eff = "" if self.i_eff is None else f"{self.i_eff:.17g}"
-            i_loc = "" if self.i_loc is None else f"{self.i_loc:.17g}"
-            fh.write(
-                f"# summary,theta_H={self.theta_H:.17g},theta_delta={self.theta_delta:.17g},"
-                f"I_eff={i_eff},I_loc={i_loc}\n"
-            )
+        i_eff = "" if self.i_eff is None else f"{self.i_eff:.17g}"
+        i_loc = "" if self.i_loc is None else f"{self.i_loc:.17g}"
+        summary = (
+            f"# summary,theta_H={self.theta_H:.17g},theta_delta={self.theta_delta:.17g},"
+            f"I_eff={i_eff},I_loc={i_loc}\n"
+        )
+        hierarchy.sampling_grid.write_cell_table(
+            path, "cell_i,cell_j,eta_K", self.eta[:, None], summary
+        )
 
 
 def _theta_H(problem, model, operator, U, z):
@@ -174,10 +171,10 @@ class _PatchContext:
     fluctuation element matrices and, from the enhancement, the patch
     operator's element matrices).  Of U and z* per cell and of A_delta -
     A_eps it keeps the center cell's alone (``u4``, ``z4``, ``d_tensors``,
-    rows ``center`` of the patch cells), which is all eta_K reads.  The
-    response terms of the Jacobian row read the whole patch; their
-    contraction is built on the first :meth:`response_terms` call, so a
-    sweep without Jacobian never builds it."""
+    the patch cells' rows restricted to the sampling cell), which is all
+    eta_K reads.  The response terms of the Jacobian row read the whole
+    patch; their contraction is built on the first :meth:`response_terms`
+    call, so a sweep without Jacobian never builds it."""
 
     def __init__(self, problem, model, U, k, patch, grid, zstar, data):
         self.k = k
@@ -190,7 +187,6 @@ class _PatchContext:
         self._macro = U.space.grid
         self._bbox = bbox = problem.hierarchy.sampling_bbox(k)
         center = grid.subgrid(bbox)
-        self.center = grid.subgrid_cell_ids(bbox)
         self.d_tensors = model.tensors[k] - grid.restrict(self.a_eps, bbox)
         self.u4 = gather(center, lattice_values(U, center).ravel())
         self.z4 = gather(center, grid.restrict(zstar, bbox, nodal=True))
@@ -206,8 +202,9 @@ class _PatchContext:
         return eta, stack.sum(axis=0)
 
     def _contraction(self):
-        """(members, macro nodes of the patch) matrix C and those macro node
-        ids: row m of C @ R is the term of member m for a macro field R.
+        """(members, macro nodes of the patch) matrix C: row m of C @ R is
+        the term of member m for the values R of a macro field at the
+        patch's macro nodes.
         The weights z*^T (E_delta - E) of every patch cell, with E_delta the
         diffusion element matrices of its member's tensor and E those of the
         patch operator, are summed per member and node, then contracted with
@@ -239,8 +236,7 @@ class _PatchContext:
         for j in range(ny):
             for i in range(nx):
                 contraction[j, i, j * q : j * q + q + 1, i * q : i * q + q + 1] = per_member[j, i]
-        nodes = self._macro.subgrid_node_ids(self.patch.bbox)
-        return contraction.reshape(ny * nx, nodes.size), nodes
+        return contraction.reshape(ny * nx, -1)
 
     def response_terms(self, fields):
         """(members, fields) array of int_Q (A_delta - A_eps) grad R . grad z*
@@ -249,8 +245,8 @@ class _PatchContext:
         fields' values at the patch's macro nodes."""
         if self._terms is None:
             self._terms = self._contraction()
-        contraction, nodes = self._terms
-        return contraction @ np.column_stack([f.values for f in fields])[nodes]
+        values = np.column_stack([f.values for f in fields])
+        return self._terms @ self._macro.restrict(values, self.patch.bbox, nodal=True)
 
 
 def _patch_context(problem, model, U, dual, k):

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, OutOfDomainError, SingularOperatorError
-from .mesh import SIDES, Grid, _exact_ratio
+from .mesh import SIDES, Grid, _exact_ratio, bilinear, inside
 
 # 1-d exact integrals of the hat functions N0 = 1 - t, N1 = t on [0, 1]
 _M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0       # int N_i N_j
@@ -133,12 +133,9 @@ class FeSpace:
     def _domain_side_of(self, grid_side):
         """Domain side name if the given grid side lies on the domain
         boundary, else None."""
-        bb, d = self.grid.bbox, self.domain
-        coord, target = {
-            "left": (bb[0], d.xmin), "right": (bb[2], d.xmax),
-            "bottom": (bb[1], d.ymin), "top": (bb[3], d.ymax),
-        }[grid_side]
-        return grid_side if abs(coord - target) <= 1e-9 * max(d.extent) else None
+        i = {"left": 0, "bottom": 1, "right": 2, "top": 3}[grid_side]
+        gap = abs(self.grid.bbox[i] - self.domain.bbox[i])
+        return grid_side if gap <= 1e-9 * max(self.domain.extent) else None
 
     def _side_nodes(self, side):
         """The node ids along a side of the grid, in coordinate order, and
@@ -605,12 +602,7 @@ def functional_vector(space, j):
         p = np.asarray(j.point, dtype=float).reshape(1, 2)
         if not bool(space.domain.contains(p)[0]):
             raise OutOfDomainError(f"functional point {j.point} lies outside the domain")
-        bb = grid.bbox
-        tol = 1e-12 * max(space.domain.extent)
-        inside_grid = (
-            bb[0] - tol <= p[0, 0] <= bb[2] + tol and bb[1] - tol <= p[0, 1] <= bb[3] + tol
-        )
-        if not inside_grid:
+        if not inside(p, grid.bbox, 1e-12 * max(space.domain.extent))[0]:
             return vec  # patch restriction: the point lies outside this grid
         cell = grid.locate(p, clip=True)[0]
         x0, y0 = grid.cell_bbox(cell)[:2]
@@ -650,21 +642,8 @@ def evaluate(field, points):
     the closure of its grid); the nodes of a nested lattice take
     :func:`lattice_values`."""
     grid = field.space.grid
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    tx = np.clip((p[:, 0] - grid.origin[0]) / grid.spacing[0], 0.0, grid.nx)
-    ty = np.clip((p[:, 1] - grid.origin[1]) / grid.spacing[1], 0.0, grid.ny)
-    ix = np.minimum(np.floor(tx).astype(int), grid.nx - 1)
-    iy = np.minimum(np.floor(ty).astype(int), grid.ny - 1)
-    fx = tx - ix
-    fy = ty - iy
-    n00 = iy * (grid.nx + 1) + ix
-    v = field.values
-    return (
-        v[n00] * (1 - fx) * (1 - fy)
-        + v[n00 + 1] * fx * (1 - fy)
-        + v[n00 + grid.nx + 1] * (1 - fx) * fy
-        + v[n00 + grid.nx + 2] * fx * fy
-    )
+    nodes = field.values.reshape(grid.ny + 1, grid.nx + 1)
+    return bilinear(nodes, grid.origin, grid.spacing, points)
 
 
 @lru_cache(maxsize=16)
@@ -695,15 +674,15 @@ def lattice_values(field, grid):
     :func:`evaluate` of those nodes up to rounding, separable as one
     :func:`lattice_matrix` per axis: (ny + 1, nx + 1) values."""
     src = field.space.grid
-    i0, j0, i1, j1 = src._window(grid.bbox)
+    window = src.subgrid(grid.bbox)
     tables = []
-    for axis, (n, cells) in enumerate(((grid.nx + 1, i1 - i0), (grid.ny + 1, j1 - j0))):
+    for axis in (0, 1):
         ratio = _exact_ratio(src.spacing[axis], grid.spacing[axis], "nested lattice")
-        if n - 1 != cells * ratio:
+        if grid.shape[axis] != window.shape[axis] * ratio:
             raise ConfigurationError(f"grid {grid.bbox} is not a lattice window of {src.bbox}")
-        tables.append(lattice_matrix(n, ratio))
-    values = field.values.reshape(src.ny + 1, src.nx + 1)
-    return tables[1] @ values[j0 : j1 + 1, i0 : i1 + 1] @ tables[0].T
+        tables.append(lattice_matrix(grid.shape[axis] + 1, ratio))
+    values = src.restrict(field.values, grid.bbox, nodal=True)
+    return tables[1] @ values.reshape(window.ny + 1, window.nx + 1) @ tables[0].T
 
 
 def gather(grid, values):
@@ -758,7 +737,9 @@ class Problem:
     advection-diffusion setting), ``advection`` the optional fine-scale
     divergence-free field.  ``neumann`` lists (marker, flux) pairs entering
     the load functional; ``dirichlet`` the markers carrying (homogeneous)
-    Dirichlet conditions: at least one, each a marker of the domain.
+    Dirichlet conditions: at least one.  Every marker, that of a boundary
+    functional included, is a marker of the domain, and the point of a
+    point functional lies in the domain.
 
     The problem is the one place that keeps the problem data every cycle
     reads: the macro space, and on the one fine lattice, the global micro
@@ -783,10 +764,15 @@ class Problem:
     _b_delta: object = dc_field(default=None, repr=False)
 
     def __post_init__(self):
+        domain, j = self.hierarchy.domain, self.functional
         if not self.dirichlet:
             raise ConfigurationError("the problem needs at least one Dirichlet marker")
-        for marker in self.dirichlet:
-            self.hierarchy.domain.check_marker(marker)
+        for marker in (*self.dirichlet, *(marker for marker, _ in self.neumann)):
+            domain.check_marker(marker)
+        if j.kind == "boundary_integral":
+            domain.check_marker(j.marker)
+        if j.kind == "point_value" and not domain.contains(j.point)[0]:
+            raise OutOfDomainError(f"functional point {j.point} lies outside the domain")
 
     @property
     def is_advective(self):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
+from .mesh import bilinear, inside
 
 _ID = np.eye(2)
 
@@ -54,13 +55,8 @@ class RasterField:
         return (self.size[0] / self.nx, self.size[1] / self.ny)
 
     def _check_inside(self, p):
-        tol = 1e-12 * max(self.size)
-        bad = (
-            (p[:, 0] < self.origin[0] - tol)
-            | (p[:, 0] > self.origin[0] + self.size[0] + tol)
-            | (p[:, 1] < self.origin[1] - tol)
-            | (p[:, 1] > self.origin[1] + self.size[1] + tol)
-        )
+        bbox = (*self.origin, self.origin[0] + self.size[0], self.origin[1] + self.size[1])
+        bad = ~inside(p, bbox, 1e-12 * max(self.size))
         if np.any(bad):
             k = int(np.argmax(bad))
             raise OutOfDomainError(f"point {tuple(p[k])} lies outside the raster extent")
@@ -79,24 +75,8 @@ class RasterField:
 
     def interp(self, points):
         """Continuous bilinear interpolation with raster values as grid nodes."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        hx = self.size[0] / (self.nx - 1) if self.nx > 1 else self.size[0]
-        hy = self.size[1] / (self.ny - 1) if self.ny > 1 else self.size[1]
-        tx = np.clip((p[:, 0] - self.origin[0]) / hx, 0.0, self.nx - 1)
-        ty = np.clip((p[:, 1] - self.origin[1]) / hy, 0.0, self.ny - 1)
-        ix = np.minimum(np.floor(tx).astype(int), max(self.nx - 2, 0))
-        iy = np.minimum(np.floor(ty).astype(int), max(self.ny - 2, 0))
-        fx = tx - ix
-        fy = ty - iy
-        v = self.values.astype(float)
-        ix1 = np.minimum(ix + 1, self.nx - 1)
-        iy1 = np.minimum(iy + 1, self.ny - 1)
-        return (
-            v[iy, ix] * (1 - fx) * (1 - fy)
-            + v[iy, ix1] * fx * (1 - fy)
-            + v[iy1, ix] * (1 - fx) * fy
-            + v[iy1, ix1] * fx * fy
-        )
+        spacing = (self.size[0] / max(self.nx - 1, 1), self.size[1] / max(self.ny - 1, 1))
+        return bilinear(self.values, self.origin, spacing, points)
 
     def to_pgm(self, path):
         """Write as binary PGM (P5, maxval 255); 8-bit rasters only.

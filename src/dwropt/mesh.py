@@ -26,6 +26,42 @@ def _own_name_markers():
     return {side: ((side, None),) for side in SIDES}
 
 
+def inside(points, bbox, tol):
+    """Whether each point lies in the closed box ``bbox`` = (x0, y0, x1, y1)
+    widened by ``tol`` on every side; a NaN coordinate lies outside."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    return (
+        (p[:, 0] >= bbox[0] - tol)
+        & (p[:, 0] <= bbox[2] + tol)
+        & (p[:, 1] >= bbox[1] - tol)
+        & (p[:, 1] <= bbox[3] + tol)
+    )
+
+
+def bilinear(nodes, origin, spacing, points):
+    """Bilinear interpolation at ``points`` of the lattice ``nodes`` (ny, nx)
+    with its node (0, 0) at ``origin`` and node spacing ``spacing``; points
+    are clamped into the lattice's closure, and a lattice one node wide is
+    constant along that axis."""
+    v = np.asarray(nodes, dtype=float)
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    nx, ny = v.shape[1] - 1, v.shape[0] - 1
+    tx = np.clip((p[:, 0] - origin[0]) / spacing[0], 0.0, nx)
+    ty = np.clip((p[:, 1] - origin[1]) / spacing[1], 0.0, ny)
+    ix = np.minimum(np.floor(tx).astype(int), max(nx - 1, 0))
+    iy = np.minimum(np.floor(ty).astype(int), max(ny - 1, 0))
+    fx = tx - ix
+    fy = ty - iy
+    ix1 = np.minimum(ix + 1, nx)
+    iy1 = np.minimum(iy + 1, ny)
+    return (
+        v[iy, ix] * (1 - fx) * (1 - fy)
+        + v[iy, ix1] * fx * (1 - fy)
+        + v[iy1, ix] * (1 - fx) * fy
+        + v[iy1, ix1] * fx * fy
+    )
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned rectangle with named boundary markers.
@@ -64,20 +100,9 @@ class Domain:
         return self.origin[axis], self.origin[axis] + self.extent[axis]
 
     @property
-    def xmin(self):
-        return self.origin[0]
-
-    @property
-    def ymin(self):
-        return self.origin[1]
-
-    @property
-    def xmax(self):
-        return self.origin[0] + self.extent[0]
-
-    @property
-    def ymax(self):
-        return self.origin[1] + self.extent[1]
+    def bbox(self):
+        x0, y0 = self.origin
+        return (x0, y0, x0 + self.extent[0], y0 + self.extent[1])
 
     def markers_at(self, side, coords):
         """Marker of each boundary point at position ``coords`` along
@@ -118,14 +143,7 @@ class Domain:
             raise ConfigurationError(f"unknown boundary marker '{marker}'")
 
     def contains(self, points, tol=_TOL):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        sx = tol * max(self.extent)
-        return (
-            (p[:, 0] >= self.xmin - sx)
-            & (p[:, 0] <= self.xmax + sx)
-            & (p[:, 1] >= self.ymin - sx)
-            & (p[:, 1] <= self.ymax + sx)
-        )
+        return inside(points, self.bbox, tol * max(self.extent))
 
 
 @dataclass(frozen=True)
@@ -238,27 +256,28 @@ class Grid:
         i0, j0, i1, j1 = self._window(bbox)
         return Grid((bbox[0], bbox[1]), self.spacing, (i1 - i0, j1 - j0))
 
-    def subgrid_node_ids(self, bbox):
-        """Node ids of the lattice window covering ``bbox``, in the row-major
-        order of the sub-grid's own nodes."""
-        i0, j0, i1, j1 = self._window(bbox)
-        return (np.arange(j0, j1 + 1)[:, None] * (self.nx + 1) + np.arange(i0, i1 + 1)).ravel()
-
-    def subgrid_cell_ids(self, bbox):
-        """Cell ids of the lattice window covering ``bbox`` (row-major)."""
-        i0, j0, i1, j1 = self._window(bbox)
-        return (np.arange(j0, j1)[:, None] * self.nx + np.arange(i0, i1)).ravel()
-
     def restrict(self, values, bbox, nodal=False):
         """A new array of the rows of per-cell ``values`` (per-node with
-        ``nodal``) on the lattice window covering ``bbox``:
-        ``values[subgrid_cell_ids(bbox)]`` (``subgrid_node_ids``), sliced
-        from the lattice without an index array."""
+        ``nodal``), of any trailing shape, on the lattice window covering
+        ``bbox``, in the row-major order of the cells (nodes) of
+        :meth:`subgrid` ``(bbox)``; sliced from the lattice without an index
+        array."""
         i0, j0, i1, j1 = self._window(bbox)
         extra = int(nodal)
         lattice = values.reshape((self.ny + extra, self.nx + extra) + values.shape[1:])
         window = np.array(lattice[j0 : j1 + extra, i0 : i1 + extra])
         return window.reshape((-1,) + values.shape[1:])
+
+    def write_cell_table(self, path, header, rows, footer=""):
+        """Write a CSV table of one line per cell: the cell's lattice indices
+        i, j and its row of ``rows`` (n_cells, m), each value ``.17g``, below
+        the ``header`` line and above ``footer``."""
+        with open(path, "w", newline="\n") as fh:
+            fh.write(header + "\n")
+            for k, row in enumerate(rows):
+                i, j = self.cell_ij(k)
+                fh.write(f"{i},{j}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(footer)
 
 
 @dataclass(frozen=True)

@@ -102,11 +102,10 @@ def response_rhs(problem, macro_space, U, k, i, j):
     """Load of the primal response equation for parameter (K, i, j):
     -int_K dU/dx_j dphi/dx_i, assembled only over macro cells inside K."""
     grid = macro_space.grid
-    cells = grid.subgrid_cell_ids(problem.hierarchy.sampling_bbox(k))
+    cell_nodes = grid.restrict(grid.cell_nodes, problem.hierarchy.sampling_bbox(k))
     kblocks, _ = q1_blocks(*grid.spacing)
-    u4 = U.values[grid.cell_nodes[cells]]
-    loads = -np.einsum("pq,cq->cp", kblocks[i, j], u4).ravel()
-    return np.bincount(grid.cell_nodes[cells].ravel(), weights=loads, minlength=macro_space.n_dofs)
+    loads = -np.einsum("pq,cq->cp", kblocks[i, j], U.values[cell_nodes]).ravel()
+    return np.bincount(cell_nodes.ravel(), weights=loads, minlength=macro_space.n_dofs)
 
 
 def response_U(problem, operator, U, k, i, j):
@@ -386,7 +385,7 @@ def cost_value(problem, model, model0, alpha, config):
     for ctx, _, _ in indicator_sweep(problem, model, U, dual):
         bbox = hierarchy.sampling_bbox(ctx.k)
         cell_grid = ctx.grid.subgrid(bbox)
-        zstar = ctx.zstar[ctx.grid.subgrid_node_ids(bbox)]
+        zstar = ctx.grid.restrict(ctx.zstar, bbox, nodal=True)
         u_vals = evaluate(U, cell_grid.node_coords)
         total += _eta_independent(problem, model, ctx.k, cell_grid, u_vals, zstar) ** 2
     diff = (model.tensors - model0.tensors).reshape(-1, 4)
@@ -443,7 +442,7 @@ def full_gateaux(problem, model, model0, alpha, direction, config):
                 elem = diffusion_element_matrices(ctx.grid, ctx.a_eps)
                 patch_op = element_operator(problem.space(ctx.grid), elem)
                 dzi = dzi + patch_op.solve_constrained(-(patch_op.matrix.T @ dzi), transpose=True)
-            dz4 = gather(ctx.grid, dzi)[ctx.center]
+            dz4 = ctx.grid.restrict(gather(ctx.grid, dzi), hierarchy.sampling_bbox(k))
             t_dual = float(np.sum(diffusion_form_percell(ctx.grid, ctx.d_tensors, ctx.u4, dz4)))
         deriv += 2.0 * eta_k * (t_direct + t_resp + t_dual)
     diff = model.tensors - model0.tensors

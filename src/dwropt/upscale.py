@@ -51,15 +51,9 @@ class EffectiveModel:
         return 0.5 * tr - disc
 
     def to_csv(self, path):
-        grid = self.hierarchy.sampling_grid
-        with open(path, "w", newline="\n") as fh:
-            fh.write("cell_i,cell_j,a11,a12,a21,a22\n")
-            for k in range(self.hierarchy.n_sampling):
-                i, j = grid.cell_ij(k)
-                t = self.tensors[k]
-                fh.write(
-                    f"{i},{j},{t[0, 0]:.17g},{t[0, 1]:.17g},{t[1, 0]:.17g},{t[1, 1]:.17g}\n"
-                )
+        self.hierarchy.sampling_grid.write_cell_table(
+            path, "cell_i,cell_j,a11,a12,a21,a22", self.tensors.reshape(-1, 4)
+        )
 
 
 def constant_model(hierarchy, tensor, provenance="constant"):
@@ -140,7 +134,7 @@ def homogenized_model(problem, k):
     bbox = problem.hierarchy.sampling_bbox(k)
     fine_grid, a_eps, _ = problem.fine_data()
     grid = fine_grid.subgrid(bbox)
-    elem = diffusion_element_matrices(grid, a_eps[fine_grid.subgrid_cell_ids(bbox)])
+    elem = diffusion_element_matrices(grid, fine_grid.restrict(a_eps, bbox))
     cn = _periodic_dof_map(grid)[grid.cell_nodes]
     try:
         lu = splu(periodic_cell_matrix(problem, grid, elem))

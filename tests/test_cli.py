@@ -409,10 +409,13 @@ def test_every_config_entry_exits_0_or_2(tmp_path, base, section, key, value):
         ("diffusion_tiny", "h = 2^-6", "h = 2^-4"),
         ("diffusion_tiny", "kind = lognormal", "kind = raster\npath = no_such_raster.pgm"),
         ("diffusion_tiny", "h = 2^-6", "h = 2^-6\nfine = 2^-6"),
+        ("advdiff_small", "neumann = gamma_e:1.0", "neumann = gamma_x:1.0"),
+        ("advdiff_small", "marker = gamma_b", "marker = gamma_x"),
+        ("diffusion_tiny", "kind = domain_integral", "kind = point_value\nx0 = 2 2"),
     ],
     ids=["misspelled_key", "unknown_section", "reference_on", "tile", "dirichlet_unknown",
          "negative_definite_constant_field", "reference_coarser_than_raster", "missing_raster",
-         "fine_key"],
+         "fine_key", "neumann_unknown", "functional_marker_unknown", "point_outside"],
 )
 def test_shipped_config_error_exits_before_writing(tmp_path, config, old, new):
     text = (CONFIGS / f"{config}.ini").read_text()

@@ -127,9 +127,8 @@ def test_enhancement_depth_improves_most_cells():
     def cell_error(k, depth):
         _, patch_space, zi, z_k, _ = local_enhancement(problem, z_eff, k, depth)
         bbox = hierarchy.sampling_bbox(k)
-        ids = patch_space.grid.subgrid_node_ids(bbox)
-        approx = zi[ids] + z_k.values[ids]
-        exact = z_fine.values[z_fine.space.grid.subgrid_node_ids(bbox)]
+        approx = patch_space.grid.restrict(zi + z_k.values, bbox, nodal=True)
+        exact = z_fine.space.grid.restrict(z_fine.values, bbox, nodal=True)
         cell_grid = hierarchy.micro_grid(bbox)
         diff4 = gather(cell_grid, exact - approx)
         return float(np.sum(grad_sq_percell(cell_grid, diff4)))

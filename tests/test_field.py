@@ -124,6 +124,31 @@ def test_raster_lookup_out_of_extent():
     r = RasterField(values=np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(OutOfDomainError):
         r.nearest([(1.5, 0.5)])
+    with pytest.raises(OutOfDomainError):
+        r.nearest([(np.nan, 0.5)])
+
+
+def test_interp_reproduces_a_bilinear_function():
+    # raster node (i, j) sits at origin + (i, j) * size / (n - 1); bilinear
+    # data interpolate exactly, and a point outside takes its clamped value
+    def f(x, y):
+        return 1.0 + 2.0 * x - 3.0 * y + 4.0 * x * y
+
+    xs, ys = np.linspace(0.5, 2.5, 5), np.linspace(-1.0, 0.0, 3)
+    r = RasterField(f(xs[None, :], ys[:, None]), origin=(0.5, -1.0), size=(2.0, 1.0))
+    pts = np.array([[0.5, -1.0], [2.5, 0.0], [1.3, -0.2], [0.77, -0.91], [2.2, -0.5]])
+    assert np.allclose(r.interp(pts), f(*pts.T), rtol=0.0, atol=1e-14)
+    outside = np.array([[0.0, -2.0], [3.0, 1.0], [1.3, 5.0]])
+    clamped = np.clip(outside, [0.5, -1.0], [2.5, 0.0])
+    assert np.allclose(r.interp(outside), f(*clamped.T), rtol=0.0, atol=1e-14)
+
+
+def test_interp_of_a_raster_one_pixel_wide_is_constant_across_it():
+    column = RasterField(np.array([[1.0], [3.0], [7.0]]), size=(1.0, 2.0))
+    pts = [(0.0, 0.5), (0.9, 0.5), (0.3, 1.5), (0.6, 2.0)]
+    assert np.array_equal(column.interp(pts), [2.0, 2.0, 5.0, 7.0])
+    row = RasterField(np.array([[2, 4]], dtype=np.uint8))
+    assert np.array_equal(row.interp([(0.25, 0.0), (0.25, 0.9)]), [2.5, 2.5])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dwropt.errors import ConfigurationError, OutOfDomainError
-from dwropt.mesh import Domain, build_hierarchy
+from dwropt.mesh import Domain, Grid, build_hierarchy
 
 
 def unit_hierarchy(delta=0.5, h_macro=0.25, h_micro=0.125):
@@ -153,15 +153,37 @@ def test_micro_grid_alignment():
 
 
 def test_subgrid_is_a_lattice_window():
-    # the window's node and cell ids address the sub-grid's own nodes and
-    # cells, in its row-major order
+    # the window's nodes and cells are the sub-grid's own, in its row-major
+    # order
     h = build_hierarchy(Domain(), 2.0**-3, 2.0**-4, 2.0**-5)
     fine = h.fine_grid
     bbox = h.patch_of(h.sampling_grid.cell_id(3, 4), 1).bbox
     sub = fine.subgrid(bbox)
     assert sub == h.micro_grid(bbox)
-    assert np.array_equal(fine.node_coords[fine.subgrid_node_ids(bbox)], sub.node_coords)
-    assert np.array_equal(fine.cell_centers[fine.subgrid_cell_ids(bbox)], sub.cell_centers)
+    assert np.array_equal(fine.restrict(fine.node_coords, bbox, nodal=True), sub.node_coords)
+    assert np.array_equal(fine.restrict(fine.cell_centers, bbox), sub.cell_centers)
+
+
+@pytest.mark.parametrize(
+    "bbox, cells, nodes",
+    [
+        ((0.0, 0.0, 2.0, 1.0), [0, 1], [0, 1, 2, 5, 6, 7]),
+        ((2.0, 1.0, 4.0, 3.0), [6, 7, 10, 11], [7, 8, 9, 12, 13, 14, 17, 18, 19]),
+        ((1.0, 1.0, 3.0, 2.0), [5, 6], [6, 7, 8, 11, 12, 13]),
+        ((0.0, 0.0, 4.0, 3.0), list(range(12)), list(range(20))),
+    ],
+    ids=["lower_left_corner", "upper_right_corner", "interior", "whole_grid"],
+)
+def test_restrict_takes_the_window_rows(bbox, cells, nodes):
+    # on a 4 x 3 grid of unit cells, the rows of per-cell and per-node arrays
+    # with trailing axes, in the window's row-major order, as a new array
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (4, 3))
+    per_cell = np.arange(12 * 4, dtype=float).reshape(12, 2, 2)
+    per_node = np.arange(20 * 3).reshape(20, 3)
+    window = grid.restrict(per_cell, bbox)
+    assert np.array_equal(window, per_cell[cells])
+    assert not np.shares_memory(window, per_cell)
+    assert np.array_equal(grid.restrict(per_node, bbox, nodal=True), per_node[nodes])
 
 
 def test_boundary_marker_split():

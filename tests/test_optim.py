@@ -272,11 +272,13 @@ def test_response_terms_match_per_member_forms(case):
         for r, response in enumerate(responses):
             r4 = gather(grid, evaluate(response, grid.node_coords))
             for m, q in enumerate(ctx.patch.members):
-                ids = grid.subgrid_cell_ids(problem.hierarchy.sampling_bbox(q))
-                d_tensors = model.tensors[q] - ctx.a_eps[ids]
-                inline[m, r] = np.sum(diffusion_form_percell(grid, d_tensors, r4[ids], z4[ids]))
+                bbox = problem.hierarchy.sampling_bbox(q)
+                d_tensors = model.tensors[q] - grid.restrict(ctx.a_eps, bbox)
+                r4q, z4q = grid.restrict(r4, bbox), grid.restrict(z4, bbox)
+                inline[m, r] = np.sum(diffusion_form_percell(grid, d_tensors, r4q, z4q))
                 if ctx.fluct is not None:
-                    inline[m, r] -= np.einsum("cp,cpq,cq->", z4[ids], ctx.fluct[ids], r4[ids])
+                    fluct = grid.restrict(ctx.fluct, bbox)
+                    inline[m, r] -= np.einsum("cp,cpq,cq->", z4q, fluct, r4q)
         terms = ctx.response_terms(responses)
         # a member's term sums contributions that cancel: compare on the
         # scale of the response's largest member term

@@ -218,7 +218,7 @@ def test_folded_cell_operator_equals_the_coo_cell_matrix(k):
     fine, a_eps, _ = problem.fine_data()
     bbox = h.sampling_bbox(k)
     grid = fine.subgrid(bbox)
-    tensors = a_eps[fine.subgrid_cell_ids(bbox)]
+    tensors = fine.restrict(a_eps, bbox)
     folded = periodic_cell_matrix(problem, grid, diffusion_element_matrices(grid, tensors))
     coo = coo_cell_matrix(grid, tensors)
     assert folded.format == "csc"
@@ -234,7 +234,7 @@ def gauss_point_homogenized(problem, k):
     fine, a_eps, _ = problem.fine_data()
     bbox = problem.hierarchy.sampling_bbox(k)
     grid = fine.subgrid(bbox)
-    tensors = a_eps[fine.subgrid_cell_ids(bbox)]
+    tensors = fine.restrict(a_eps, bbox)
     cn = _periodic_dof_map(grid)[grid.cell_nodes]
     lu = splu(coo_cell_matrix(grid, tensors))
     hx, hy = grid.spacing
