@@ -444,11 +444,12 @@ def check_reference(problem, dof_cap, raster=None):
         )
 
 
-def oracle_reference(problem, dof_cap=KEYS["mesh"]["dof_cap"][1], raster=None):
+def oracle_reference(problem, dof_cap=KEYS["mesh"]["dof_cap"][1], raster=None, full_dual=False):
     """Single global fine-scale solve: the brute-force oracle behind every
-    effectivity and error column."""
+    effectivity and error column.  With ``full_dual`` the same factor also
+    solves the full dual, for a run that reads it next."""
     check_reference(problem, dof_cap, raster)
-    u_ref, _ = problem.fine_solution()
+    u_ref, _ = problem.fine_solution(dual=full_dual)
     return u_ref, apply_functional(problem.functional, u_ref)
 
 
@@ -540,12 +541,15 @@ class Scenario:
     model0: object
     config: OptimizerConfig
 
-    def oracle(self):
+    def oracle(self, full_dual=False):
         """(u_ref, j_ref) from the fine-scale reference solve, or None when
-        ``[problem] reference`` is off."""
+        ``[problem] reference`` is off.  The reference's factor also solves
+        the full dual when ``full_dual`` is set or the optimizer's dual mode
+        is ``full``."""
         if not self.settings["problem"]["reference"]:
             return None
-        return oracle_reference(self.problem, self.settings["mesh"]["dof_cap"], self.raster)
+        full_dual = full_dual or self.config.dual_mode == "full"
+        return oracle_reference(self.problem, self.settings["mesh"]["dof_cap"], self.raster, full_dual)
 
 
 def build_scenario(cfg, seed_override=None):
@@ -648,7 +652,7 @@ def compare_duals(cfg, outdir, seed_override=None):
     out.mkdir(parents=True, exist_ok=True)
     modes = ("full", "enhanced")
     sc = build_scenario(cfg, seed_override)
-    oracle = sc.oracle()
+    oracle = sc.oracle(full_dual=True)
     states = {
         mode: run_optimization(
             sc.problem, sc.model0, replace(sc.config, dual_mode=mode), oracle=oracle

@@ -28,6 +28,7 @@ from .fem import (
     lattice_matrix,
     lattice_values,
     problem_rhs,
+    serial_product,
 )
 from .mesh import _exact_ratio
 
@@ -152,9 +153,10 @@ def _theta_H(problem, model, operator, U, z):
     grid, where (A_eff U, z) is summed cellwise, z4^T E u4 with E the
     effective element matrices, and no operator is assembled."""
     space = z.space
-    rhs = problem_rhs(problem, space) @ z.values
     if space is operator.space:
+        rhs = problem_rhs(problem, space) @ z.values
         return float(rhs - z.values @ (operator.matrix @ U.values))
+    rhs = serial_product(problem_rhs(problem, space), z.values)
     grid = space.grid
     elem = diffusion_element_matrices(grid, model.tensors_at(grid.cell_centers))
     if problem.is_advective:

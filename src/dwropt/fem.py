@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, OutOfDomainError, SingularOperatorError
-from .mesh import SIDES, Grid, _exact_ratio, bilinear, inside
+from .mesh import SIDES, Grid, _exact_ratio, bilinear, bilinear_weights, inside
 
 # 1-d exact integrals of the hat functions N0 = 1 - t, N1 = t on [0, 1]
 _M1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0       # int N_i N_j
@@ -508,10 +508,38 @@ def element_operator(space, elem, plan=None):
     return SparseOperator(matrix, space, plan.order)
 
 
+# OpenBLAS hands a large enough product to a worker thread, which then spins
+# beside the calling thread for about 0.1 s of CPU, CPU that the SuperLU work
+# after it needs on a 2-vCPU machine.  Products of at most ``SERIAL_PRODUCT``
+# multiply-adds with a contiguous right factor stayed on the calling thread
+# (OpenBLAS 0.3.31, Haswell kernels): (9,216 x 4)(4 x 16) and
+# (64 x 33)(33 x 257) did; (16,384 x 4)(4 x 16), (8,192 x 8)(8 x 16) and a
+# 16,384-long dot woke a worker for 0.12-0.15 s of CPU.
+SERIAL_PRODUCT = 2**19
+
+
+def serial_product(a, b):
+    """``a @ b`` with BLAS on the calling thread, for the products over
+    fine-lattice rows: a dot of two vectors through ``np.einsum``, which
+    calls no BLAS; else the rows of ``a`` (m, k) times a contiguous copy of
+    ``b`` (k, n) in blocks of at most ``SERIAL_PRODUCT`` multiply-adds, one
+    block (one BLAS call) for a patch or the macro grid."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.einsum("i,i->", a, b)
+    b = np.ascontiguousarray(b)  # a transposed b woke a worker at smaller sizes
+    rows = max(SERIAL_PRODUCT // b.size, 1)
+    if len(a) <= rows:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b))
+    for start in range(0, len(a), rows):
+        np.matmul(a[start : start + rows], b, out=out[start : start + rows])
+    return out
+
+
 def diffusion_element_matrices(grid, tensors):
     """(ncells, 4, 4) element stiffness for cellwise-sampled tensors."""
     k, _ = q1_blocks(*grid.spacing)
-    return (tensors.reshape(-1, 4) @ k.reshape(4, 16)).reshape(-1, 4, 4)
+    return serial_product(tensors.reshape(-1, 4), k.reshape(4, 16)).reshape(-1, 4, 4)
 
 
 def assemble_diffusion(space, coeff):
@@ -533,10 +561,18 @@ def _gauss_points_physical(grid):
 
 
 def gauss_values(grid, b):
-    """Values of ``b`` (``values_at`` protocol) at the 2x2 Gauss points of
-    every cell: (ncells, 4, 2)."""
-    coords = gauss_point_coords(grid)
-    return b.values_at(coords.reshape(-1, 2)).reshape(grid.n_cells, 4, 2)
+    """Values of ``b`` at the 2x2 Gauss points of every cell, (ncells, 4,
+    2), from one ``b.values_on_lattice(xs, ys)``: the Gauss points of a
+    uniform grid form the tensor lattice of the per-axis Gauss coordinates
+    (the coordinates of :func:`gauss_point_coords`)."""
+    xs, ys = (
+        (grid.origin[axis] + grid.spacing[axis] * (np.arange(n) + 0.5))[:, None]
+        + (np.array(_GP) * grid.spacing[axis] - 0.5 * grid.spacing[axis])
+        for axis, n in enumerate(grid.shape)
+    )
+    values = b.values_on_lattice(xs.ravel(), ys.ravel())  # [cell row, v, cell column, u, :]
+    values = values.reshape(grid.ny, 2, grid.nx, 2, 2).transpose(0, 2, 1, 3, 4)
+    return values.reshape(grid.n_cells, 4, 2)
 
 
 def _transport_table(hx, hy):
@@ -555,7 +591,8 @@ def advection_elements(grid, b_values, skew=True):
     symmetrized, or the plain Galerkin form with ``skew=False``."""
     table = _transport_table(*grid.spacing)
     table = table if b_values.ndim == 3 else table.sum(axis=0)
-    raw = (b_values.reshape(len(b_values), -1) @ table.reshape(-1, 16)).reshape(-1, 4, 4)
+    raw = serial_product(b_values.reshape(len(b_values), -1), table.reshape(-1, 16))
+    raw = raw.reshape(-1, 4, 4)
     if skew:
         return 0.5 * (raw - raw.transpose(0, 2, 1))
     return raw
@@ -618,7 +655,7 @@ def functional_vector(space, j):
 
 def apply_functional(j, u):
     """<j, u> evaluated with the same weights as the dual right-hand side."""
-    return float(functional_vector(u.space, j) @ u.values)
+    return float(serial_product(functional_vector(u.space, j), u.values))
 
 
 def solve(op, rhs):
@@ -651,18 +688,17 @@ def lattice_matrix(n, ratio):
     """The 1-d bilinear weights of ``n`` lattice nodes, ``ratio`` per cell
     of a coarse lattice whose nodes include their first and last: an
     (n, (n - 1) // ratio + 1) table, row i holding the weights of node i on
-    the coarse nodes, the last node clamped into the last coarse cell as
-    :func:`evaluate` clamps.  Read-only, 8 bytes per entry (10 kB for a
+    the coarse nodes: the :func:`~dwropt.mesh.bilinear_weights` that
+    :func:`evaluate` reads.  Read-only, 8 bytes per entry (10 kB for a
     97-node patch side over 13 macro nodes); a run keys a few (node count,
     ratio) pairs, the sides of its patches, sampling cells and fine grid,
     and the cache keeps 16."""
     m = (n - 1) // ratio
     i = np.arange(n)
-    cell = np.minimum(i // ratio, m - 1)
-    frac = (i - cell * ratio) / ratio
+    cell, right, w_cell, w_right = bilinear_weights(i, 0.0, ratio, m)
     table = np.zeros((n, m + 1))
-    table[i, cell] = 1.0 - frac
-    table[i, cell + 1] = frac
+    table[i, cell] = w_cell
+    table[i, right] = w_right
     table.flags.writeable = False
     return table
 
@@ -682,7 +718,8 @@ def lattice_values(field, grid):
             raise ConfigurationError(f"grid {grid.bbox} is not a lattice window of {src.bbox}")
         tables.append(lattice_matrix(grid.shape[axis] + 1, ratio))
     values = src.restrict(field.values, grid.bbox, nodal=True)
-    return tables[1] @ values.reshape(window.ny + 1, window.nx + 1) @ tables[0].T
+    rows = serial_product(tables[1], values.reshape(window.ny + 1, window.nx + 1))
+    return serial_product(rows, tables[0].T)
 
 
 def gather(grid, values):
@@ -837,19 +874,21 @@ class Problem:
         takes it."""
         return self.average_advection()[self.hierarchy.parents(grid)]
 
-    def fine_solution(self):
+    def fine_solution(self, dual=True):
         """(u, z) on :meth:`fine_space`: the fine-scale solution (the
-        reference) and the full dual.  Neither depends on the model: one
-        single-precision factorization of :func:`fine_operator` solves both
-        once, each solve refined to double precision with float64 residuals
-        of the free block; only u, z are kept.  The free block is all of the
-        operator alive while SuperLU runs
+        reference) and the full dual, or (u, None) with ``dual`` False, which
+        leaves out the transposed solve for a run that reads u alone.  Neither
+        depends on the model: one single-precision factorization of
+        :func:`fine_operator` solves both once, each solve refined to double
+        precision with float64 residuals of the free block; only u, z are
+        kept, and a later call that asks for a z left out factors again.  The
+        free block is all of the operator alive while SuperLU runs
         (:meth:`SparseOperator.factor_alone`); the loads come after."""
-        if self._fine_solution is None:
+        if self._fine_solution is None or (dual and self._fine_solution[1] is None):
             op = fine_operator(self)
             op.factor_alone()
             u = solve(op, problem_rhs(self, op.space))
-            self._fine_solution = (u, solve_dual(op, self.functional))
+            self._fine_solution = (u, solve_dual(op, self.functional) if dual else None)
         return self._fine_solution
 
 

@@ -9,11 +9,12 @@ the extent (y increases with the row index).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigurationError, OutOfDomainError
-from .mesh import bilinear, inside
+from .mesh import bilinear, bilinear_lattice, inside
 
 _ID = np.eye(2)
 
@@ -73,10 +74,19 @@ class RasterField:
         )
         return self.values[iy, ix].astype(float)
 
+    @property
+    def node_spacing(self):
+        """Spacing of the raster values read as lattice nodes (:meth:`interp`)."""
+        return (self.size[0] / max(self.nx - 1, 1), self.size[1] / max(self.ny - 1, 1))
+
     def interp(self, points):
         """Continuous bilinear interpolation with raster values as grid nodes."""
-        spacing = (self.size[0] / max(self.nx - 1, 1), self.size[1] / max(self.ny - 1, 1))
-        return bilinear(self.values, self.origin, spacing, points)
+        return bilinear(self.values, self.origin, self.node_spacing, points)
+
+    def interp_lattice(self, xs, ys):
+        """:meth:`interp` at every point of the lattice ``xs`` x ``ys``:
+        (len(ys), len(xs))."""
+        return bilinear_lattice(self.values, self.origin, self.node_spacing, xs, ys)
 
     def to_pgm(self, path):
         """Write as binary PGM (P5, maxval 255); 8-bit rasters only.
@@ -244,12 +254,11 @@ def _ramp(dist, pad, rise):
 
 
 def _max_magnitude(b, raster):
-    """Max |b| over a 101 x 101 probe grid spanning the raster extent."""
+    """Max |b| over a 101 x 101 probe lattice spanning the raster extent."""
     xs = np.linspace(raster.origin[0], raster.origin[0] + raster.size[0], 101)
     ys = np.linspace(raster.origin[1], raster.origin[1] + raster.size[1], 101)
-    gx, gy = np.meshgrid(xs, ys)
-    v = b.values_at(np.column_stack([gx.ravel(), gy.ravel()]))
-    return float(np.sqrt((v**2).sum(axis=1)).max())
+    v = b.values_on_lattice(xs, ys)
+    return float(np.sqrt((v**2).sum(axis=-1)).max())
 
 
 class AdvectionField:
@@ -291,37 +300,39 @@ class AdvectionField:
             cell_size=cell_size,
         )
 
-    def _stream_values(self, points):
-        """Tapered stream function, extended by zero outside the extent."""
+    def _axis_factor(self, coords, axis):
+        """The stream function's factor along one axis at ``coords``: whether
+        the coordinate lies in the raster extent, times the boundary taper
+        and, with ``cell_size``, the cell-confinement ramp.  The tapered
+        stream function is the raster's interpolation times the factors of
+        both axes, and zero outside the extent."""
         q = self.params
         raster = q["raster"]
-        ox, oy = raster.origin
-        w, h = raster.size
+        lo, width = raster.origin[axis], raster.size[axis]
+        c = np.asarray(coords, dtype=float)
+        pad = q["fd_step"]
+        factor = _ramp(np.minimum(c - lo, lo + width - c), pad, q["taper_width"] - pad)
+        if q.get("cell_size"):
+            cell = q["cell_size"]
+            frac = (c - lo) % cell
+            factor = factor * _ramp(np.minimum(frac, cell - frac), pad, _CELL_RISE * cell)
+        return np.where((c >= lo) & (c <= lo + width), factor, 0.0)
+
+    def _stream_values(self, points):
+        """Tapered stream function at ``points``, extended by zero outside
+        the extent."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = (
-            (p[:, 0] >= ox) & (p[:, 0] <= ox + w) & (p[:, 1] >= oy) & (p[:, 1] <= oy + h)
-        )
-        out = np.zeros(len(p))
-        if np.any(inside):
-            pi = p[inside]
-            psi = raster.interp(pi)
-            pad = q["fd_step"]
-            rise = q["taper_width"] - pad
-            dx = np.minimum(pi[:, 0] - ox, ox + w - pi[:, 0])
-            dy = np.minimum(pi[:, 1] - oy, oy + h - pi[:, 1])
-            taper = _ramp(dx, pad, rise) * _ramp(dy, pad, rise)
-            if q.get("cell_size"):
-                cell = q["cell_size"]
-                crise = _CELL_RISE * cell
-                fx = (pi[:, 0] - ox) % cell
-                fy = (pi[:, 1] - oy) % cell
-                dlx = np.minimum(fx, cell - fx)
-                dly = np.minimum(fy, cell - fy)
-                taper = taper * _ramp(dlx, pad, crise) * _ramp(dly, pad, crise)
-            out[inside] = psi * taper
-        return out
+        psi = self.params["raster"].interp(p)
+        return psi * self._axis_factor(p[:, 0], 0) * self._axis_factor(p[:, 1], 1)
+
+    def _stream_lattice(self, xs, ys):
+        """:meth:`_stream_values` at every point of the lattice ``xs`` x
+        ``ys``: (len(ys), len(xs))."""
+        psi = self.params["raster"].interp_lattice(xs, ys)
+        return psi * self._axis_factor(ys, 1)[:, None] * self._axis_factor(xs, 0)
 
     def values_at(self, points):
+        """b at scattered ``points``: (n, 2)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         d = self.params["fd_step"]
         scale = self.params["scale"]
@@ -332,6 +343,19 @@ class AdvectionField:
         bx = scale * (up - dn) / (2.0 * d)
         by = -scale * (rt - lt) / (2.0 * d)
         return np.column_stack([bx, by])
+
+    def values_on_lattice(self, xs, ys):
+        """b at every point of the tensor lattice ``xs`` x ``ys``, (len(ys),
+        len(xs), 2): :meth:`values_at` of the lattice's points up to rounding,
+        from the stream function on the four shifted lattices X x (Y +- d)
+        and (X +- d) x Y, each the raster's :meth:`RasterField.interp_lattice`
+        times the per-axis factors."""
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        d = self.params["fd_step"]
+        scale = self.params["scale"]
+        up, dn = self._stream_lattice(xs, ys + d), self._stream_lattice(xs, ys - d)
+        rt, lt = self._stream_lattice(xs + d, ys), self._stream_lattice(xs - d, ys)
+        return np.stack([scale * (up - dn) / (2.0 * d), -scale * (rt - lt) / (2.0 * d)], axis=-1)
 
     def max_magnitude(self):
         """Max |b| over a probe grid (used to scale to a target)."""
@@ -353,10 +377,10 @@ class SumAdvection:
         self.components = components
 
     def values_at(self, points):
-        out = self.components[0].values_at(points)
-        for c in self.components[1:]:
-            out = out + c.values_at(points)
-        return out
+        return reduce(np.add, (c.values_at(points) for c in self.components))
+
+    def values_on_lattice(self, xs, ys):
+        return reduce(np.add, (c.values_on_lattice(xs, ys) for c in self.components))
 
     def max_magnitude(self):
         """Max |b| over a probe grid of the first component's raster."""

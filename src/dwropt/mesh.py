@@ -38,28 +38,39 @@ def inside(points, bbox, tol):
     )
 
 
+def bilinear_weights(coords, origin, spacing, n):
+    """The 1-d bilinear weights at ``coords`` along one axis of a lattice of
+    ``n`` cells with node 0 at ``origin`` and node spacing ``spacing``:
+    (i0, i1, w0, w1), the two nodes and their weights per coordinate.  A
+    coordinate is clamped into the lattice's closure, and a lattice one node
+    wide (``n`` = 0) gives its node the whole weight."""
+    t = np.clip((np.asarray(coords, dtype=float) - origin) / spacing, 0.0, n)
+    i0 = np.minimum(np.floor(t).astype(int), max(n - 1, 0))
+    f = t - i0
+    return i0, np.minimum(i0 + 1, n), 1 - f, f
+
+
 def bilinear(nodes, origin, spacing, points):
     """Bilinear interpolation at ``points`` of the lattice ``nodes`` (ny, nx)
-    with its node (0, 0) at ``origin`` and node spacing ``spacing``; points
-    are clamped into the lattice's closure, and a lattice one node wide is
-    constant along that axis."""
+    with its node (0, 0) at ``origin`` and node spacing ``spacing``, from the
+    :func:`bilinear_weights` of each axis."""
     v = np.asarray(nodes, dtype=float)
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    nx, ny = v.shape[1] - 1, v.shape[0] - 1
-    tx = np.clip((p[:, 0] - origin[0]) / spacing[0], 0.0, nx)
-    ty = np.clip((p[:, 1] - origin[1]) / spacing[1], 0.0, ny)
-    ix = np.minimum(np.floor(tx).astype(int), max(nx - 1, 0))
-    iy = np.minimum(np.floor(ty).astype(int), max(ny - 1, 0))
-    fx = tx - ix
-    fy = ty - iy
-    ix1 = np.minimum(ix + 1, nx)
-    iy1 = np.minimum(iy + 1, ny)
-    return (
-        v[iy, ix] * (1 - fx) * (1 - fy)
-        + v[iy, ix1] * fx * (1 - fy)
-        + v[iy1, ix] * (1 - fx) * fy
-        + v[iy1, ix1] * fx * fy
-    )
+    ix, ix1, gx, fx = bilinear_weights(p[:, 0], origin[0], spacing[0], v.shape[1] - 1)
+    iy, iy1, gy, fy = bilinear_weights(p[:, 1], origin[1], spacing[1], v.shape[0] - 1)
+    return v[iy, ix] * gx * gy + v[iy, ix1] * fx * gy + v[iy1, ix] * gx * fy + v[iy1, ix1] * fx * fy
+
+
+def bilinear_lattice(nodes, origin, spacing, xs, ys):
+    """:func:`bilinear` at every point of the tensor lattice ``xs`` x ``ys``,
+    (len(ys), len(xs)), separably: the node rows are interpolated at ``ys``
+    first, then those rows at ``xs``; equal to :func:`bilinear` of the
+    lattice's points up to rounding."""
+    v = np.asarray(nodes, dtype=float)
+    ix, ix1, gx, fx = bilinear_weights(xs, origin[0], spacing[0], v.shape[1] - 1)
+    iy, iy1, gy, fy = bilinear_weights(ys, origin[1], spacing[1], v.shape[0] - 1)
+    rows = v[iy] * gy[:, None] + v[iy1] * fy[:, None]
+    return rows[:, ix] * gx + rows[:, ix1] * fx
 
 
 @dataclass(frozen=True)
@@ -240,15 +251,17 @@ class Grid:
 
     def _window(self, bbox):
         """Lattice index window (i0, j0, i1, j1) covering ``bbox``, which must
-        align with the grid lattice."""
+        align with the grid lattice and lie inside it (else
+        ConfigurationError)."""
         x0, y0 = self.origin
         hx, hy = self.spacing
-        return (
-            int(round((bbox[0] - x0) / hx)),
-            int(round((bbox[1] - y0) / hy)),
-            int(round((bbox[2] - x0) / hx)),
-            int(round((bbox[3] - y0) / hy)),
-        )
+        i0, i1 = (int(round((bbox[k] - x0) / hx)) for k in (0, 2))
+        j0, j1 = (int(round((bbox[k] - y0) / hy)) for k in (1, 3))
+        if not (0 <= i0 <= i1 <= self.nx and 0 <= j0 <= j1 <= self.ny):
+            raise ConfigurationError(
+                f"window {tuple(bbox)} does not lie inside the grid {self.bbox}"
+            )
+        return i0, j0, i1, j1
 
     def subgrid(self, bbox):
         """Grid with this spacing tiling ``bbox``, a lattice window of this

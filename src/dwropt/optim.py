@@ -34,6 +34,7 @@ from .fem import (
     lattice_values,
     problem_rhs,
     q1_blocks,
+    serial_product,
     solve,
     solve_dual,
 )
@@ -249,7 +250,7 @@ def l2_error_against(u_ref, U):
     grid = u_ref.space.grid
     d4 = gather(grid, u_ref.values - lattice_values(U, grid).ravel())
     _, mass = q1_blocks(*grid.spacing)
-    return float(np.sqrt(np.sum((d4 @ mass) * d4)))
+    return float(np.sqrt(np.sum(serial_product(d4, mass) * d4)))
 
 
 def run_optimization(problem, initial_model, config, oracle=None):

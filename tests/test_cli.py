@@ -674,20 +674,20 @@ def test_advective_model_csv_round_trip(tmp_path):
 
 def test_run_samples_fine_advection_once(tmp_path, monkeypatch):
     # the initial b_delta, the reference and the indicator sweep all read
-    # b_eps from one sampling at the Gauss points of the micro grid
+    # b_eps from one lattice sampling at the Gauss points of the micro grid
     calls, built = [], []
     build = cli.build_problem
 
     def counting_build(settings, seed_override=None):
         problem, raster = build(settings, seed_override)
         built.append(problem)
-        sample = problem.advection.values_at
+        sample = problem.advection.values_on_lattice
 
-        def counted(points):
-            calls.append(len(points))
-            return sample(points)
+        def counted(xs, ys):
+            calls.append(len(xs) * len(ys))
+            return sample(xs, ys)
 
-        monkeypatch.setattr(problem.advection, "values_at", counted)
+        monkeypatch.setattr(problem.advection, "values_on_lattice", counted)
         return problem, raster
 
     monkeypatch.setattr(cli, "build_problem", counting_build)
@@ -724,6 +724,49 @@ def test_full_dual_run_factors_and_samples_the_fine_problem_once(tmp_path, monke
     # grid, whose operator the cycle and the final solution each factor
     assert sorted(factored) == [15 * 15, 15 * 15, 63 * 63]
     assert sum(points) == 64 * 64
+
+
+@pytest.mark.parametrize(
+    "dual, solves", [("enhanced", ["N"]), ("effective", ["N"]), ("full", ["N", "T"])]
+)
+def test_reference_solves_the_full_dual_only_for_a_run_that_reads_it(
+    tmp_path, monkeypatch, dual, solves
+):
+    # the reference reads u alone; the full dual shares its one fine factor
+    cfg = ExperimentConfig.from_ini(CONFIGS / "diffusion_tiny.ini")
+    cfg.set("optimizer", "dual", dual)
+    cfg.set("optimizer", "max_cycles", 1)
+    refined, factored = [], []
+    refine, factor = fem.SparseOperator._refined, fem.splu
+
+    def counted_refine(self, b, trans):
+        refined.append(trans)
+        return refine(self, b, trans)
+
+    def counted_factor(matrix, **kw):
+        factored.append(matrix.shape[0])
+        return factor(matrix, **kw)
+
+    monkeypatch.setattr(fem.SparseOperator, "_refined", counted_refine)
+    monkeypatch.setattr(fem, "splu", counted_factor)
+    report, state = run_scenario(cfg, tmp_path)
+    assert report.j_reference is not None and state.cycles == 1
+    assert refined == solves
+    assert factored.count(63 * 63) == 1
+
+
+def test_compare_duals_solves_the_full_dual_with_the_reference_factor(tmp_path, monkeypatch):
+    refined, refine = [], fem.SparseOperator._refined
+
+    def counted_refine(self, b, trans):
+        refined.append(trans)
+        return refine(self, b, trans)
+
+    monkeypatch.setattr(fem.SparseOperator, "_refined", counted_refine)
+    cfg = ExperimentConfig.from_ini(CONFIGS / "diffusion_tiny.ini")
+    cfg.set("optimizer", "max_cycles", 1)
+    compare_duals(cfg, tmp_path)
+    assert refined == ["N", "T"]
 
 
 @pytest.mark.parametrize("command", ["reference", "optimize"])
@@ -849,3 +892,44 @@ def test_history_is_byte_identical_across_blas_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         histories.append((out / "history.csv").read_bytes())
     assert histories[0] == histories[1]
+
+
+# Run in a fresh process by the test below: worker CPU (process CPU less the
+# main thread's) over a diffusion reference and a one-cycle advective
+# optimize, after the spin that starting the BLAS threads costs at import.
+_WORKER_CPU = """
+import resource, sys, time
+from pathlib import Path
+from dwropt import cli
+
+def worker_cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime - time.thread_time()
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+advective = cli.ExperimentConfig.from_ini(configs / "advdiff_small.ini")
+advective.set("optimizer", "max_cycles", "1")
+(out / "advdiff.ini").write_text(advective.to_ini_text())
+time.sleep(0.5)
+start = worker_cpu()
+assert cli.main(["reference", str(configs / "diffusion_small.ini"), "--out", str(out / "r")]) == 0
+assert cli.main(["optimize", str(out / "advdiff.ini"), "--out", str(out / "o")]) == 0
+time.sleep(0.3)
+print(worker_cpu() - start)
+"""
+
+
+def test_fine_lattice_products_keep_blas_on_the_calling_thread(tmp_path):
+    # with two OpenBLAS threads, no product over fine-lattice rows wakes a
+    # worker, which would spin beside the calling thread for about 0.1 s
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_CPU, str(CONFIGS), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 0.05

@@ -92,8 +92,8 @@ class _ConstantB:
     def __init__(self, vec):
         self.vec = np.asarray(vec, dtype=float)
 
-    def values_at(self, points):
-        return np.broadcast_to(self.vec, (len(np.atleast_2d(points)), 2)).copy()
+    def values_on_lattice(self, xs, ys):
+        return np.broadcast_to(self.vec, (len(ys), len(xs), 2)).copy()
 
 
 def test_constant_advection_applied_to_linear_field():

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import coefficient_problem
+from dwropt import cli
 from dwropt.errors import ConfigurationError, NumericalError, OutOfDomainError
 from dwropt.field import (
     AdvectionField,
@@ -11,7 +14,7 @@ from dwropt.field import (
     gen_gaussian_raster,
     stream_advection,
 )
-from dwropt.fem import Functional, Problem
+from dwropt.fem import Functional, Problem, gauss_point_coords, gauss_values
 from dwropt.mesh import Domain, build_hierarchy
 
 
@@ -19,8 +22,8 @@ class ConstantAdvection:
     def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=float)
 
-    def values_at(self, points):
-        return np.broadcast_to(self.vector, (len(np.atleast_2d(points)), 2)).copy()
+    def values_on_lattice(self, xs, ys):
+        return np.broadcast_to(self.vector, (len(ys), len(xs), 2)).copy()
 
 
 def eval_coefficient(field, x):
@@ -277,6 +280,83 @@ def test_degenerate_taper_rejected():
         stream_advection(psi, 1.0, taper_width=0.6, fd_step=0.01)
 
 
+def shipped_advection():
+    """b_eps of configs/advdiff_small.ini: a drift without cell confinement
+    plus cell-confined eddies, and the problem's global micro grid."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "advdiff_small.ini"
+    cfg = cli.ExperimentConfig.from_ini(config)
+    problem, _ = cli.build_problem(cli.read_config(cfg))
+    return problem.advection, problem.hierarchy.fine_grid
+
+
+def point_path(b, xs, ys):
+    """b at the points of the lattice xs x ys through values_at, (ny, nx, 2)."""
+    gx, gy = np.meshgrid(xs, ys)
+    return b.values_at(np.column_stack([gx.ravel(), gy.ravel()])).reshape(len(ys), len(xs), 2)
+
+
+def assert_lattice_matches_points(b, xs, ys):
+    lattice = b.values_on_lattice(xs, ys)
+    points = point_path(b, xs, ys)
+    assert lattice.shape == points.shape
+    # relative to the largest |b| on the lattice: b is a centered difference,
+    # so a single small value carries the cancellation of its two terms
+    assert np.abs(lattice - points).max() <= 1e-13 * np.abs(points).max()
+
+
+def test_lattice_sampler_of_the_shipped_advection_matches_values_at():
+    b, grid = shipped_advection()
+    assert len(b.components) == 2
+    assert b.components[0].params["cell_size"] is None
+    assert b.components[1].params["cell_size"] == 0.25
+    xs = grid.origin[0] + grid.spacing[0] * (np.arange(2 * grid.nx) + 0.3) / 2
+    ys = grid.origin[1] + grid.spacing[1] * (np.arange(2 * grid.ny) + 0.7) / 2
+    assert_lattice_matches_points(b, xs, ys)
+    # and the Gauss-point values of the fine data are those of values_at
+    coords = gauss_point_coords(grid).reshape(-1, 2)
+    lattice = gauss_values(grid, b)
+    points = b.values_at(coords).reshape(lattice.shape)
+    assert np.abs(lattice - points).max() <= 1e-13 * np.abs(points).max()
+
+
+def test_lattice_sampler_of_a_raster_one_node_wide():
+    # eddy_nx = 1: the stream function is constant along x before its taper
+    psi = RasterField(values=correlated_noise(1, 33, 2.0, seed=5), size=(1.0, 2.0))
+    b = stream_advection(psi, 30.0, 0.125, fd_step=2.0**-8, cell_size=0.25)
+    xs = np.linspace(0.0, 1.0, 77)
+    ys = np.linspace(0.0, 2.0, 131)
+    assert np.abs(b.values_on_lattice(xs, ys)).max() > 0.0
+    assert_lattice_matches_points(b, xs, ys)
+
+
+def test_lattice_sampler_outside_the_extent():
+    b, _ = shipped_advection()
+    xs = np.linspace(-0.3, 1.3, 81)
+    ys = np.linspace(-0.5, 2.5, 97)
+    assert_lattice_matches_points(b, xs, ys)
+    out = b.values_on_lattice(np.array([-0.2, 1.2]), ys)
+    assert np.array_equal(out, np.zeros_like(out))
+
+
+def test_lattice_sampler_inside_the_taper_band():
+    b, _ = shipped_advection()
+    taper = b.components[1].params["taper_width"]
+    xs = np.linspace(0.0, taper, 41)
+    ys = np.concatenate([np.linspace(0.0, taper, 41), np.linspace(2.0 - taper, 2.0, 41)])
+    assert np.abs(b.values_on_lattice(xs, ys)).max() > 0.0
+    assert_lattice_matches_points(b, xs, ys)
+
+
+def test_max_magnitude_matches_its_point_path():
+    b, _ = shipped_advection()
+    for field in (b, *b.components):
+        raster = (field.components[0] if field is b else field).params["raster"]
+        xs = np.linspace(raster.origin[0], raster.origin[0] + raster.size[0], 101)
+        ys = np.linspace(raster.origin[1], raster.origin[1] + raster.size[1], 101)
+        points = float(np.sqrt((point_path(field, xs, ys) ** 2).sum(axis=-1)).max())
+        assert abs(field.max_magnitude() - points) <= 1e-13 * points
+
+
 # ---------------------------------------------------------------------------
 # cell averages
 
@@ -309,9 +389,9 @@ def test_average_of_odd_symmetric_field():
     h = build_hierarchy(Domain(), 1.0, 0.5, 0.125)
 
     class Odd:
-        def values_at(self, points):
-            p = np.atleast_2d(points)
-            return np.column_stack([p[:, 0] - 0.5, (p[:, 1] - 0.5) ** 3])
+        def values_on_lattice(self, xs, ys):
+            gx, gy = np.meshgrid(xs, ys)
+            return np.stack([gx - 0.5, (gy - 0.5) ** 3], axis=-1)
 
     avg = b_delta_of(Odd(), h)
     assert np.abs(avg).max() <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dwropt.errors import ConfigurationError, OutOfDomainError
-from dwropt.mesh import Domain, Grid, build_hierarchy
+from dwropt.mesh import Domain, Grid, bilinear, bilinear_lattice, build_hierarchy
 
 
 def unit_hierarchy(delta=0.5, h_macro=0.25, h_micro=0.125):
@@ -184,6 +184,38 @@ def test_restrict_takes_the_window_rows(bbox, cells, nodes):
     assert np.array_equal(window, per_cell[cells])
     assert not np.shares_memory(window, per_cell)
     assert np.array_equal(grid.restrict(per_node, bbox, nodal=True), per_node[nodes])
+
+
+@pytest.mark.parametrize(
+    "bbox",
+    [(3.0, 0.0, 5.0, 1.0), (-1.0, 0.0, 1.0, 1.0)],
+    ids=["past_the_last_cell", "before_the_first"],
+)
+def test_a_window_off_the_grid_is_refused(bbox):
+    # on a 4 x 3 grid of unit cells, slicing would clip the first window to
+    # one cell and wrap the second to none
+    grid = Grid((0.0, 0.0), (1.0, 1.0), (4, 3))
+    with pytest.raises(ConfigurationError, match="does not lie inside the grid"):
+        grid.restrict(np.arange(12.0), bbox)
+    with pytest.raises(ConfigurationError, match="does not lie inside the grid"):
+        grid.subgrid(bbox)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 4), (1, 4), (5, 1)], ids=["lattice", "one_node_wide", "one_node_high"]
+)
+def test_bilinear_lattice_is_bilinear_at_the_lattice_points(shape):
+    # the separable interpolation reads the same clamped weights as the
+    # pointwise one, on points inside, between and outside the nodes
+    nodes = np.random.default_rng(3).standard_normal((shape[1], shape[0]))
+    origin, spacing = (0.5, -1.0), (0.25, 0.5)
+    xs = np.linspace(0.2, 2.0, 13)
+    ys = np.linspace(-1.4, 1.0, 11)
+    gx, gy = np.meshgrid(xs, ys)
+    points = bilinear(nodes, origin, spacing, np.column_stack([gx.ravel(), gy.ravel()]))
+    lattice = bilinear_lattice(nodes, origin, spacing, xs, ys)
+    assert lattice.shape == (ys.size, xs.size)
+    assert np.allclose(lattice.ravel(), points, rtol=1e-14, atol=1e-14 * np.abs(nodes).max())
 
 
 def test_boundary_marker_split():

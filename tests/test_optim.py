@@ -607,19 +607,19 @@ def test_sweeps_sample_fine_advection_once(monkeypatch, dual_mode):
     # from one sampling on the global micro grid
     problem = advection_problem(h_micro=2.0**-5)
     hierarchy = problem.hierarchy
-    sample = problem.advection.values_at
+    sample = problem.advection.values_on_lattice
     sample_delta = problem.delta_values
     calls, delta_calls = [], []
 
-    def counted(points):
-        calls.append(len(points))
-        return sample(points)
+    def counted(xs, ys):
+        calls.append(len(xs) * len(ys))
+        return sample(xs, ys)
 
     def counted_delta(grid):
         delta_calls.append(grid.n_cells)
         return sample_delta(grid)
 
-    monkeypatch.setattr(problem.advection, "values_at", counted)
+    monkeypatch.setattr(problem.advection, "values_on_lattice", counted)
     monkeypatch.setattr(problem, "delta_values", counted_delta)
     model = constant_model(hierarchy, 0.1)
     state = run_optimization(problem, model, OptimizerConfig(max_cycles=2, dual_mode=dual_mode))
